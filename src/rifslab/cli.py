@@ -25,7 +25,6 @@ from .dimension import (
     DimensionFit,
     attractor_box_counts,
     density_profile,
-    dual_attractor_hull,
     estimate_beurling_dimension,
     estimate_box_dimension,
     estimate_discrete_hausdorff,
@@ -87,8 +86,8 @@ def _tail_window(length: int, width: int = 10) -> tuple[int, int]:
 class _Session:
     """One config plus caches shared between the fragments of a run.
 
-    Orbit enumeration dominates the runtime, so samples are cached per
-    radius and `report` reuses one sample across its analyses.
+    Orbit samples are cached per radius, so `report` enumerates each
+    radius once and reuses the sample across its analyses.
     """
 
     def __init__(self, cfg: RunConfig):
@@ -251,12 +250,11 @@ def _frag_dhd(ses: _Session, out_dir: str, args) -> dict:
 
 def _frag_attractor(ses: _Session, out_dir: str, args) -> dict:
     cfg = ses.cfg
-    hull = dual_attractor_hull(cfg.system)
     box = attractor_box_counts(cfg.system, cfg.grid_kmax,
                                word_budget=cfg.node_budget)
     fit = estimate_box_dimension(box, window=_tail_window(len(box.ks)))
     return {
-        "hull": [format_rational(hull[0]), format_rational(hull[1])],
+        "hull": [format_rational(box.hull[0]), format_rational(box.hull[1])],
         "delta": format_rational(box.delta),
         "counts": [[k, n] for k, n in zip(box.ks, box.counts)],
         "fit": _fit_dict(fit),

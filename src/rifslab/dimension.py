@@ -429,11 +429,22 @@ def attractor_box_counts(system: Rifs, k_max: int, delta=None,
     delta**-k, for k = 1..k_max.
 
     Words are grown until their expansion first reaches delta**k; the
-    corresponding inverse compositions map the hull onto intervals no
-    longer than the cell side, and cells overlapping those intervals on a
-    set of positive length are counted.  The number of such words is at
-    most max|r| ** ((k+1) s) with s the similarity dimension, which guards
-    the budget.
+    corresponding inverse compositions map the hull [u, v] onto intervals
+    no longer than the cell side (v - u) / delta**k, and cells
+    [j * side, (j + 1) * side) overlapping those intervals on a set of
+    positive length are counted.
+
+    The walk is exact and runs on integers.  With r_j = p_j / q_j, b_j the
+    offsets and L the lcm of their denominators, the inverse composition
+    of a word w is g_w(x) = (x + e / (Q L)) / (P / Q), held as the triple
+    (P, Q, e); appending map j gives (P p_j, Q q_j, p_j e - b_j L q_j Q).
+
+    Every cut word at level k expands by less than delta**k * max|r|, and
+    the cut words' expansions satisfy sum |R_w|**-s = 1 with s the
+    similarity dimension, so the level-k_max cut set holds fewer than
+    (delta**k_max * max|r|)**s words; that bound is checked against
+    word_budget before walking.  The words the walk visits, over all
+    levels, are counted against the same budget as it goes.
     """
     if k_max < 1:
         raise DomainError("k_max must be >= 1")
@@ -443,35 +454,53 @@ def attractor_box_counts(system: Rifs, k_max: int, delta=None,
     if delta <= 1:
         raise DomainError("delta must exceed 1")
     s = solve_similarity_dimension([m.ratio for m in system.maps]).value
-    bound = float(system.max_ratio_mag) ** ((k_max + 1) * s)
+    log_bound = s * (k_max * math.log(delta) + math.log(system.max_ratio_mag))
+    bound = math.exp(min(log_bound, 700.0))  # exp overflows past ~709
     if bound > word_budget:
         raise BudgetExceededError(
             f"cut set at k={k_max} may hold {bound:.3g} words, "
             f"budget is {word_budget}")
 
     u, v = dual_attractor_hull(system)
-    span = v - u
+    if u == v:
+        return BoxCounts(delta=delta, hull=(u, v), ks=tuple(range(1, k_max + 1)),
+                         counts=(1,) * k_max)
+    offset_den = math.lcm(*(m.offset.denominator for m in system.maps))
+    gens = [(m.ratio.numerator, m.ratio.denominator,
+             int(m.offset * offset_den) * m.ratio.denominator)
+            for m in system.maps]
+    # u = nu / hull_den and v = nv / hull_den; the cell side is
+    # (nv - nu) / (hull_den * delta**k)
+    hull_den = math.lcm(u.denominator, v.denominator)
+    nu, nv = int(u * hull_den), int(v * hull_den)
+    ul, vl = nu * offset_den, nv * offset_den
+    walked = 0
     counts = []
     for k in range(1, k_max + 1):
-        if span == 0:
-            counts.append(1)
-            continue
         threshold = delta**k
-        side = span / threshold
+        a_k, b_k = threshold.numerator, threshold.denominator
+        scale = offset_den * (nv - nu) * b_k
         cells = set()
-        stack = [(g, abs(m.ratio)) for g, m in zip(system.dual_maps(), system.maps)]
+        stack = [(1, 1, 0)]  # the empty word, never a cut word
         while stack:
-            g, expansion = stack.pop()
-            if expansion >= threshold:
-                a, b = g(u), g(v)
-                if a > b:
-                    a, b = b, a
-                jlo = (a / side).__floor__()
-                jhi = (b / side).__ceil__() - 1
-                cells.update(range(jlo, jhi + 1))
+            p, q, e = stack.pop()
+            if abs(p) * b_k >= a_k * q:
+                # g_w(u) / side = (ul q + e hull_den) a_k / (p scale)
+                ed = e * hull_den
+                lo = (ul * q + ed) * a_k
+                hi = (vl * q + ed) * a_k
+                if p < 0:
+                    lo, hi = hi, lo
+                den = p * scale
+                cells.update(range(lo // den, -(-hi // den)))
                 continue
-            for gj, mj in zip(system.dual_maps(), system.maps):
-                stack.append((g.after(gj), expansion * abs(mj.ratio)))
+            walked += len(gens)
+            if walked > word_budget:
+                raise BudgetExceededError(
+                    f"box counting walked more than {word_budget} words "
+                    f"by k={k}")
+            stack.extend([(p * pj, q * qj, pj * e - bq * q)
+                          for pj, qj, bq in gens])
         counts.append(len(cells))
     return BoxCounts(delta=delta, hull=(u, v), ks=tuple(range(1, k_max + 1)),
                      counts=tuple(counts))

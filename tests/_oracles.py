@@ -141,3 +141,36 @@ def box_count_cylinders(system, k):
         jhi = (b / w).__ceil__() - 1
         cells.update(range(jlo, jhi + 1))
     return len(cells)
+
+
+def box_count_cut_set(system, k, delta=None):
+    """Count cells [j*w, (j+1)*w), w = hull span / delta**k, overlapping
+    with positive length the images of the hull under the inverse
+    compositions of the cut words: words grown one map at a time until
+    their expansion first reaches delta**k.
+
+    Composes Fraction AffineMaps word by word; valid for any mix of
+    ratios, where box_count_cylinders is exact only for equal ones.
+    """
+    from rifslab.dimension import dual_attractor_hull
+
+    delta = Fraction(system.max_ratio_mag if delta is None else delta)
+    u, v = dual_attractor_hull(system)
+    if u == v:
+        return 1
+    threshold = delta**k
+    side = (v - u) / threshold
+    duals = system.dual_maps()
+    cells = set()
+    stack = [(g, abs(m.ratio)) for g, m in zip(duals, system.maps)]
+    while stack:
+        g, expansion = stack.pop()
+        if expansion >= threshold:
+            a, b = sorted((g(u), g(v)))
+            jlo = (a / side).__floor__()
+            jhi = (b / side).__ceil__() - 1
+            cells.update(range(jlo, jhi + 1))
+            continue
+        for gj, mj in zip(duals, system.maps):
+            stack.append((g.after(gj), expansion * abs(mj.ratio)))
+    return len(cells)

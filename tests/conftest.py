@@ -3,10 +3,17 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from rifslab import enumerate_orbit, make_padic_system, make_system
+
+# Deterministic examples and no per-example deadline: the suite must give
+# the same result on every run, also on slow or loaded machines.
+settings.register_profile("rifslab", deadline=None, derandomize=True,
+                          max_examples=60)
+settings.load_profile("rifslab")
 
 
 @pytest.fixture(scope="session")

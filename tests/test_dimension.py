@@ -3,8 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rifslab import (
+    BudgetExceededError,
     DomainError,
     attractor_box_counts,
     counting_profile,
@@ -23,7 +26,7 @@ from rifslab import (
     solve_similarity_dimension,
     window_density_sup,
 )
-from _oracles import box_count_cylinders
+from _oracles import box_count_cut_set, box_count_cylinders
 
 LOG2_3 = math.log(2) / math.log(3)
 
@@ -248,6 +251,47 @@ def test_box_counts_budget(cantor_system):
     from rifslab import BudgetExceededError
     with pytest.raises(BudgetExceededError):
         attractor_box_counts(cantor_system, 40, word_budget=10_000)
+
+
+@pytest.mark.parametrize("delta, budget, match", [
+    # the cut set at delta = 9 holds 2**16 words, far beyond the budget
+    (9, 1000, "may hold"),
+    # the pre-check allows 2**9 cut words; the walk visits 1004 words
+    (None, 1003, "walked"),
+])
+def test_box_counts_budget_bounds_the_walk(cantor_system, delta, budget, match):
+    with pytest.raises(BudgetExceededError, match=match):
+        attractor_box_counts(cantor_system, 8, delta=delta, word_budget=budget)
+
+
+def test_box_counts_budget_counts_visited_words(cantor_system):
+    box = attractor_box_counts(cantor_system, 8, word_budget=1004)
+    assert box.counts == tuple(2**k for k in range(1, 9))
+
+
+RATIOS = [Fraction(r) for r in (2, -2, 3, -3, 4, -4)] + [Fraction(5, 2),
+                                                         Fraction(-7, 3)]
+OFFSETS = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+MAX_CUT_WORDS = 5000
+
+
+@given(maps=st.lists(st.tuples(st.sampled_from(RATIOS), OFFSETS),
+                     min_size=2, max_size=3, unique=True),
+       delta=st.one_of(st.none(),
+                       st.fractions(min_value=Fraction(5, 4), max_value=4,
+                                    max_denominator=4)),
+       k_max=st.integers(1, 6))
+def test_box_counts_match_cut_set_oracle(maps, delta, k_max):
+    system = make_system(maps)
+    s = solve_similarity_dimension([r for r, _ in maps]).value
+    scale = float(system.max_ratio_mag if delta is None else delta)
+    # keep the Fraction oracle cheap: at most MAX_CUT_WORDS cut words
+    while k_max > 1 and (scale**k_max * float(system.max_ratio_mag))**s \
+            > MAX_CUT_WORDS:
+        k_max -= 1
+    box = attractor_box_counts(system, k_max, delta=delta)
+    assert box.counts == tuple(box_count_cut_set(system, k, delta)
+                               for k in box.ks)
 
 
 # --------------------------------------------------------------------------
