@@ -16,13 +16,13 @@ import json
 import math
 import os
 import sys
-from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 from . import __version__
 from .config import RunConfig, apply_overrides, load_config
 from .dimension import (
     DimensionFit,
+    _jumps_in,
     attractor_box_counts,
     density_profile,
     estimate_beurling_dimension,
@@ -261,12 +261,6 @@ def _frag_attractor(ses: _Session, out_dir: str, args) -> dict:
     }
 
 
-def _jumps_in(pts, lo, hi) -> set:
-    jumps = set(pts[bisect_left(pts, lo):bisect_right(pts, hi)])
-    jumps.update(-x for x in pts[bisect_left(pts, -hi):bisect_right(pts, -lo)])
-    return {x for x in jumps if lo <= x <= hi}
-
-
 def _density_grid(cfg: RunConfig, sample, ratio, periods: int = 3,
                   fill: int = 40,
                   max_jumps: int = 200_000) -> list[Fraction]:
@@ -403,13 +397,7 @@ def _frag_padic(ses: _Session, out_dir: str, args) -> dict:
     clustering = [[k, ball_count(sample.points, p, k).count]
                   for k in range(1, cfg.grid_kmax + 1)]
 
-    if args.depth:
-        depth = args.depth
-    else:
-        depth = 1
-        while cfg.system.m ** (depth + 1) <= 2**16:
-            depth += 1
-    att = attractor_sample(psys, cfg.seed, depth, cfg.node_budget)
+    att = attractor_sample(psys, cfg.seed, args.depth, cfg.node_budget)
     k_top = min(att.certified_k, 12)
     box = padic_box_dimension(att.points, p, range(2, k_top + 1),
                               certified_k=att.certified_k)

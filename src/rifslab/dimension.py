@@ -104,6 +104,15 @@ def _linfit(xs, ys) -> tuple[float, float, float]:
     return slope, intercept, r2
 
 
+def _loglog_fit(xs, ys, window: tuple[float, float]) -> DimensionFit:
+    """Least-squares slope of ys against xs, both already logarithms, with
+    the range of the pointwise exponents y/x as lower/upper envelope."""
+    slope, _, r2 = _linfit(xs, ys)
+    ratios = [y / x for x, y in zip(xs, ys)]
+    return DimensionFit(lower=min(ratios), upper=max(ratios), slope=slope,
+                        window=window, r_squared=r2)
+
+
 def _fit_window(entries, window):
     if window is None:
         window = (0, len(entries))
@@ -128,13 +137,9 @@ def estimate_mass_dimension(profile: CountingProfile,
         if n < 1:
             raise DomainError(
                 f"mass fit needs positive counts, N({format_rational(h)}) = 0")
-    xs = [math.log(float(h)) for h, _ in chosen]
-    ys = [math.log(n) for _, n in chosen]
-    slope, _, r2 = _linfit(xs, ys)
-    ratios = [y / x for x, y in zip(xs, ys)]
-    return DimensionFit(lower=min(ratios), upper=max(ratios), slope=slope,
-                        window=(float(chosen[0][0]), float(chosen[-1][0])),
-                        r_squared=r2)
+    return _loglog_fit([math.log(float(h)) for h, _ in chosen],
+                       [math.log(n) for _, n in chosen],
+                       (float(chosen[0][0]), float(chosen[-1][0])))
 
 
 def estimate_beurling_dimension(sample: OrbitSample, h_grid,
@@ -151,13 +156,9 @@ def estimate_beurling_dimension(sample: OrbitSample, h_grid,
             raise DomainError("window fit needs a nonempty sample")
         entries.append((h, count))
     chosen = _fit_window(entries, window)
-    xs = [math.log(float(h)) for h, _ in chosen]
-    ys = [math.log(n) for _, n in chosen]
-    slope, _, r2 = _linfit(xs, ys)
-    ratios = [y / x for x, y in zip(xs, ys)]
-    return DimensionFit(lower=min(ratios), upper=max(ratios), slope=slope,
-                        window=(float(chosen[0][0]), float(chosen[-1][0])),
-                        r_squared=r2)
+    return _loglog_fit([math.log(float(h)) for h, _ in chosen],
+                       [math.log(n) for _, n in chosen],
+                       (float(chosen[0][0]), float(chosen[-1][0])))
 
 
 # ---------------------------------------------------------------------------
@@ -512,13 +513,9 @@ def estimate_box_dimension(box: BoxCounts,
     pairs = [(k, n) for k, n in zip(box.ks, box.counts)]
     chosen = _fit_window(pairs, window)
     log_delta = math.log(float(box.delta))
-    xs = [k * log_delta for k, _ in chosen]
-    ys = [math.log(max(n, 1)) for _, n in chosen]
-    slope, _, r2 = _linfit(xs, ys)
-    ratios = [y / x for x, y in zip(xs, ys)]
-    return DimensionFit(lower=min(ratios), upper=max(ratios), slope=slope,
-                        window=(float(chosen[0][0]), float(chosen[-1][0])),
-                        r_squared=r2)
+    return _loglog_fit([k * log_delta for k, _ in chosen],
+                       [math.log(max(n, 1)) for _, n in chosen],
+                       (float(chosen[0][0]), float(chosen[-1][0])))
 
 
 # ---------------------------------------------------------------------------
@@ -661,6 +658,14 @@ def density_profile(profile: CountingProfile, s: float, period_ratio=None,
                          periodic_profile=periodic, defect=defect)
 
 
+def _jumps_in(pts, lo, hi) -> set:
+    """The h in [lo, hi] (0 < lo) where the count N(h) of the sorted
+    points jumps: the magnitudes of the points of either sign."""
+    jumps = set(pts[bisect_left(pts, lo):bisect_right(pts, hi)])
+    jumps.update(-x for x in pts[bisect_left(pts, -hi):bisect_right(pts, -lo)])
+    return jumps
+
+
 def window_density_sup(sample: OrbitSample, s: float, lo, hi) -> float:
     """sup of N(h)/h**s over h in [lo, hi], exact for a complete sample.
 
@@ -675,13 +680,8 @@ def window_density_sup(sample: OrbitSample, s: float, lo, hi) -> float:
         raise DomainError("window must satisfy 0 < lo < hi")
     if hi > sample.radius:
         raise DomainError("window exceeds the verified radius")
-    pts = sample.points
-    # N jumps where h crosses the magnitude of a point of either sign
-    jumps = {pts[i] for i in range(bisect_left(pts, lo), bisect_right(pts, hi))}
-    jumps.update(-pts[i] for i in
-                 range(bisect_left(pts, -hi), bisect_right(pts, -lo)))
     best = sample.count_within(lo) / float(lo) ** s
-    for a in jumps:
+    for a in _jumps_in(sample.points, lo, hi):
         best = max(best, sample.count_within(a) / float(a) ** s)
     return best
 

@@ -7,11 +7,11 @@ and are pruned; breadth-first closure with that prune enumerates the orbit
 restricted to the window exactly, or stops early with a partial sample
 when the node budget runs out.
 
-Systems whose orbit lives on a fixed integer lattice (integer ratios,
-after clearing the denominators of seed and offsets) are dispatched to a
-compiled integer kernel when it is available and the values provably fit
-in 64 bits; otherwise a pure-Python walk over exact rationals is used.
-Both paths produce identical complete samples.
+One breadth-first walk serves every system.  When all ratios are
+integers, the orbit lives on a fixed integer lattice: after scaling seed
+and offsets by the lcm N of their denominators, the walk runs on Python
+ints and the sorted results are divided by N once at the end.  Otherwise
+it runs on Fractions directly.  Both walks are exact.
 """
 
 from __future__ import annotations
@@ -26,19 +26,7 @@ from .errors import BudgetExceededError, ConfigError, DomainError
 from .rational import format_rational
 from .systems import Rifs
 
-try:
-    from . import _orbitkern
-
-    HAVE_KERNEL = True
-except ImportError:  # pure-Python fallback only
-    _orbitkern = None
-    HAVE_KERNEL = False
-
 DEFAULT_NODE_BUDGET = 10_000_000
-
-# Largest intermediate the compiled kernel may produce; staying a factor
-# of 2 under int64 keeps r*x + b free of overflow.
-_INT64_SAFE = 2**62
 
 
 @dataclass
@@ -56,7 +44,6 @@ class OrbitSample:
     radius: Fraction
     points: list[Fraction]
     complete: bool
-    frontier_exhausted: bool
     node_budget_used: int
 
     def count_within(self, h: Fraction) -> int:
@@ -105,18 +92,16 @@ class OverlapMatrix:
 def _integer_form(system: Rifs, seed: Fraction):
     """Rescale onto the integer lattice when all ratios are integers.
 
-    Returns (scale N, ratios, offsets, scaled seed) so that the orbit of
-    N*seed under y -> r*y + N*b is N times the original orbit, or None
-    when some ratio is non-integer.
+    Returns (scale N, maps as (r, N*b) int pairs, N*seed) so that the
+    orbit of N*seed under y -> r*y + N*b is N times the original orbit,
+    or None when some ratio is non-integer.
     """
     if any(m.ratio.denominator != 1 for m in system.maps):
         return None
-    scale = seed.denominator
-    for m in system.maps:
-        scale = scale * m.offset.denominator // math.gcd(scale, m.offset.denominator)
-    ratios = [m.ratio.numerator for m in system.maps]
-    offsets = [int(m.offset * scale) for m in system.maps]
-    return scale, ratios, offsets, int(seed * scale)
+    scale = math.lcm(seed.denominator,
+                     *(m.offset.denominator for m in system.maps))
+    maps = [(m.ratio.numerator, int(m.offset * scale)) for m in system.maps]
+    return scale, maps, int(seed * scale)
 
 
 def _bfs_generic(maps, seed, expand_cap, node_budget):
@@ -149,8 +134,7 @@ def _bfs_generic(maps, seed, expand_cap, node_budget):
 
 
 def enumerate_orbit(system: Rifs, seed, radius, *,
-                    node_budget: int = DEFAULT_NODE_BUDGET,
-                    force_pure: bool = False) -> OrbitSample:
+                    node_budget: int = DEFAULT_NODE_BUDGET) -> OrbitSample:
     """Enumerate the orbit of seed restricted to [-radius, radius].
 
     The seed itself is a member only if some nonempty composition returns
@@ -167,35 +151,22 @@ def enumerate_orbit(system: Rifs, seed, radius, *,
     expand_cap = max(radius, system.escape_radius)
 
     integer_form = _integer_form(system, seed)
-    if integer_form is not None:
-        scale, ratios, offsets, seed_int = integer_form
-        cap_int = (expand_cap * scale).__floor__()
-        record_int = (radius * scale).__floor__()
-        use_kernel = (
-            HAVE_KERNEL
-            and not force_pure
-            and max(abs(r) for r in ratios) * max(cap_int, abs(seed_int))
-            + max(abs(b) for b in offsets) <= _INT64_SAFE
-        )
-        if use_kernel:
-            pts, complete, used = _orbitkern.bfs_integer(
-                ratios, offsets, seed_int, cap_int, record_int, node_budget)
-            points = [Fraction(v, scale) for v in pts]
-        else:
-            seen, complete, used = _bfs_generic(
-                list(zip(ratios, offsets)), seed_int, cap_int, node_budget)
-            points = sorted(Fraction(v, scale) for v in seen
-                            if -record_int <= v <= record_int)
-        return OrbitSample(system=system, seed=seed, radius=radius,
-                           points=points, complete=complete,
-                           frontier_exhausted=complete, node_budget_used=used)
-
-    maps = [(m.ratio, m.offset) for m in system.maps]
-    seen, complete, used = _bfs_generic(maps, seed, expand_cap, node_budget)
-    points = sorted(v for v in seen if -radius <= v <= radius)
+    if integer_form is None:
+        scale = None
+        maps = [(m.ratio, m.offset) for m in system.maps]
+        start, cap, record = seed, expand_cap, radius
+    else:
+        scale, maps, start = integer_form
+        cap = (expand_cap * scale).__floor__()
+        record = (radius * scale).__floor__()
+    seen, complete, used = _bfs_generic(maps, start, cap, node_budget)
+    points = sorted(v for v in seen if -record <= v <= record)
+    if scale is not None:
+        # scale > 0, so dividing by it keeps the order
+        points = [Fraction(v, scale) for v in points]
     return OrbitSample(system=system, seed=seed, radius=radius,
                        points=points, complete=complete,
-                       frontier_exhausted=complete, node_budget_used=used)
+                       node_budget_used=used)
 
 
 def counting_profile(sample: OrbitSample, grid) -> CountingProfile:

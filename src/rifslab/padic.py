@@ -15,7 +15,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dimension import DimensionFit, _linfit, estimate_mass_dimension
+from .dimension import DimensionFit, _loglog_fit, estimate_mass_dimension
 from .errors import ConfigError, DomainError
 from .orbit import OrbitSample, counting_profile, enumerate_orbit
 from .rational import PAdicValue, check_prime, format_rational, padic_valuation
@@ -138,17 +138,22 @@ class PAdicAttractorSample:
     certified_k: int
 
 
-def attractor_sample(system: PAdicSystem, seed, depth: int,
+def attractor_sample(system: PAdicSystem, seed, depth: int | None = None,
                      node_budget: int = 10_000_000) -> PAdicAttractorSample:
     """All values of words of exactly the given length, deduplicated.
 
     Depth-n truncations sit within p-adic distance p**-(n * min exponent)
     of the attractor (for p-adically integral data), so ball counts are
-    certified up to that level and refused beyond it.
+    certified up to that level and refused beyond it.  The default depth
+    is the largest n with m**n <= 2**16 words, m the number of maps.
     """
+    arch = system.archimedean()
+    if depth is None:
+        depth = 1
+        while arch.m ** (depth + 1) <= 2**16:
+            depth += 1
     if depth < 1:
         raise DomainError("depth must be >= 1")
-    arch = system.archimedean()
     if arch.m**depth > node_budget:
         raise DomainError(
             f"depth {depth} needs {arch.m**depth} words, budget is {node_budget}")
@@ -183,13 +188,9 @@ def padic_box_dimension(points, p: int, k_values,
             f"{certified_k} of this sample")
     counts = [ball_count(points, p, k).count for k in k_values]
     log_p = math.log(p)
-    xs = [k * log_p for k in k_values]
-    ys = [math.log(c) for c in counts]
-    slope, _, r2 = _linfit(xs, ys)
-    ratios = [y / x for x, y in zip(xs, ys)]
-    fit = DimensionFit(lower=min(ratios), upper=max(ratios), slope=slope,
-                       window=(float(k_values[0]), float(k_values[-1])),
-                       r_squared=r2)
+    fit = _loglog_fit([k * log_p for k in k_values],
+                      [math.log(c) for c in counts],
+                      (float(k_values[0]), float(k_values[-1])))
     return PAdicBoxReport(p=p, ks=tuple(k_values), counts=tuple(counts), fit=fit)
 
 
@@ -282,10 +283,6 @@ def compare_mass_and_box(system: PAdicSystem, seed, *,
     start = max(0, len(grid) - mass_window)
     mass_fit = estimate_mass_dimension(profile, window=(start, len(grid)))
 
-    if depth is None:
-        depth = 1
-        while arch.m ** (depth + 1) <= 2**16:
-            depth += 1
     att = attractor_sample(system, seed, depth, node_budget)
     if k_values is None:
         k_values = list(range(2, min(att.certified_k, 12) + 1))

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import rifslab
 from rifslab.cli import main
 
 LOG2_3 = math.log(2) / math.log(3)
@@ -306,6 +307,10 @@ def test_console_script_roundtrip(tmp_path):
                "from rifslab.cli import main; import sys;"
                "sys.exit(main(sys.argv[1:]))",
                "solve-s", "--config", cfg, "--out", str(tmp_path / "out")]
-    proc = subprocess.run(env_cmd, capture_output=True, text=True)
+    # the child imports the same rifslab as this run, installed or not
+    package_root = os.path.dirname(os.path.dirname(rifslab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(env_cmd, capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["s"] == pytest.approx(LOG2_3, abs=1e-9)

@@ -2,8 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-import rifslab
 from rifslab import (
     BudgetExceededError,
     DomainError,
@@ -76,19 +77,29 @@ def test_fixed_seed_is_its_own_image(cantor_sample):
     assert Fraction(0) in cantor_sample
 
 
-@pytest.mark.skipif(not rifslab.HAVE_KERNEL, reason="kernel not built")
-def test_kernel_and_pure_agree(cantor_system, renewal_system):
-    cases = [
-        (cantor_system, 0, Fraction(3) ** 8),
-        (renewal_system, 5, Fraction(10) ** 4),
-        (make_system([(Fraction(-2), Fraction(1)), (Fraction(3), Fraction(0))]),
-         1, Fraction(2000)),
-    ]
-    for system, seed, radius in cases:
-        fast = enumerate_orbit(system, seed, radius)
-        slow = enumerate_orbit(system, seed, radius, force_pure=True)
-        assert fast.complete and slow.complete
-        assert fast.points == slow.points
+RATIOS = [Fraction(r) for r in (2, -2, 3, -3)] + [Fraction(5, 2),
+                                                 Fraction(-7, 3)]
+RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@given(maps=st.lists(st.tuples(st.sampled_from(RATIOS), RATIONALS),
+                     min_size=2, max_size=3, unique=True),
+       seed=RATIONALS,
+       radius=st.fractions(min_value=3, max_value=60, max_denominator=4))
+def test_walk_matches_unpruned_search(maps, seed, radius):
+    # all-integer ratios take the integer-lattice walk, the rest the
+    # Fraction walk
+    system = make_system(maps)
+    # radius >= escape radius: a layer of the unpruned search that lands
+    # wholly outside the radius can never lead back inside, so a
+    # saturated search is the whole orbit in the window
+    assert radius >= system.escape_radius
+    expected, saturated = brute_orbit(system, seed, radius,
+                                      depth=12 if len(maps) == 2 else 8)
+    assume(saturated)
+    sample = enumerate_orbit(system, seed, radius)
+    assert sample.complete
+    assert sample.points == expected
 
 
 def test_budget_exhaustion_is_partial_not_error(cantor_system):

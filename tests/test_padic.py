@@ -152,6 +152,15 @@ def test_attractor_sample_layers(binary_padic_system):
     assert sorted(p % 64 for p in sample.points) == list(range(64))
 
 
+def test_attractor_sample_default_depth(binary_padic_system):
+    # the largest depth whose m**depth words stay within 2**16
+    assert attractor_sample(binary_padic_system, Fraction(0)).depth == 16
+    ternary = make_padic_system(3, [(1, 1, Fraction(b)) for b in range(3)])
+    sample = attractor_sample(ternary, Fraction(0))
+    assert sample.depth == 10
+    assert len(sample.points) == 3**10
+
+
 def test_attractor_sample_budget(binary_padic_system):
     with pytest.raises(DomainError, match="budget"):
         attractor_sample(binary_padic_system, Fraction(0), 20, node_budget=1000)
