@@ -23,6 +23,7 @@ from .config import RunConfig, apply_overrides, load_config
 from .dimension import (
     DimensionFit,
     _jumps_in,
+    _renewal_radius,
     attractor_box_counts,
     density_profile,
     estimate_beurling_dimension,
@@ -35,6 +36,7 @@ from .dimension import (
 )
 from .errors import BudgetExceededError, ConfigError, DomainError
 from .orbit import (
+    _residual_radius,
     counting_profile,
     enumerate_orbit,
     min_gap,
@@ -43,11 +45,10 @@ from .orbit import (
     write_orbit_dump,
 )
 from .padic import (
-    attractor_sample,
     ball_count,
-    compare_mass_and_box,
     mass_box_sandwich,
-    padic_box_dimension,
+    mass_versus_box,
+    padic_attractor_box,
 )
 from .rational import format_rational, parse_rational
 from .systems import (
@@ -340,12 +341,8 @@ def _frag_renewal(ses: _Session, out_dir: str, args) -> dict:
     cutoff = cfg.cutoff
     # enlarge the radius until the truncated sums and the residual scan
     # are decidable from the sample
-    needed = system.max_ratio_mag * cutoff + system.max_offset_mag
-    for candidate in sorted({m(cfg.seed) for m in system.maps}):
-        needed = max(needed, abs(candidate))
-        for m in system.maps:
-            needed = max(needed, abs(m.inverse()(candidate)))
-    sample = ses.orbit(max(cfg.radius, needed))
+    sample = ses.orbit(max(cfg.radius, _renewal_radius(system, cutoff),
+                           _residual_radius(system, cfg.seed)))
     residuals = residual_points(sample)
     estimate = renewal_constant(system, sample, residuals, s, cutoff)
     gap = min_gap(sample)
@@ -397,10 +394,8 @@ def _frag_padic(ses: _Session, out_dir: str, args) -> dict:
     clustering = [[k, ball_count(sample.points, p, k).count]
                   for k in range(1, cfg.grid_kmax + 1)]
 
-    att = attractor_sample(psys, cfg.seed, args.depth, cfg.node_budget)
-    k_top = min(att.certified_k, 12)
-    box = padic_box_dimension(att.points, p, range(2, k_top + 1),
-                              certified_k=att.certified_k)
+    att, box = padic_attractor_box(psys, cfg.seed, args.depth,
+                                   cfg.node_budget)
     log_p = math.log(p)
     rows = [(str(k), str(n), _f(math.log(n) / (k * log_p)))
             for k, n in zip(box.ks, box.counts)]
@@ -433,9 +428,8 @@ def _frag_padic(ses: _Session, out_dir: str, args) -> dict:
     except DomainError as exc:
         frag["sandwich"] = {"error": str(exc)}
     try:
-        check = compare_mass_and_box(psys, cfg.seed,
-                                     mass_kmax=cfg.grid_kmax,
-                                     node_budget=cfg.node_budget)
+        check = mass_versus_box(psys, ses.orbit(Fraction(p) ** cfg.grid_kmax),
+                                box.fit)
         frag["mass_vs_box"] = {
             "mass": _fit_dict(check.mass_fit),
             "box": _fit_dict(check.box_fit),

@@ -337,12 +337,14 @@ def dual_attractor_hull(system: Rifs) -> tuple[Fraction, Fraction]:
     """Exact convex hull [u, v] of the attractor of the inverse family.
 
     The hull endpoints satisfy u = min over maps of the images of {u, v}
-    and v = the corresponding max.  Float iteration finds which map and
-    which endpoint attain each bound; that assignment turns the pair of
-    equations into a 2x2 rational linear system, solved exactly and then
-    verified by exact invariance.  Endpoints of the true hull are fixed
-    points of one- or two-map cycles, hence rational, so the verification
-    succeeds once the assignment is right.
+    and v = the corresponding max.  Exact contraction from [-c, c], c the
+    escape radius, shows at each step which map and which endpoint attain
+    each bound; that assignment turns the pair of equations into a 2x2
+    rational linear system, solved exactly and verified by exact
+    invariance.  The invariant hull is unique, so a verified candidate is
+    the hull.  Endpoints of the true hull are fixed points of one- or
+    two-map cycles, hence rational, so the verification succeeds once the
+    assignment is right.
     """
     duals = system.dual_maps()
     c = system.escape_radius
@@ -372,30 +374,6 @@ def dual_attractor_hull(system: Rifs) -> tuple[Fraction, Fraction]:
         hi = max(max(pair) for pair in images)
         return lo == u and hi == v
 
-    uf, vf = -float(c), float(c)
-    assign = None
-    stable = 0
-    for _ in range(500):
-        lo_best = None
-        hi_best = None
-        for idx, g in enumerate(duals):
-            for which, x in enumerate((uf, vf)):
-                y = float(g.ratio) * x + float(g.offset)
-                if lo_best is None or y < lo_best[0]:
-                    lo_best = (y, idx, which)
-                if hi_best is None or y > hi_best[0]:
-                    hi_best = (y, idx, which)
-        new_assign = ((lo_best[1], lo_best[2]), (hi_best[1], hi_best[2]))
-        stable = stable + 1 if new_assign == assign else 0
-        assign = new_assign
-        uf, vf = lo_best[0], hi_best[0]
-        if stable >= 30:
-            break
-    u, v = solve(assign)
-    if verify(u, v):
-        return u, v
-
-    # Ties or borderline floats: redo the contraction exactly.
     u, v = -c, c
     for _ in range(500):
         images = [(g(u), g(v)) for g in duals]
@@ -698,6 +676,12 @@ class RenewalEstimate:
     tail_density_sup: float
 
 
+def _renewal_radius(system: Rifs, cutoff: Fraction) -> Fraction:
+    """Smallest radius whose sample decides the renewal sums truncated at
+    |x| <= cutoff: every image r*x + b of such an x lies inside it."""
+    return system.max_ratio_mag * cutoff + system.max_offset_mag
+
+
 def renewal_constant(system: Rifs, sample: OrbitSample, residuals, s: float,
                      cutoff) -> RenewalEstimate:
     """Candidate limit of N(h)/h**s for a non-overlapping, uniformly
@@ -721,7 +705,7 @@ def renewal_constant(system: Rifs, sample: OrbitSample, residuals, s: float,
     cutoff = Fraction(cutoff)
     if cutoff < 1:
         raise DomainError("cutoff must be >= 1")
-    required = system.max_ratio_mag * cutoff + system.max_offset_mag
+    required = _renewal_radius(system, cutoff)
     if sample.radius < required:
         raise DomainError(
             f"renewal sums need radius >= {format_rational(required)}, "

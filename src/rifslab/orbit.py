@@ -280,6 +280,18 @@ def overlap_probe(system: Rifs, seed, depths,
     return out
 
 
+def _residual_radius(system: Rifs, seed: Fraction) -> Fraction:
+    """Smallest radius that holds every seed image f_i(seed) and all of
+    its preimages f_j^{-1}(f_i(seed)), the points `residual_points`
+    looks up."""
+    needed = Fraction(0)
+    for y in {m(seed) for m in system.maps}:
+        needed = max(needed, abs(y))
+        for m in system.maps:
+            needed = max(needed, abs(m.inverse()(y)))
+    return needed
+
+
 def residual_points(sample: OrbitSample) -> list[Fraction]:
     """Orbit points that are not the image of any orbit point.
 
@@ -292,10 +304,7 @@ def residual_points(sample: OrbitSample) -> list[Fraction]:
         raise DomainError("residual scan requires a complete sample")
     system = sample.system
     candidates = sorted({m(sample.seed) for m in system.maps})
-    needed = max(abs(y) for y in candidates)
-    for y in candidates:
-        for m in system.maps:
-            needed = max(needed, abs(m.inverse()(y)))
+    needed = _residual_radius(system, sample.seed)
     if needed > sample.radius:
         raise DomainError(
             f"residual scan needs radius >= {format_rational(needed)}, "

@@ -257,35 +257,58 @@ class MassBoxComparison:
         return abs(self.mass_fit.slope - self.box_fit.slope)
 
 
-def compare_mass_and_box(system: PAdicSystem, seed, *,
-                         mass_kmax: int = 12, mass_window: int = 8,
-                         depth: int | None = None, k_values=None,
-                         node_budget: int = 10_000_000) -> MassBoxComparison:
-    """Archimedean mass slope of the orbit against the p-adic box slope
-    of the attractor, for a seed fixed by one of the maps.
+def padic_attractor_box(system: PAdicSystem, seed, depth: int | None = None,
+                        node_budget: int = 10_000_000
+                        ) -> tuple[PAdicAttractorSample, PAdicBoxReport]:
+    """The attractor sample of `attractor_sample` and its box fit at the
+    levels 2..min(certified_k, 12)."""
+    att = attractor_sample(system, seed, depth, node_budget)
+    box = padic_box_dimension(att.points, system.p,
+                              range(2, min(att.certified_k, 12) + 1),
+                              certified_k=att.certified_k)
+    return att, box
 
-    The fixed-point requirement keeps the two samples anchored to the
-    same invariant set; other seeds shift the orbit off the attractor and
-    the comparison loses its meaning.
-    """
-    seed = Fraction(seed)
-    arch = system.archimedean()
-    if all(fixed_point(m) != seed for m in arch.maps):
+
+def _require_fixed_seed(system: PAdicSystem, seed: Fraction) -> None:
+    if all(fixed_point(m) != seed for m in system.archimedean().maps):
         raise DomainError("seed must be the fixed point of one of the maps")
-    p = system.p
 
-    radius = Fraction(p) ** mass_kmax
-    sample = enumerate_orbit(arch, seed, radius, node_budget=node_budget)
+
+def mass_versus_box(system: PAdicSystem, sample: OrbitSample,
+                    box_fit: DimensionFit) -> MassBoxComparison:
+    """Archimedean mass slope of an orbit sample against a p-adic box
+    slope of the attractor, for a seed fixed by one of the maps.
+
+    The mass fit counts the sample on the powers p, p**2, ... up to its
+    radius and fits the last 8 of them.  The fixed-point requirement
+    keeps the two samples anchored to the same invariant set; other
+    seeds shift the orbit off the attractor and the comparison loses its
+    meaning.
+    """
+    _require_fixed_seed(system, sample.seed)
     if not sample.complete:
         raise DomainError("orbit enumeration exhausted its budget")
-    grid = [Fraction(p) ** j for j in range(1, mass_kmax + 1)]
+    grid = []
+    h = Fraction(system.p)
+    while h <= sample.radius:
+        grid.append(h)
+        h *= system.p
     profile = counting_profile(sample, grid)
-    start = max(0, len(grid) - mass_window)
-    mass_fit = estimate_mass_dimension(profile, window=(start, len(grid)))
+    mass_fit = estimate_mass_dimension(
+        profile, window=(max(0, len(grid) - 8), len(grid)))
+    return MassBoxComparison(mass_fit=mass_fit, box_fit=box_fit)
 
-    att = attractor_sample(system, seed, depth, node_budget)
-    if k_values is None:
-        k_values = list(range(2, min(att.certified_k, 12) + 1))
-    box = padic_box_dimension(att.points, p, k_values,
-                              certified_k=att.certified_k)
-    return MassBoxComparison(mass_fit=mass_fit, box_fit=box.fit)
+
+def compare_mass_and_box(system: PAdicSystem, seed, *,
+                         mass_kmax: int = 12, depth: int | None = None,
+                         node_budget: int = 10_000_000) -> MassBoxComparison:
+    """`mass_versus_box` for the orbit of a fixed-point seed within
+    p**mass_kmax, against the box fit of `padic_attractor_box`.  A seed
+    that no map fixes is rejected before anything is enumerated."""
+    seed = Fraction(seed)
+    _require_fixed_seed(system, seed)
+    sample = enumerate_orbit(system.archimedean(), seed,
+                             Fraction(system.p) ** mass_kmax,
+                             node_budget=node_budget)
+    _, box = padic_attractor_box(system, seed, depth, node_budget)
+    return mass_versus_box(system, sample, box.fit)

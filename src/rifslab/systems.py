@@ -10,8 +10,7 @@ words can produce colliding values.
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetExceededError, ConfigError, DomainError
@@ -213,26 +212,3 @@ def has_incongruent_offsets(system: Rifs) -> bool:
     mod = abs(r.numerator)
     residues = {m.offset.numerator % mod for m in system.maps}
     return len(residues) == len(system.maps)
-
-
-@dataclass(frozen=True)
-class SystemProfile:
-    """Summary diagnostics for one system, as assembled by the CLI."""
-
-    degenerate_at: Fraction | None
-    similarity_dimension: float
-    similarity_residual: float
-    exact_overlap_witness: tuple[Word, Word] | None
-    separation_table: tuple[tuple[int, Fraction | None], ...] = field(default=())
-
-    @property
-    def separation_rates(self) -> tuple[tuple[int, float | None], ...]:
-        """-log(separation)/n per level; None where the level had no
-        equal-ratio pair or collapsed to 0."""
-        out = []
-        for n, sep in self.separation_table:
-            if sep is None or sep == 0:
-                out.append((n, None))
-            else:
-                out.append((n, -math.log(float(sep)) / n))
-        return tuple(out)

@@ -161,12 +161,36 @@ def test_renewal_file(tmp_path, capsys):
     assert "conditional = true" in text
 
 
-def test_padic_csv_and_sandwich(tmp_path, capsys):
+def count_padic_calls(monkeypatch, names):
+    """Count the calls of the named rifslab.padic functions, made from
+    padic itself or from the cli, which imports them by name; returns the
+    live name -> count dict."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        fn = getattr(rifslab.padic, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for module in (rifslab.padic, rifslab.cli):
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def test_padic_csv_and_sandwich(tmp_path, capsys, monkeypatch):
     cfg = binary_padic_config(tmp_path)
     out = tmp_path / "out"
+    calls = count_padic_calls(monkeypatch,
+                              ("attractor_sample", "padic_box_dimension"))
     code, frag = run_json(capsys, ["padic", "--config", cfg,
                                    "--out", str(out)])
     assert code == 0
+    # one attractor sample and one box fit serve both the fragment's box
+    # and the mass-vs-box check
+    assert calls == {"attractor_sample": 1, "padic_box_dimension": 1}
+    assert frag["mass_vs_box"]["box"] == frag["box"]["fit"]
     assert frag["clustering"] == [[k, 2**k] for k in range(1, 13)]
     assert frag["box"]["fit"]["slope"] == pytest.approx(1.0, abs=1e-12)
     assert frag["sandwich"]["all_hold"] is True
@@ -178,6 +202,16 @@ def test_padic_csv_and_sandwich(tmp_path, capsys):
     k, nk, ratio = lines[1].split(",")
     assert (k, nk) == ("2", "4")
     assert float(ratio) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_padic_depth_sets_mass_vs_box_attractor(tmp_path, capsys):
+    cfg = binary_padic_config(tmp_path)
+    code, frag = run_json(capsys, ["padic", "--config", cfg, "--depth", "8",
+                                   "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert frag["attractor"]["depth"] == 8
+    assert frag["box"]["fit"]["window"] == [2.0, 8.0]
+    assert frag["mass_vs_box"]["box"] == frag["box"]["fit"]
 
 
 def test_padic_requires_block(tmp_path, capsys):

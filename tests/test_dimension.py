@@ -203,13 +203,17 @@ def test_hull_degenerate_origin():
 
 def test_hull_invariance_random():
     rng = random.Random(31)
+    # integer ratios, rational ones, and ratios near 1, whose duals
+    # contract slowly
+    ratios = [Fraction(r) for r in (-4, -3, -2, 2, 3, 4)] + [
+        Fraction(9, 8), Fraction(-11, 10), Fraction(5, 2), Fraction(-7, 3)]
     built = 0
-    while built < 25:
+    while built < 60:
         try:
             system = make_system([
-                (Fraction(rng.choice([-4, -3, -2, 2, 3, 4])),
+                (rng.choice(ratios),
                  Fraction(rng.randint(-6, 6), rng.randint(1, 3)))
-                for _ in range(rng.randint(2, 3))])
+                for _ in range(rng.randint(2, 4))])
         except Exception:
             continue
         built += 1

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from rifslab import padic
 from rifslab import (
     BudgetExceededError,
     ConfigError,
@@ -216,7 +217,11 @@ def test_compare_mass_and_box(binary_padic_system):
     assert report.difference <= 0.02
 
 
-def test_compare_needs_fixed_point_seed(binary_padic_system):
+def test_compare_needs_fixed_point_seed(binary_padic_system, monkeypatch):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("enumerated the orbit of a rejected seed")
+
+    monkeypatch.setattr(padic, "enumerate_orbit", no_enumeration)
     with pytest.raises(DomainError, match="fixed point"):
         compare_mass_and_box(binary_padic_system, Fraction(7),
                              node_budget=10**6)
