@@ -173,14 +173,20 @@ class CoverCost:
     optimal_partition: tuple[tuple[int, int], ...]
 
 
-def _check_cube(points, n: int) -> list[int]:
-    half = Fraction(2**n, 2)
-    pts = sorted(set(int(p) for p in points))
-    for p in pts:
-        if not (-half <= p < half):
-            raise DomainError(
-                f"point {p} outside the side-2^{n} cube centred at 0")
-    return pts
+def _cube(n: int) -> tuple[int, int]:
+    """Integer bounds lo <= x < hi of the half-open side-2**n cube
+    [-2**n / 2, 2**n / 2) centred at 0."""
+    return -(2**n // 2), (2**n + 1) // 2
+
+
+def _integer_points(points) -> list[int]:
+    """The distinct points, sorted; points that are not all integers are
+    refused rather than truncated."""
+    ints, scale = integerize(points)
+    if scale != 1:
+        raise DomainError(
+            f"points must be integers, their common denominator is {scale}")
+    return sorted(set(ints))
 
 
 def min_cover_cost(points, alpha: float, n: int) -> CoverCost:
@@ -199,7 +205,12 @@ def min_cover_cost(points, alpha: float, n: int) -> CoverCost:
         raise DomainError("alpha must be positive")
     if n < 0:
         raise DomainError("cube exponent must be >= 0")
-    pts = _check_cube(points, n)
+    lo, hi = _cube(n)
+    pts = _integer_points(points)
+    for p in pts:
+        if not lo <= p < hi:
+            raise DomainError(
+                f"point {p} outside the side-2^{n} cube centred at 0")
     if not pts:
         return CoverCost(alpha=alpha, n=n, cost=0.0, optimal_partition=())
     size = 2.0**n
@@ -277,7 +288,7 @@ def estimate_discrete_hausdorff(points, alpha_grid, n_values,
         raise DomainError("alpha grid must be positive")
     if list(alpha_grid) != sorted(alpha_grid):
         raise DomainError("alpha grid must be ascending")
-    pts = sorted(set(int(p) for p in points))
+    pts = _integer_points(points)
 
     rows = []
     tail = {}
@@ -285,10 +296,8 @@ def estimate_discrete_hausdorff(points, alpha_grid, n_values,
         running = 0.0
         costs = []
         for n in n_values:
-            half = Fraction(2**n, 2)
-            inside = pts[bisect_left(pts, -half):bisect_right(pts, half)]
-            if inside and inside[-1] >= half:
-                inside = inside[:-1]  # cube is half-open on the right
+            lo, hi = _cube(n)
+            inside = pts[bisect_left(pts, lo):bisect_left(pts, hi)]
             cc = min_cover_cost(inside, alpha, n)
             running += cc.cost
             costs.append(cc.cost)
@@ -318,15 +327,14 @@ def integerize(points) -> tuple[list[int], int]:
     """Scale rationals onto the integers by the lcm of their denominators.
 
     Accepts an OrbitSample or any iterable of rationals; returns the
-    sorted integer points and the scale used.
+    sorted integers a and the scale L, with x = a / L for every point.
     """
     if isinstance(points, OrbitSample):
         points = points.points
-    values = [Fraction(p) for p in points]
-    scale = 1
-    for v in values:
-        scale = scale * v.denominator // math.gcd(scale, v.denominator)
-    return sorted(int(v * scale) for v in values), scale
+    values = [p if isinstance(p, (int, Fraction)) else Fraction(p)
+              for p in points]
+    scale = math.lcm(*{v.denominator for v in values})
+    return sorted(v.numerator * (scale // v.denominator) for v in values), scale
 
 
 # ---------------------------------------------------------------------------
@@ -576,64 +584,57 @@ def density_profile(profile: CountingProfile, s: float, period_ratio=None,
 
     if period_ratio is None:
         tail = entries[-min(10, len(entries)):]
-        sup_tail = max(value(h, n) for h, n in tail)
-        inf_tail = min(value(h, n) for h, n in tail)
-        for (h0, n0), (h1, _) in zip(tail, tail[1:]):
-            inf_tail = min(inf_tail, n0 / float(h1) ** s)
+        tail_window = (float(tail[0][0]), float(tail[-1][0]))
         samples = tuple((float(h), None, value(h, n)) for h, n in entries)
-        return DensityReport(samples=samples, sup_tail=sup_tail,
-                             inf_tail=inf_tail,
-                             tail_window=(float(tail[0][0]), float(tail[-1][0])),
-                             periodic_profile=(), defect=None)
-
-    ratio = Fraction(period_ratio)
-    if ratio <= 1:
-        raise DomainError("period ratio must exceed 1")
-    log_r = math.log(float(ratio))
-    h_max = entries[-1][0]
-    if entries[0][0] > h_max / ratio**periods:
-        raise DomainError(
-            f"profile must span at least {periods} periods of ratio "
-            f"{format_rational(ratio)}")
-    for t in range(periods):
-        lo, hi = h_max / ratio ** (t + 1), h_max / ratio**t
-        inside = sum(1 for h, _ in entries if lo < h <= hi)
-        if inside < min_per_period:
+        periodic, defect = (), None
+    else:
+        ratio = Fraction(period_ratio)
+        if ratio <= 1:
+            raise DomainError("period ratio must exceed 1")
+        log_r = math.log(float(ratio))
+        h_max = entries[-1][0]
+        if entries[0][0] > h_max / ratio**periods:
             raise DomainError(
-                f"grid too sparse: period ({format_rational(lo)}, "
-                f"{format_rational(hi)}] holds {inside} < {min_per_period} values")
+                f"profile must span at least {periods} periods of ratio "
+                f"{format_rational(ratio)}")
+        for t in range(periods):
+            lo, hi = h_max / ratio ** (t + 1), h_max / ratio**t
+            inside = sum(1 for h, _ in entries if lo < h <= hi)
+            if inside < min_per_period:
+                raise DomainError(
+                    f"grid too sparse: period ({format_rational(lo)}, "
+                    f"{format_rational(hi)}] holds {inside} < {min_per_period} values")
 
-    window_lo = h_max / ratio
-    in_window = [(h, n) for h, n in entries if window_lo <= h <= h_max]
-    sup_tail = max(value(h, n) for h, n in in_window)
-    inf_tail = min(value(h, n) for h, n in in_window)
-    for (h0, n0), (h1, _) in zip(in_window, in_window[1:]):
+        window_lo = h_max / ratio
+        tail = [(h, n) for h, n in entries if window_lo <= h <= h_max]
+        tail_window = (float(window_lo), float(h_max))
+
+        by_h = {h: n for h, n in entries}
+        defect = None
+        matched = 0
+        prev_lo = h_max / ratio**2
+        for h, n in entries:
+            if prev_lo <= h <= window_lo and ratio * h in by_h:
+                matched += 1
+                gap = abs(value(ratio * h, by_h[ratio * h]) - value(h, n))
+                defect = gap if defect is None else max(defect, gap)
+        if matched < min_per_period:
+            raise DomainError(
+                "periodicity defect needs a period-matched grid: only "
+                f"{matched} values h with ratio*h also on the grid")
+
+        samples = tuple((float(h), math.log(float(h)) / log_r % 1.0, value(h, n))
+                        for h, n in entries)
+        periodic = tuple((ph, val) for (_, ph, val), (h, _) in zip(samples, entries)
+                         if window_lo <= h <= h_max)
+
+    sup_tail = max(value(h, n) for h, n in tail)
+    inf_tail = min(value(h, n) for h, n in tail)
+    for (_, n0), (h1, _) in zip(tail, tail[1:]):
         inf_tail = min(inf_tail, n0 / float(h1) ** s)
-
-    by_h = {h: n for h, n in entries}
-    defect = None
-    matched = 0
-    prev_lo = h_max / ratio**2
-    for h, n in entries:
-        if prev_lo <= h <= window_lo and ratio * h in by_h:
-            matched += 1
-            gap = abs(value(ratio * h, by_h[ratio * h]) - value(h, n))
-            defect = gap if defect is None else max(defect, gap)
-    if matched < min_per_period:
-        raise DomainError(
-            "periodicity defect needs a period-matched grid: only "
-            f"{matched} values h with ratio*h also on the grid")
-
-    samples = []
-    for h, n in entries:
-        phase = math.log(float(h)) / log_r % 1.0
-        samples.append((float(h), phase, value(h, n)))
-    periodic = tuple((ph, val) for (hf, ph, val), (h, _) in zip(samples, entries)
-                     if window_lo <= h <= h_max)
-    return DensityReport(samples=tuple(samples), sup_tail=sup_tail,
-                         inf_tail=inf_tail,
-                         tail_window=(float(window_lo), float(h_max)),
-                         periodic_profile=periodic, defect=defect)
+    return DensityReport(samples=samples, sup_tail=sup_tail, inf_tail=inf_tail,
+                         tail_window=tail_window, periodic_profile=periodic,
+                         defect=defect)
 
 
 def _jumps_in(pts, lo, hi) -> set:

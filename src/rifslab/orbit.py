@@ -22,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BudgetExceededError, ConfigError, DomainError
+from .errors import BudgetExceededError, DomainError
 from .rational import format_rational
 from .systems import Rifs
 
@@ -211,14 +211,18 @@ def window_max_count(sample: OrbitSample, h) -> tuple[int, Fraction | None]:
     best = 0
     center: Fraction | None = None
     width = 2 * h
+    # points are distinct, so the window with left edge pts[i] starts at i
     for i, left in enumerate(pts):
         if left + width > sample.radius:
+            # this point and every later one give the same flush window
             left = sample.radius - width
-        j = bisect_right(pts, left + width)
-        i0 = bisect_left(pts, left)
-        if j - i0 > best:
-            best = j - i0
-            center = left + h
+            count = bisect_right(pts, sample.radius) - bisect_left(pts, left)
+            if count > best:
+                best, center = count, left + h
+            break
+        j = bisect_right(pts, left + width, i)
+        if j - i > best:
+            best, center = j - i, left + h
     return best, center
 
 

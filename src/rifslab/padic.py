@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dimension import DimensionFit, _loglog_fit, estimate_mass_dimension
+from .dimension import (DimensionFit, _loglog_fit, estimate_mass_dimension,
+                        integerize)
 from .errors import ConfigError, DomainError
 from .orbit import OrbitSample, counting_profile, enumerate_orbit
 from .rational import PAdicValue, check_prime, format_rational, padic_valuation
@@ -35,39 +37,28 @@ class BallClustering:
     class_sizes: tuple[int, ...]
 
 
-def _residue_keys(points, p: int, k: int):
-    vals = [padic_valuation(x, p).valuation for x in points if x != 0]
-    shift = max(0, -min((v for v in vals), default=0))
-    modulus = p ** (k + shift)
-    scale = p**shift
-    keys = []
-    for x in points:
-        x = Fraction(x) * scale
-        keys.append(x.numerator * pow(x.denominator, -1, modulus) % modulus)
-    return keys
-
-
 def ball_count(points, p: int, k: int, method: str = "residues") -> BallClustering:
     """Cluster points into p-adic balls of radius p**-k.
 
     Two points share a ball exactly when their difference has valuation
-    at least k.  The residue method clears denominators by a common power
-    of p and reads classes off residues modulo p**(k+shift); the pairwise
-    method is the quadratic union-find reference.  Both are exact.
+    at least k.  The residue method puts the points on the lattice of
+    `integerize`, x = a / L, so x - y = (a - b) / L and x, y share a ball
+    exactly when a = b modulo p**(k + v_p(L)); it reads the classes off
+    those residues.  The pairwise method is the quadratic union-find
+    reference.  Both are exact.
     """
     check_prime(p)
     if k < 0:
         raise DomainError("ball level k must be >= 0")
-    points = [Fraction(x) for x in points]
     if method == "residues":
-        keys = _residue_keys(points, p, k)
-        sizes: dict = {}
-        for key in keys:
-            sizes[key] = sizes.get(key, 0) + 1
+        ints, scale = integerize(points)
+        modulus = p ** (k + padic_valuation(scale, p).valuation)
+        sizes = Counter(a % modulus for a in ints)
         return BallClustering(p=p, k=k, count=len(sizes),
                               class_sizes=tuple(sorted(sizes.values())))
     if method != "pairwise":
         raise DomainError(f"unknown clustering method {method!r}")
+    points = [Fraction(x) for x in points]
     parent = list(range(len(points)))
 
     def find(i):

@@ -31,6 +31,26 @@ def brute_orbit(system, seed, radius, depth):
     return sorted(within), saturated
 
 
+def window_max_brute(sample, h):
+    """Most points in a window [x-h, x+h] inside [-radius, radius], as
+    (count, centre), by counting every candidate window point by point.
+
+    A best window can be slid right until its left edge meets a point or
+    its right edge meets the radius, so the candidates are the windows
+    whose left edge is a point, moved left to end at the radius where
+    they would pass it.  Ties go to the first candidate in point order.
+    """
+    h = Fraction(h)
+    radius = sample.radius
+    best, centre = 0, None
+    for p in sample.points:
+        left = min(p, radius - 2 * h)
+        count = sum(1 for q in sample.points if left <= q <= left + 2 * h)
+        if count > best:
+            best, centre = count, left + h
+    return best, centre
+
+
 def consecutive_cover_min(points, alpha, n):
     """Minimal cover cost by enumerating every partition of the sorted
     points into consecutive runs (2**(k-1) bitmasks)."""

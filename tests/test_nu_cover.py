@@ -1,8 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from rifslab import DomainError, min_cover_cost
+from rifslab import DomainError, estimate_discrete_hausdorff, min_cover_cost
 from _oracles import arbitrary_cover_min, consecutive_cover_min
 
 
@@ -45,6 +46,25 @@ def test_rejects_points_outside_cube():
         min_cover_cost([-17], 0.5, 5)
     # half-open cube: -16 is inside, 16 is not
     assert min_cover_cost([-16, 15], 0.5, 5).cost > 0
+
+
+def test_rejects_non_integer_points():
+    # these used to be truncated: 1/2 covered as 0, {7/2, -1/3} as {3, 0}
+    with pytest.raises(DomainError, match="must be integers"):
+        min_cover_cost([Fraction(1, 2)], 1.0, 2)
+    with pytest.raises(DomainError, match="must be integers"):
+        estimate_discrete_hausdorff([Fraction(7, 2), Fraction(-1, 3)], [0.5],
+                                    range(6))
+    assert min_cover_cost([Fraction(2, 2)], 1.0, 2) == min_cover_cost([1], 1.0, 2)
+
+
+def test_tabulated_cubes_are_half_open():
+    points = list(range(-40, 41))
+    report = estimate_discrete_hausdorff(points, [0.5], range(8))
+    for alpha, n, cost, _ in report.rows:
+        half = Fraction(2**n, 2)
+        inside = [x for x in points if -half <= x < half]
+        assert cost == min_cover_cost(inside, alpha, n).cost
 
 
 def test_rejects_bad_parameters():

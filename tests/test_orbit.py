@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +7,7 @@ from hypothesis import strategies as st
 from rifslab import (
     BudgetExceededError,
     DomainError,
+    OrbitSample,
     counting_profile,
     enumerate_orbit,
     make_system,
@@ -18,7 +18,7 @@ from rifslab import (
     window_max_count,
     write_orbit_dump,
 )
-from _oracles import brute_orbit, digit_numbers
+from _oracles import brute_orbit, digit_numbers, window_max_brute
 
 
 def test_matches_unpruned_search(cantor_system):
@@ -153,6 +153,24 @@ def test_window_max_respects_radius(cantor_system):
     # the window must stay inside the verified radius
     assert center + 9 <= sample.radius
     assert count == sample.count_within(9) == 4
+
+
+@given(points=st.lists(st.fractions(min_value=-1, max_value=1,
+                                    max_denominator=8),
+                       max_size=30, unique=True),
+       radius=st.fractions(min_value=1, max_value=40, max_denominator=3),
+       share=st.one_of(
+           st.sampled_from([Fraction(1), Fraction(99, 100), Fraction(1, 2)]),
+           st.fractions(min_value=Fraction(1, 50), max_value=1,
+                        max_denominator=50)))
+def test_window_max_matches_brute_force(points, radius, share):
+    # windows of half-width h = share * radius, up to the whole radius,
+    # so many scans end in the flush window [radius - 2h, radius]
+    sample = OrbitSample(system=make_system([(2, 0), (2, 1)]), seed=Fraction(0),
+                         radius=radius, points=sorted(x * radius for x in points),
+                         complete=True, node_budget_used=0)
+    assert window_max_count(sample, share * radius) == window_max_brute(
+        sample, share * radius)
 
 
 def test_min_gap_frozen(renewal_system):
