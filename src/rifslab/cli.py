@@ -127,7 +127,8 @@ def _frag_diagnose(ses: _Session, out_dir: str, args) -> dict:
                                    word_budget=cfg.node_budget)
     table = []
     for n in range(1, cfg.separation_max_n + 1):
-        sep = min_word_separation(cfg.system, n)
+        sep = min_word_separation(cfg.system, n,
+                                  word_budget=cfg.node_budget)
         rate = None
         if sep is not None and sep != 0:
             rate = -math.log(float(sep)) / n

@@ -191,15 +191,42 @@ def _integer_points(points) -> list[int]:
 
 def min_cover_cost(points, alpha: float, n: int) -> CoverCost:
     """Minimal cost sum((interval length)/2**n)**alpha of covering the
-    points with integer intervals.
+    points with integer intervals, in O(k log k) for k points.
 
     An optimal cover may be taken to partition the points into runs of
     consecutive members (shrinking an interval to the minimal one through
-    its points never raises cost, and overlapping intervals only add),
-    so a quadratic dynamic program over prefixes is exact.  The inner loop
-    stops as soon as a candidate block alone exceeds the best total, which
-    is sound because block cost grows as the block extends left.  Ties go
-    to the partition with fewer intervals.
+    its points never raises cost, and overlapping intervals only add), so
+    a dynamic program over prefixes is exact: the cost of the first i
+    points is the least, over the first point j of the last run, of the
+    cost of the first j - 1 points plus the run's weight
+    w(x_i - x_j + 1) = ((x_i - x_j + 1)/2**n)**alpha.  Candidate starts
+    are ordered by (total, number of runs, later start): ties go to the
+    partition with fewer intervals, then to the shorter last run.
+
+    This is a least-weight subsequence problem (Hirschberg and Larmore,
+    SIAM J. Comput. 16, 1987; Galil and Giancarlo, TCS 64, 1989), with two
+    weight regimes:
+
+    - alpha <= 1: w is concave, so a start that overtakes a later start
+      stays ahead for every longer prefix.  Live starts sit on a stack,
+      newest on top, each best for the prefixes up to a binary-searched
+      crossover with the start below it.
+    - alpha > 1: w is convex with w(0) = 0, hence superadditive, and
+      w(s) > s*w(1) for s > 1: the newest start overtakes every older one
+      at once and for good, so the Monge deque of this case never holds
+      more than one start and every run is a single point.
+
+    The cost and partition are those of the quadratic scan over every
+    start, bit for bit: every total is the same float expression
+    cost[j - 1] + w, and the order above is the scan's.  That needs the
+    float comparisons to agree with the real ones wherever the argument
+    above uses them.  Every total is below 2 (one run over all points
+    costs at most 1), so it is within about 2**-51 of its real value.  For
+    alpha <= 1 the real difference of two starts moves by at least
+    alpha*(1 - alpha)/4**n from one prefix to the next; for alpha > 1 a
+    single point beats a longer last run by at least (2**alpha - 2)*w(1).
+    For n <= 18 both margins exceed the rounding unless alpha is within
+    about 2e-4 of 0 or 1.  At alpha = 1 all the arithmetic is exact.
     """
     if alpha <= 0:
         raise DomainError("alpha must be positive")
@@ -211,29 +238,58 @@ def min_cover_cost(points, alpha: float, n: int) -> CoverCost:
         if not lo <= p < hi:
             raise DomainError(
                 f"point {p} outside the side-2^{n} cube centred at 0")
-    if not pts:
-        return CoverCost(alpha=alpha, n=n, cost=0.0, optimal_partition=())
     size = 2.0**n
+    if alpha > 1:
+        single = (1 / size) ** alpha
+        total = 0.0
+        # in order, as the scan adds: sum() compensates from Python 3.12
+        for _ in pts:
+            total += single
+        return CoverCost(alpha=alpha, n=n, cost=total,
+                         optimal_partition=tuple((p, p) for p in pts))
     k = len(pts)
     cost = [0.0] * (k + 1)
     blocks = [0] * (k + 1)
     choice = [0] * (k + 1)
-    for i in range(1, k + 1):
-        best = math.inf
-        best_j = i
-        best_blocks = 0
+
+    def ahead(a, b, i):
+        """Whether start a beats start b for the last run of prefix i."""
         right = pts[i - 1]
-        for j in range(i, 0, -1):
-            block = ((right - pts[j - 1] + 1) / size) ** alpha
-            if block > best:
-                break
-            total = cost[j - 1] + block
-            cand_blocks = blocks[j - 1] + 1
-            if total < best or (total == best and cand_blocks < best_blocks):
-                best, best_j, best_blocks = total, j, cand_blocks
-        cost[i] = best
-        choice[i] = best_j
-        blocks[i] = best_blocks
+        total_a = cost[a - 1] + ((right - pts[a - 1] + 1) / size) ** alpha
+        total_b = cost[b - 1] + ((right - pts[b - 1] + 1) / size) ** alpha
+        if total_a != total_b:
+            return total_a < total_b
+        if blocks[a - 1] != blocks[b - 1]:
+            return blocks[a - 1] < blocks[b - 1]
+        return a > b
+
+    # (start, first prefix it is best for); down the stack the starts
+    # get older and their first prefixes later
+    stack = []
+    for i in range(1, k + 1):
+        while len(stack) > 1 and stack[-2][1] <= i:
+            stack.pop()
+        # the top is best at i; a start i behind it never catches up
+        if not stack or ahead(i, stack[-1][0], i):
+            while stack:
+                top = stack[-1][0]
+                end = stack[-2][1] - 1 if len(stack) > 1 else k
+                if not ahead(i, top, end):
+                    lo, hi = i + 1, end
+                    while lo < hi:
+                        mid = (lo + hi) // 2
+                        if ahead(i, top, mid):
+                            lo = mid + 1
+                        else:
+                            hi = mid
+                    stack[-1] = (top, lo)
+                    break
+                stack.pop()
+            stack.append((i, i))
+        j = stack[-1][0]
+        cost[i] = cost[j - 1] + ((pts[i - 1] - pts[j - 1] + 1) / size) ** alpha
+        blocks[i] = blocks[j - 1] + 1
+        choice[i] = j
     partition = []
     i = k
     while i > 0:

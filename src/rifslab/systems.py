@@ -166,7 +166,8 @@ def find_exact_overlaps(system: Rifs, max_word_length: int,
     return pairs
 
 
-def min_word_separation(system: Rifs, n: int) -> Fraction | None:
+def min_word_separation(system: Rifs, n: int,
+                        word_budget: int = 2_000_000) -> Fraction | None:
     """Minimal distance between inverse branches of equal contraction at
     level n.
 
@@ -175,9 +176,15 @@ def min_word_separation(system: Rifs, n: int) -> Fraction | None:
     the minimum, or None when no two words share a ratio (an empty
     minimum, read as +infinity).  A value of 0 at level n is exactly an
     exact overlap at that length.
+
+    The scan composes m**n words; a budget guards it.
     """
     if n < 1:
         raise DomainError("word length must be >= 1")
+    total = system.m**n
+    if total > word_budget:
+        raise BudgetExceededError(
+            f"separation scan needs {total} words, budget is {word_budget}")
     groups: dict[Fraction, list[Fraction]] = {}
     for word in itertools.product(range(1, system.m + 1), repeat=n):
         f = compose(system, word)

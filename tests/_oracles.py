@@ -1,11 +1,14 @@
 """Brute-force reference implementations used to pin expected values.
 
-Everything here trades efficiency for obviousness: no pruning, no
-dynamic programming, no shared state with the library internals.
+Everything here trades efficiency for obviousness and shares no state
+with the library internals.  The one dynamic program, the quadratic cover
+DP, is the plain scan over every last run that the library's O(k log k)
+cover DP must match bit for bit.
 """
 
+import math
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 
 def brute_orbit(system, seed, radius, depth):
@@ -76,6 +79,46 @@ def consecutive_cover_min(points, alpha, n):
     return best, best_blocks
 
 
+def quadratic_cover_min(points, alpha, n):
+    """Minimal cover cost and its partition into consecutive runs, as
+    (cost, partition), by the quadratic dynamic program over prefixes.
+
+    For each prefix it scans the start of the last run from the right,
+    stopping once that run alone exceeds the best total; ties go to fewer
+    runs, then to the start seen first (the later one).
+    """
+    pts = sorted(set(int(p) for p in points))
+    size = 2.0**n
+    k = len(pts)
+    cost = [0.0] * (k + 1)
+    blocks = [0] * (k + 1)
+    choice = [0] * (k + 1)
+    for i in range(1, k + 1):
+        best = math.inf
+        best_j = i
+        best_blocks = 0
+        right = pts[i - 1]
+        for j in range(i, 0, -1):
+            block = ((right - pts[j - 1] + 1) / size) ** alpha
+            if block > best:
+                break
+            total = cost[j - 1] + block
+            cand_blocks = blocks[j - 1] + 1
+            if total < best or (total == best and cand_blocks < best_blocks):
+                best, best_j, best_blocks = total, j, cand_blocks
+        cost[i] = best
+        choice[i] = best_j
+        blocks[i] = best_blocks
+    partition = []
+    i = k
+    while i > 0:
+        j = choice[i]
+        partition.append((pts[j - 1], pts[i - 1]))
+        i = j - 1
+    partition.reverse()
+    return cost[k], tuple(partition)
+
+
 def arbitrary_cover_min(points, alpha, n, max_intervals):
     """Minimum over all covers by up to max_intervals integer intervals
     inside the cube.  Exponential; keep the cube tiny."""
@@ -86,8 +129,9 @@ def arbitrary_cover_min(points, alpha, n, max_intervals):
     intervals = [(a, b) for a in cells for b in cells if a <= b]
     size = 2.0**n
     best = None
+    # cost and coverage depend only on the multiset of intervals
     for count in range(1, max_intervals + 1):
-        for combo in product(intervals, repeat=count):
+        for combo in combinations_with_replacement(intervals, count):
             if any(not any(a <= p <= b for a, b in combo) for p in pts):
                 continue
             cost = sum(((b - a + 1) / size) ** alpha for a, b in combo)

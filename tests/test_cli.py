@@ -308,6 +308,15 @@ def test_exit_3_budget(tmp_path, capsys):
     assert "budget exhausted:" in capsys.readouterr().err
 
 
+def test_separation_scan_obeys_budget(tmp_path, capsys):
+    # 2 words for the overlap scan; separation level 10 is the first over
+    cfg = cantor_config(tmp_path, overlap_scan_length=1, separation_max_n=12)
+    code = main(["diagnose", "--config", cfg, "--budget", "1000",
+                 "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert "separation scan needs 1024 words" in capsys.readouterr().err
+
+
 def test_exit_4_precondition(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "maps": [{"r": "2", "b": "0"}, {"r": "4", "b": "0"}],

@@ -2,9 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rifslab import DomainError, estimate_discrete_hausdorff, min_cover_cost
-from _oracles import arbitrary_cover_min, consecutive_cover_min
+from rifslab import (DomainError, enumerate_orbit, estimate_discrete_hausdorff,
+                     min_cover_cost)
+from _oracles import (arbitrary_cover_min, consecutive_cover_min,
+                      quadratic_cover_min)
 
 
 def test_empty_set_costs_nothing():
@@ -81,7 +85,7 @@ def test_matches_exhaustive_partition_search():
     for trial in range(100):
         count = rng.randint(1, 10)
         points = rng.sample(range(-16, 16), count)
-        for alpha in (0.3, 0.5, 1.0):
+        for alpha in (0.3, 0.5, 1.0, 1.1, 1.5, 2.0):
             cc = min_cover_cost(points, alpha, 5)
             best, blocks = consecutive_cover_min(points, alpha, 5)
             assert cc.cost == pytest.approx(best, abs=1e-12), (points, alpha)
@@ -113,3 +117,58 @@ def test_arbitrary_covers_never_beat_partitions():
                                        max_intervals=len(points))
             assert cc.cost <= best + 1e-12
             assert cc.cost == pytest.approx(best, abs=1e-9)
+
+
+# the default config grid 0.1, 0.2, ..., 1.2 (1.0 exactly)
+GRID_ALPHAS = [round(0.1 * a, 12) for a in range(1, 13)]
+
+
+@st.composite
+def _cover_cases(draw):
+    """Up to 300 cube points drawn as dense runs, a periodic subset or a
+    sparse random set, with alpha from the config grid or up to 3."""
+    n = draw(st.integers(3, 14))
+    lo, hi = -(2**n // 2), 2**n // 2
+    count = draw(st.integers(1, min(300, hi - lo)))
+    kind = draw(st.sampled_from(["runs", "periodic", "sparse"]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    x = rng.randrange(lo, hi)
+    if kind == "runs":
+        points = []
+        while len(points) < count and x < hi:
+            length = rng.randint(1, 30)
+            points += range(x, min(x + length, hi))
+            x += length + rng.randint(1, 60)
+    elif kind == "periodic":
+        period = rng.randint(2, 40)
+        residues = set(rng.sample(range(period), rng.randint(1, period)))
+        points = [y for y in range(x, hi) if y % period in residues]
+    else:
+        points = rng.sample(range(lo, hi), count)
+    alpha = draw(st.one_of(st.sampled_from(GRID_ALPHAS),
+                           st.floats(0.01, 0.99), st.floats(1.01, 3.0)))
+    return points[:count], alpha, n
+
+
+@settings(max_examples=300)
+@given(_cover_cases())
+def test_matches_quadratic_dp(case):
+    points, alpha, n = case
+    cc = min_cover_cost(points, alpha, n)
+    cost, partition = quadratic_cover_min(points, alpha, n)
+    assert cc.cost == cost
+    assert cc.optimal_partition == partition
+    if len(points) <= 10:
+        best, blocks = consecutive_cover_min(points, alpha, n)
+        assert cc.cost == best
+        assert len(cc.optimal_partition) == blocks
+
+
+def test_orbit_costs_match_quadratic_dp(renewal_system):
+    sample = enumerate_orbit(renewal_system, 5, 2**13)
+    report = estimate_discrete_hausdorff(sample.points, [0.3, 1.0, 1.2],
+                                         range(15))
+    for alpha, n, cost, _ in report.rows:
+        half = Fraction(2**n, 2)
+        inside = [x for x in sample.points if -half <= x < half]
+        assert cost == quadratic_cover_min(inside, alpha, n)[0], (alpha, n)

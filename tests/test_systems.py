@@ -16,6 +16,7 @@ from rifslab import (
     make_system,
     min_word_separation,
 )
+from rifslab import systems
 from _oracles import separation_brute
 
 
@@ -160,6 +161,23 @@ def test_separation_matches_brute_force(cantor_system, renewal_system):
     for system in systems:
         for n in range(1, 5):
             assert min_word_separation(system, n) == separation_brute(system, n)
+
+
+def test_separation_scan_budget(monkeypatch):
+    system = make_system([(Fraction(3), Fraction(0)), (Fraction(3), Fraction(1)),
+                          (Fraction(3), Fraction(2))])
+
+    def refuse(*args):
+        raise AssertionError("composed a word over budget")
+
+    monkeypatch.setattr(systems, "compose", refuse)
+    with pytest.raises(BudgetExceededError, match="needs 531441 words"):
+        min_word_separation(system, 12, word_budget=1000)
+    monkeypatch.undo()
+    # exactly m**n words fit
+    assert min_word_separation(system, 4, word_budget=81) == Fraction(1, 81)
+    with pytest.raises(BudgetExceededError):
+        min_word_separation(system, 4, word_budget=80)
 
 
 def test_residue_criterion():
