@@ -180,7 +180,7 @@ def _frag_orbit(ses: _Session, out_dir: str, args) -> dict:
             "max_offdiagonal": m.max_offdiagonal,
         })
     frag = {
-        "size": len(sample.points),
+        "size": len(sample.lattice),
         "complete": sample.complete,
         "radius": format_rational(sample.radius),
         "node_budget_used": sample.node_budget_used,
@@ -276,12 +276,11 @@ def _density_grid(cfg: RunConfig, sample, ratio, periods: int = 3,
     little between adjacent integers of a dense orbit).
     """
     top = cfg.grid_base**cfg.grid_kmax
-    pts = sample.points
     if ratio is None:
         spine = cfg.h_grid()
         lo = spine[_tail_window(len(spine))[0]]
         grid = set(spine)
-        jumps = _jumps_in(pts, lo, top)
+        jumps = _jumps_in(sample, lo, top)
         if len(jumps) <= max_jumps:
             grid |= jumps
         return sorted(x for x in grid if x <= top)
@@ -293,13 +292,13 @@ def _density_grid(cfg: RunConfig, sample, ratio, periods: int = 3,
         grid.add(period_lo)
         for i in range(1, fill + 1):
             grid.add(period_lo + i * step)
-    jumps = _jumps_in(pts, span_lo, top)
+    jumps = _jumps_in(sample, span_lo, top)
     if len(jumps) <= max_jumps:
         grid |= jumps
         # the defect fold needs ratio*h on the grid for jumps one period
         # down
-        grid |= {ratio * x for x in jumps
-                 if top / ratio**2 <= x <= top / ratio}
+        fold_lo, fold_hi = top / ratio**2, top / ratio
+        grid |= {ratio * x for x in jumps if fold_lo <= x <= fold_hi}
     return sorted(grid)
 
 

@@ -182,6 +182,9 @@ def _cube(n: int) -> tuple[int, int]:
 def _integer_points(points) -> list[int]:
     """The distinct points, sorted; points that are not all integers are
     refused rather than truncated."""
+    if isinstance(points, (list, tuple)) and all(type(p) is int
+                                                 for p in points):
+        return sorted(set(points))
     ints, scale = integerize(points)
     if scale != 1:
         raise DomainError(
@@ -382,11 +385,12 @@ def estimate_discrete_hausdorff(points, alpha_grid, n_values,
 def integerize(points) -> tuple[list[int], int]:
     """Scale rationals onto the integers by the lcm of their denominators.
 
-    Accepts an OrbitSample or any iterable of rationals; returns the
-    sorted integers a and the scale L, with x = a / L for every point.
+    Accepts an OrbitSample, whose lattice and scale are exactly this, or
+    any iterable of rationals; returns the sorted integers a and the scale
+    L, with x = a / L for every point.
     """
     if isinstance(points, OrbitSample):
-        points = points.points
+        return list(points.lattice), points.scale
     values = [p if isinstance(p, (int, Fraction)) else Fraction(p)
               for p in points]
     scale = math.lcm(*{v.denominator for v in values})
@@ -631,7 +635,8 @@ def density_profile(profile: CountingProfile, s: float, period_ratio=None,
     contains every orbit point inside it, which is how the command line
     builds density grids.
     """
-    entries = [(Fraction(h), n) for h, n in profile.entries]
+    entries = [(h if isinstance(h, Fraction) else Fraction(h), n)
+               for h, n in profile.entries]
     if len(entries) < 2:
         raise DomainError("density profile needs at least 2 entries")
 
@@ -693,19 +698,34 @@ def density_profile(profile: CountingProfile, s: float, period_ratio=None,
                          defect=defect)
 
 
-def _jumps_in(pts, lo, hi) -> set:
-    """The h in [lo, hi] (0 < lo) where the count N(h) of the sorted
-    points jumps: the magnitudes of the points of either sign."""
-    jumps = set(pts[bisect_left(pts, lo):bisect_right(pts, hi)])
-    jumps.update(-x for x in pts[bisect_left(pts, -hi):bisect_right(pts, -lo)])
-    return jumps
+def _magnitudes(sample: OrbitSample, hi) -> list[int]:
+    """Sorted |a| over the lattice points a with |a| <= floor(hi * L), one
+    entry per point: the magnitude at index i is the (i + 1)-th smallest.
+
+    The negative points give a descending run and the others an ascending
+    one, so the sort is a single merge of the two.
+    """
+    pts = sample.lattice
+    top = sample.floor_scaled(hi)
+    return sorted(map(abs, pts[bisect_left(pts, -top):bisect_right(pts, top)]))
+
+
+def _jumps_in(sample: OrbitSample, lo, hi) -> set:
+    """The h in [lo, hi] (0 < lo) where the count N(h) of the sample
+    jumps: the magnitudes of the points of either sign."""
+    mags = _magnitudes(sample, hi)
+    scale = sample.scale
+    # m / L >= lo exactly when m >= ceil(lo L) = -floor(-lo L)
+    first = -sample.floor_scaled(-lo)
+    return {Fraction(m, scale) for m in mags[bisect_left(mags, first):]}
 
 
 def window_density_sup(sample: OrbitSample, s: float, lo, hi) -> float:
     """sup of N(h)/h**s over h in [lo, hi], exact for a complete sample.
 
     The sup of a right-continuous step count divided by h**s is attained
-    at a jump or at the window's left edge.
+    at a jump or at the window's left edge.  One pass over the sorted
+    magnitudes gives every jump with its count.
     """
     lo = Fraction(lo)
     hi = Fraction(hi)
@@ -716,8 +736,16 @@ def window_density_sup(sample: OrbitSample, s: float, lo, hi) -> float:
     if hi > sample.radius:
         raise DomainError("window exceeds the verified radius")
     best = sample.count_within(lo) / float(lo) ** s
-    for a in _jumps_in(sample.points, lo, hi):
-        best = max(best, sample.count_within(a) / float(a) ** s)
+    mags = _magnitudes(sample, hi)
+    scale = sample.scale
+    last = len(mags) - 1
+    # the jumps in [lo, hi] are the magnitudes from ceil(lo L) on
+    for i in range(bisect_left(mags, -sample.floor_scaled(-lo)), last + 1):
+        m = mags[i]
+        # N(m / L) counts every magnitude up to m, so take the last of a tie
+        if i < last and mags[i + 1] == m:
+            continue
+        best = max(best, (i + 1) / (m / scale) ** s)
     return best
 
 
@@ -776,18 +804,20 @@ def renewal_constant(system: Rifs, sample: OrbitSample, residuals, s: float,
             return 1.0
         return abs(float(t)) ** -s
 
-    pts = sample.points
+    pts = sample.lattice
+    scale = sample.scale
     maps = [(m.ratio, m.offset) for m in system.maps]
 
-    near = pts[bisect_right(pts, Fraction(-1)):bisect_left(pts, Fraction(1))]
+    # the open interval (-1, 1) holds the lattice points -L < a < L
+    near = [Fraction(a, scale)
+            for a in pts[bisect_right(pts, -scale):bisect_left(pts, scale)]]
     s1 = math.fsum(
         math.fsum(clamped(r * x) for r, _ in maps) - 1.0 for x in near)
 
-    lo = bisect_left(pts, -cutoff)
-    hi = bisect_right(pts, cutoff)
+    top = sample.floor_scaled(cutoff)
     terms = []
-    for idx in range(lo, hi):
-        x = pts[idx]
+    for a in pts[bisect_left(pts, -top):bisect_right(pts, top)]:
+        x = Fraction(a, scale)
         for r, b in maps:
             rx = r * x
             terms.append(clamped(rx + b) - clamped(rx))

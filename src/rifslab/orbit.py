@@ -10,8 +10,14 @@ when the node budget runs out.
 One breadth-first walk serves every system.  When all ratios are
 integers, the orbit lives on a fixed integer lattice: after scaling seed
 and offsets by the lcm N of their denominators, the walk runs on Python
-ints and the sorted results are divided by N once at the end.  Otherwise
-it runs on Fractions directly.  Both walks are exact.
+ints.  Otherwise it runs on Fractions.  Both walks are exact.
+
+Either way the sample is stored once, on one integer lattice: point i is
+lattice[i] / L, with L the lcm of the points' reduced denominators.
+Counts, window scans, gaps and the orbit dump work on those integers;
+a rational x enters them as floor(x * L), and a float comes out as the
+correctly rounded int / int quotient, which is what float(Fraction)
+computes too.  The Fraction list `points` is built only when asked for.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import BudgetExceededError, DomainError
 from .rational import format_rational
@@ -31,10 +38,15 @@ DEFAULT_NODE_BUDGET = 10_000_000
 
 @dataclass
 class OrbitSample:
-    """Orbit points inside [-radius, radius], sorted ascending.
+    """Orbit points inside [-radius, radius], on one integer lattice.
+
+    lattice holds sorted, distinct ints and scale the positive int L, the
+    lcm of the points' reduced denominators: point i is lattice[i] / L.
+    `points` is the same sample as a list of Fractions, built on first use
+    and cached; the lattice is the sample and is never to be mutated.
 
     complete means the pruned frontier drained before the node budget was
-    hit, in which case points is exactly the orbit restricted to the
+    hit, in which case the sample is exactly the orbit restricted to the
     window and is closed under every map that stays inside it.  A partial
     sample (complete False) is still a valid subset.
     """
@@ -42,18 +54,38 @@ class OrbitSample:
     system: Rifs
     seed: Fraction
     radius: Fraction
-    points: list[Fraction]
+    lattice: list[int]
+    scale: int
     complete: bool
     node_budget_used: int
 
-    def count_within(self, h: Fraction) -> int:
+    @cached_property
+    def points(self) -> list[Fraction]:
+        scale = self.scale
+        if scale == 1:
+            # Fraction(a) holds the lattice's own int instead of a copy
+            return [Fraction(a) for a in self.lattice]
+        return [Fraction(a, scale) for a in self.lattice]
+
+    def floor_scaled(self, x) -> int:
+        """floor(x * L) for a rational x: the lattice points a <= x * L
+        are exactly those a <= floor(x * L)."""
+        if not isinstance(x, (int, Fraction)):
+            x = Fraction(x)
+        return x.numerator * self.scale // x.denominator
+
+    def count_within(self, h) -> int:
         """Number of points in [-h, h]; exact binary search."""
-        return bisect_right(self.points, h) - bisect_left(self.points, -h)
+        top = self.floor_scaled(h)
+        return bisect_right(self.lattice, top) - bisect_left(self.lattice, -top)
 
     def __contains__(self, x) -> bool:
         x = Fraction(x)
-        i = bisect_left(self.points, x)
-        return i < len(self.points) and self.points[i] == x
+        a, rem = divmod(x.numerator * self.scale, x.denominator)
+        if rem:
+            return False
+        i = bisect_left(self.lattice, a)
+        return i < len(self.lattice) and self.lattice[i] == a
 
 
 @dataclass(frozen=True)
@@ -152,20 +184,26 @@ def enumerate_orbit(system: Rifs, seed, radius, *,
 
     integer_form = _integer_form(system, seed)
     if integer_form is None:
-        scale = None
         maps = [(m.ratio, m.offset) for m in system.maps]
-        start, cap, record = seed, expand_cap, radius
+        seen, complete, used = _bfs_generic(maps, seed, expand_cap,
+                                            node_budget)
+        inside = [v for v in seen if -radius <= v <= radius]
+        scale = math.lcm(*{v.denominator for v in inside})
+        lattice = sorted(v.numerator * (scale // v.denominator)
+                         for v in inside)
     else:
         scale, maps, start = integer_form
         cap = (expand_cap * scale).__floor__()
         record = (radius * scale).__floor__()
-    seen, complete, used = _bfs_generic(maps, start, cap, node_budget)
-    points = sorted(v for v in seen if -record <= v <= record)
-    if scale is not None:
-        # scale > 0, so dividing by it keeps the order
-        points = [Fraction(v, scale) for v in points]
+        seen, complete, used = _bfs_generic(maps, start, cap, node_budget)
+        lattice = sorted(v for v in seen if -record <= v <= record)
+        # reduce N to the lcm of the points' reduced denominators
+        common = math.gcd(scale, *lattice)
+        if common > 1:
+            scale //= common
+            lattice = [v // common for v in lattice]
     return OrbitSample(system=system, seed=seed, radius=radius,
-                       points=points, complete=complete,
+                       lattice=lattice, scale=scale, complete=complete,
                        node_budget_used=used)
 
 
@@ -176,7 +214,7 @@ def counting_profile(sample: OrbitSample, grid) -> CountingProfile:
     """
     if not sample.complete:
         raise DomainError("counting requires a complete sample")
-    grid = [Fraction(h) for h in grid]
+    grid = [h if isinstance(h, Fraction) else Fraction(h) for h in grid]
     if not grid:
         raise DomainError("grid must be nonempty")
     for a, b in zip(grid, grid[1:]):
@@ -196,7 +234,8 @@ def window_max_count(sample: OrbitSample, h) -> tuple[int, Fraction | None]:
 
     Returns (count, witness center).  The optimum is attained by a window
     whose left edge sits on a point, or which is flush against the right
-    end of the verified region; both families are scanned.
+    end of the verified region; both families are scanned, in one
+    two-pointer pass over the lattice.
     """
     h = Fraction(h)
     if not sample.complete:
@@ -205,33 +244,42 @@ def window_max_count(sample: OrbitSample, h) -> tuple[int, Fraction | None]:
         raise DomainError("window half-width must be positive")
     if h > sample.radius:
         raise DomainError("window [x-h, x+h] must fit inside the radius")
-    pts = sample.points
+    pts = sample.lattice
     if not pts:
         return 0, None
+    # on the lattice, [a/L, a/L + 2h] holds the b with a <= b <= a + width,
+    # and it passes the radius R exactly when a > flush = floor((R - 2h) L)
+    start = sample.radius - 2 * h
+    width = sample.floor_scaled(2 * h)
+    flush = sample.floor_scaled(start)
     best = 0
-    center: Fraction | None = None
-    width = 2 * h
+    best_left = None
+    j = 0
+    n = len(pts)
     # points are distinct, so the window with left edge pts[i] starts at i
     for i, left in enumerate(pts):
-        if left + width > sample.radius:
+        if left > flush:
             # this point and every later one give the same flush window
-            left = sample.radius - width
-            count = bisect_right(pts, sample.radius) - bisect_left(pts, left)
+            # [R - 2h, R], whose lattice points run from ceil((R - 2h) L)
+            count = (bisect_right(pts, sample.floor_scaled(sample.radius))
+                     - bisect_left(pts, -sample.floor_scaled(-start)))
             if count > best:
-                best, center = count, left + h
+                return count, sample.radius - h
             break
-        j = bisect_right(pts, left + width, i)
+        right = left + width
+        while j < n and pts[j] <= right:
+            j += 1
         if j - i > best:
-            best, center = j - i, left + h
-    return best, center
+            best, best_left = j - i, left
+    return best, Fraction(best_left, sample.scale) + h
 
 
 def min_gap(sample: OrbitSample) -> Fraction | None:
     """Smallest gap between adjacent points, or None for fewer than 2."""
-    pts = sample.points
+    pts = sample.lattice
     if len(pts) < 2:
         return None
-    return min(b - a for a, b in zip(pts, pts[1:]))
+    return Fraction(min(b - a for a, b in zip(pts, pts[1:])), sample.scale)
 
 
 def truncated_orbit(system: Rifs, seed, depth: int,
@@ -321,13 +369,21 @@ def residual_points(sample: OrbitSample) -> list[Fraction]:
 
 
 def write_orbit_dump(sample: OrbitSample, path) -> None:
-    """Dump one rational per line, ascending, with provenance headers."""
+    """Dump one rational per line, ascending, with provenance headers.
+
+    Each line is format_rational of the point: a / L reduced by gcd(a, L),
+    written without its denominator when that is 1.
+    """
     lines = [
         f"# system={sample.system.describe()}",
         f"# seed={format_rational(sample.seed)}",
         f"# radius={format_rational(sample.radius)}",
         f"# complete={'true' if sample.complete else 'false'}",
     ]
-    lines.extend(format_rational(p) for p in sample.points)
+    scale = sample.scale
+    for a in sample.lattice:
+        g = math.gcd(a, scale)
+        den = scale // g
+        lines.append(str(a // g) if den == 1 else f"{a // g}/{den}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -1,9 +1,10 @@
 """Exact rational scalars and p-adic valuations.
 
 Every quantity that enters a set-membership, ordering or grid decision in
-this package is an exact rational (``fractions.Fraction``).  Floats appear
-only in estimator outputs, always through the explicitly lossy
-:func:`to_float`.
+this package is exact: exact rationals (``fractions.Fraction``), or
+integers on one lattice, as an orbit sample holds its points.  Floats
+appear only in estimator outputs, always through an explicitly lossy
+conversion such as :func:`to_float`.
 """
 
 from __future__ import annotations

@@ -3,10 +3,13 @@
 Everything here trades efficiency for obviousness and shares no state
 with the library internals.  The one dynamic program, the quadratic cover
 DP, is the plain scan over every last run that the library's O(k log k)
-cover DP must match bit for bit.
+cover DP must match bit for bit.  The counting references take a sorted
+list of distinct Fractions and answer by comparing Fractions, as the
+library did before its samples moved onto an integer lattice.
 """
 
 import math
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
@@ -52,6 +55,29 @@ def window_max_brute(sample, h):
         if count > best:
             best, centre = count, left + h
     return best, centre
+
+
+def count_within_points(pts, h):
+    """Number of the sorted Fractions pts in [-h, h]."""
+    return bisect_right(pts, h) - bisect_left(pts, -h)
+
+
+def jumps_in_points(pts, lo, hi):
+    """The h in [lo, hi] (0 < lo) where count_within_points jumps: the
+    magnitudes of the points of either sign."""
+    jumps = set(pts[bisect_left(pts, lo):bisect_right(pts, hi)])
+    jumps.update(-x for x in pts[bisect_left(pts, -hi):bisect_right(pts, -lo)])
+    return jumps
+
+
+def window_density_sup_points(pts, s, lo, hi):
+    """sup of N(h)/h**s over h in [lo, hi]: the left edge and every jump,
+    each counted by its own pair of binary searches."""
+    lo = Fraction(lo)
+    best = count_within_points(pts, lo) / float(lo) ** s
+    for a in jumps_in_points(pts, lo, Fraction(hi)):
+        best = max(best, count_within_points(pts, a) / float(a) ** s)
+    return best
 
 
 def consecutive_cover_min(points, alpha, n):

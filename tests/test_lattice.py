@@ -1,0 +1,209 @@
+"""The integer-lattice sample against the Fraction-list references.
+
+An OrbitSample stores point i as lattice[i] / scale.  Every counting
+consumer here is checked against the oracle that compares Fractions
+point by point, on samples built from drawn rationals (negative and
+fractional, denominators up to 12) and on enumerated orbits.
+"""
+
+import json
+import math
+import tempfile
+import types
+from fractions import Fraction
+from pathlib import Path
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from rifslab import (
+    OrbitSample,
+    enumerate_orbit,
+    format_rational,
+    integerize,
+    make_system,
+    min_gap,
+    window_density_sup,
+    window_max_count,
+    write_orbit_dump,
+)
+from rifslab.cli import main
+from rifslab.dimension import _jumps_in
+from _oracles import (
+    brute_orbit,
+    count_within_points,
+    jumps_in_points,
+    window_density_sup_points,
+    window_max_brute,
+)
+
+SYSTEM = make_system([(2, 0), (2, 1)])
+
+
+def nudges(scale):
+    """Offsets that move a point off the lattice of the given scale: half
+    a lattice step, or fractions with other denominators."""
+    return [Fraction(0), Fraction(1, 2 * scale), Fraction(-1, 2 * scale),
+            Fraction(1, 24), Fraction(-1, 24), Fraction(1, 13), Fraction(-1, 13)]
+
+
+@st.composite
+def lattice_samples(draw):
+    """(sorted distinct Fractions, the OrbitSample holding them).  The
+    radius is the largest magnitude, or a little beyond it."""
+    pts = sorted(set(draw(st.lists(
+        st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12)),
+        max_size=25))))
+    top = max([abs(x) for x in pts] + [Fraction(1, 12)])
+    extra = draw(st.just(Fraction(0))
+                 | st.fractions(min_value=0, max_value=3, max_denominator=12))
+    lattice, scale = integerize(pts)
+    sample = OrbitSample(system=SYSTEM, seed=Fraction(0), radius=top + extra,
+                         lattice=lattice, scale=scale, complete=True,
+                         node_budget_used=0)
+    return pts, sample
+
+
+def rationals_near(pts, scale):
+    """Arbitrary rationals, and the points of either sign, nudged off the
+    lattice or not."""
+    arbitrary = st.fractions(min_value=-70, max_value=70, max_denominator=24)
+    if not pts:
+        return arbitrary
+    return arbitrary | st.builds(lambda p, sign, d: sign * p + d,
+                                 st.sampled_from(pts), st.sampled_from([1, -1]),
+                                 st.sampled_from(nudges(scale)))
+
+
+@settings(max_examples=200)
+@given(case=lattice_samples())
+def test_view_scale_and_integerize(case):
+    pts, sample = case
+    assert sample.points == pts
+    assert sample.scale == math.lcm(*(x.denominator for x in pts))
+    assert integerize(sample) == integerize(pts)
+    assert min_gap(sample) == (min(b - a for a, b in zip(pts, pts[1:]))
+                               if len(pts) > 1 else None)
+
+
+@settings(max_examples=200)
+@given(case=lattice_samples(), data=st.data())
+def test_counts_and_membership_match_oracle(case, data):
+    pts, sample = case
+    for x in data.draw(st.lists(rationals_near(pts, sample.scale),
+                                min_size=1, max_size=8)):
+        assert (x in sample) == (x in pts)
+        assert sample.count_within(x) == count_within_points(pts, x)
+
+
+@settings(max_examples=200)
+@given(case=lattice_samples(), data=st.data())
+def test_window_max_matches_oracle(case, data):
+    pts, sample = case
+    radius = sample.radius
+    # half-widths whose flush window [R - 2h, R] starts on a point or
+    # just off it
+    flush = [(radius - p - d) / 2 for p in pts for d in nudges(sample.scale)]
+    flush = [h for h in flush if 0 < h <= radius]
+    shares = st.fractions(min_value=Fraction(1, 50), max_value=1,
+                          max_denominator=50)
+    h = data.draw(shares.map(lambda t: t * radius)
+                  | st.sampled_from(flush or [radius]))
+    oracle = types.SimpleNamespace(points=pts, radius=radius)
+    assert window_max_count(sample, h) == window_max_brute(oracle, h)
+
+
+@settings(max_examples=200)
+@given(case=lattice_samples(), data=st.data())
+def test_jumps_and_density_sup_match_oracle(case, data):
+    pts, sample = case
+    radius = sample.radius
+    edges = st.fractions(min_value=0, max_value=1,
+                         max_denominator=24).map(lambda t: t * radius)
+    if pts:
+        edges |= st.builds(lambda p, d: abs(p) + d, st.sampled_from(pts),
+                           st.sampled_from(nudges(sample.scale)))
+    lo, hi = sorted(data.draw(st.lists(edges, min_size=2, max_size=2)))
+    # windows that end flush at the radius, as the renewal tail does
+    hi = data.draw(st.sampled_from([min(hi, radius), radius]))
+    assume(0 < lo < hi)
+    assert _jumps_in(sample, lo, hi) == jumps_in_points(pts, lo, hi)
+    s = data.draw(st.sampled_from([0.25, math.log(2) / math.log(3), 1.0, 1.5]))
+    assert (window_density_sup(sample, s, lo, hi)
+            == window_density_sup_points(pts, s, lo, hi))
+
+
+@settings(max_examples=200)
+@given(case=lattice_samples())
+def test_orbit_dump_lines_are_format_rational(case):
+    pts, sample = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "orbit.txt"
+        write_orbit_dump(sample, path)
+        lines = path.read_text().splitlines()
+    assert lines[4:] == [format_rational(x) for x in pts]
+
+
+RATIOS = [Fraction(r) for r in (2, -2, 3)] + [Fraction(5, 2), Fraction(-7, 3)]
+RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@given(maps=st.lists(st.tuples(st.sampled_from(RATIOS), RATIONALS),
+                     min_size=2, max_size=2, unique=True),
+       seed=RATIONALS,
+       radius=st.fractions(min_value=3, max_value=40, max_denominator=4))
+def test_enumerated_lattice_matches_oracles(maps, seed, radius):
+    # integer ratios walk the scaled lattice, the rest Fractions; both
+    # must land on the lattice of the points' reduced denominators
+    system = make_system(maps)
+    expected, saturated = brute_orbit(system, seed, radius, depth=12)
+    assume(saturated)
+    sample = enumerate_orbit(system, seed, radius)
+    assert sample.points == expected
+    assert sample.scale == math.lcm(*(x.denominator for x in expected))
+    assert integerize(sample) == integerize(expected)
+    oracle = types.SimpleNamespace(points=expected, radius=sample.radius)
+    for h in (Fraction(1, 3), Fraction(2), radius / 2, radius):
+        assert sample.count_within(h) == count_within_points(expected, h)
+        assert window_max_count(sample, h) == window_max_brute(oracle, h)
+
+
+def test_scale_is_lcm_of_reduced_denominators(tmp_path, capsys):
+    # seed 1/2 puts {2x, 2x + 2} on the lattice N = 2, but every orbit
+    # point (1, 3, 2, 4, ...) is an integer
+    system = make_system([(2, 0), (2, 2)])
+    sample = enumerate_orbit(system, Fraction(1, 2), 64)
+    assert sample.points[:3] == [1, 2, 3]
+    assert sample.scale == 1
+    assert integerize(sample) == integerize(sample.points)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({
+        "maps": [{"r": "2", "b": "0"}, {"r": "2", "b": "2"}],
+        "seed": "1/2", "grid": {"base": "2", "kmax": 6}}))
+    assert main(["dhd", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert json.loads(capsys.readouterr().out)["scale"] == 1
+
+
+def _never_built(self):
+    raise AssertionError("the Fraction view of the sample was built")
+
+
+def test_report_without_padic_never_builds_view(tmp_path, capsys,
+                                                monkeypatch):
+    # without a p-adic block every consumer of the sample reads the
+    # lattice; one integer-ratio and one Fraction-ratio system
+    monkeypatch.setattr(OrbitSample, "points", property(_never_built))
+    for name, maps in (("mixed", [("2", "0"), ("3", "1")]),
+                       ("wide", [("5/2", "0"), ("5/2", "1")])):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps({
+            "maps": [{"r": r, "b": b} for r, b in maps],
+            "seed": "0", "grid": {"base": "2", "kmax": 8}}))
+        out = tmp_path / name
+        assert main(["report", "--config", str(cfg), "--out", str(out)]) == 0
+        doc = json.loads((out / "report.json").read_text())
+        for analysis in ("orbit", "dims", "discrete_hausdorff", "density",
+                         "renewal"):
+            assert "error" not in doc[analysis], (name, analysis)
+    capsys.readouterr()

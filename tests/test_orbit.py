@@ -10,6 +10,7 @@ from rifslab import (
     OrbitSample,
     counting_profile,
     enumerate_orbit,
+    integerize,
     make_system,
     min_gap,
     overlap_probe,
@@ -166,8 +167,9 @@ def test_window_max_respects_radius(cantor_system):
 def test_window_max_matches_brute_force(points, radius, share):
     # windows of half-width h = share * radius, up to the whole radius,
     # so many scans end in the flush window [radius - 2h, radius]
+    lattice, scale = integerize([x * radius for x in points])
     sample = OrbitSample(system=make_system([(2, 0), (2, 1)]), seed=Fraction(0),
-                         radius=radius, points=sorted(x * radius for x in points),
+                         radius=radius, lattice=lattice, scale=scale,
                          complete=True, node_budget_used=0)
     assert window_max_count(sample, share * radius) == window_max_brute(
         sample, share * radius)
