@@ -391,7 +391,7 @@ def _frag_padic(ses: _Session, out_dir: str, args) -> dict:
     psys = cfg.padic
     p = psys.p
     sample = ses.orbit(cfg.radius)
-    clustering = [[k, ball_count(sample.points, p, k).count]
+    clustering = [[k, ball_count(sample, p, k).count]
                   for k in range(1, cfg.grid_kmax + 1)]
 
     att, box = padic_attractor_box(psys, cfg.seed, args.depth,
@@ -407,7 +407,7 @@ def _frag_padic(ses: _Session, out_dir: str, args) -> dict:
         "clustering": clustering,
         "attractor": {
             "depth": att.depth,
-            "size": len(att.points),
+            "size": len(att),
             "certified_k": att.certified_k,
         },
         "box": {

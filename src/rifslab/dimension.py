@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetExceededError, ConfigError, DomainError
-from .orbit import CountingProfile, OrbitSample, window_max_count
+from .orbit import (CountingProfile, LatticePoints, OrbitSample,
+                    window_max_count)
 from .rational import format_rational
 from .systems import Rifs, common_fixed_point
 
@@ -385,12 +386,13 @@ def estimate_discrete_hausdorff(points, alpha_grid, n_values,
 def integerize(points) -> tuple[list[int], int]:
     """Scale rationals onto the integers by the lcm of their denominators.
 
-    Accepts an OrbitSample, whose lattice and scale are exactly this, or
-    any iterable of rationals; returns the sorted integers a and the scale
-    L, with x = a / L for every point.
+    Accepts a sample on the integer lattice (an OrbitSample or a
+    PAdicAttractorSample), whose own lattice and scale are returned and
+    must not be mutated, or any iterable of rationals; returns the sorted
+    integers a and the scale L, with x = a / L for every point.
     """
-    if isinstance(points, OrbitSample):
-        return list(points.lattice), points.scale
+    if isinstance(points, LatticePoints):
+        return points.lattice, points.scale
     values = [p if isinstance(p, (int, Fraction)) else Fraction(p)
               for p in points]
     scale = math.lcm(*{v.denominator for v in values})

@@ -36,14 +36,31 @@ from .systems import Rifs
 DEFAULT_NODE_BUDGET = 10_000_000
 
 
-@dataclass
-class OrbitSample:
-    """Orbit points inside [-radius, radius], on one integer lattice.
+class LatticePoints:
+    """A point set held once, on one integer lattice.
 
-    lattice holds sorted, distinct ints and scale the positive int L, the
-    lcm of the points' reduced denominators: point i is lattice[i] / L.
-    `points` is the same sample as a list of Fractions, built on first use
+    Subclasses are dataclasses with the fields lattice, sorted distinct
+    ints, and scale, a positive int L: point i is lattice[i] / L.
+    `points` is the same set as a list of Fractions, built on first use
     and cached; the lattice is the sample and is never to be mutated.
+    """
+
+    @cached_property
+    def points(self) -> list[Fraction]:
+        scale = self.scale
+        if scale == 1:
+            # Fraction(a) holds the lattice's own int instead of a copy
+            return [Fraction(a) for a in self.lattice]
+        return [Fraction(a, scale) for a in self.lattice]
+
+    def __len__(self) -> int:
+        return len(self.lattice)
+
+
+@dataclass
+class OrbitSample(LatticePoints):
+    """Orbit points inside [-radius, radius], on one integer lattice
+    whose scale L is the lcm of the points' reduced denominators.
 
     complete means the pruned frontier drained before the node budget was
     hit, in which case the sample is exactly the orbit restricted to the
@@ -58,14 +75,6 @@ class OrbitSample:
     scale: int
     complete: bool
     node_budget_used: int
-
-    @cached_property
-    def points(self) -> list[Fraction]:
-        scale = self.scale
-        if scale == 1:
-            # Fraction(a) holds the lattice's own int instead of a copy
-            return [Fraction(a) for a in self.lattice]
-        return [Fraction(a, scale) for a in self.lattice]
 
     def floor_scaled(self, x) -> int:
         """floor(x * L) for a rational x: the lattice points a <= x * L

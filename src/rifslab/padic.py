@@ -19,8 +19,9 @@ from fractions import Fraction
 from .dimension import (DimensionFit, _loglog_fit, estimate_mass_dimension,
                         integerize)
 from .errors import ConfigError, DomainError
-from .orbit import OrbitSample, counting_profile, enumerate_orbit
-from .rational import PAdicValue, check_prime, format_rational, padic_valuation
+from .orbit import LatticePoints, OrbitSample, counting_profile, enumerate_orbit
+from .rational import (PAdicValue, _int_valuation, check_prime,
+                       format_rational, padic_valuation)
 from .systems import Rifs, affine_map, fixed_point
 
 
@@ -41,11 +42,12 @@ def ball_count(points, p: int, k: int, method: str = "residues") -> BallClusteri
     """Cluster points into p-adic balls of radius p**-k.
 
     Two points share a ball exactly when their difference has valuation
-    at least k.  The residue method puts the points on the lattice of
-    `integerize`, x = a / L, so x - y = (a - b) / L and x, y share a ball
-    exactly when a = b modulo p**(k + v_p(L)); it reads the classes off
-    those residues.  The pairwise method is the quadratic union-find
-    reference.  Both are exact.
+    at least k.  points is a list of rationals or a sample on the integer
+    lattice.  The residue method puts the points on the lattice of
+    `integerize`, x = a / L (a sample's own), so x - y = (a - b) / L and
+    x, y share a ball exactly when a = b modulo p**(k + v_p(L)); it reads
+    the classes off those residues.  The pairwise method is the quadratic
+    union-find reference.  Both are exact.
     """
     check_prime(p)
     if k < 0:
@@ -121,11 +123,15 @@ def make_padic_system(p: int, triples) -> PAdicSystem:
 
 
 @dataclass(frozen=True)
-class PAdicAttractorSample:
+class PAdicAttractorSample(LatticePoints):
+    """The depth-n word values of a seed, on one integer lattice whose
+    scale L is the lcm of the denominators of the seed and the offsets."""
+
     system: PAdicSystem
     seed: Fraction
     depth: int
-    points: list[Fraction]
+    lattice: list[int]
+    scale: int
     certified_k: int
 
 
@@ -133,28 +139,40 @@ def attractor_sample(system: PAdicSystem, seed, depth: int | None = None,
                      node_budget: int = 10_000_000) -> PAdicAttractorSample:
     """All values of words of exactly the given length, deduplicated.
 
-    Depth-n truncations sit within p-adic distance p**-(n * min exponent)
-    of the attractor (for p-adically integral data), so ball counts are
-    certified up to that level and refused beyond it.  The default depth
-    is the largest n with m**n <= 2**16 words, m the number of maps.
+    With L the lcm of the denominators of the seed and the offsets, the
+    walk runs on L times the values: each map x -> r x + b acts on ints as
+    a -> r a + b L.
+
+    A depth-n word value f_w(seed) is within p-adic distance p**-c of
+    f_w(A), A the attractor, for c = n * (min exponent) + min(0, v_p of
+    the seed and of every offset).  That min is -v_p(L).  So ball counts
+    are certified up to level c, which is certified_k, and refused
+    beyond it.  The default depth is the largest n with m**n <= 2**16
+    words, m the number of maps.
     """
-    arch = system.archimedean()
+    m = len(system.terms)
     if depth is None:
         depth = 1
-        while arch.m ** (depth + 1) <= 2**16:
+        while m ** (depth + 1) <= 2**16:
             depth += 1
     if depth < 1:
         raise DomainError("depth must be >= 1")
-    if arch.m**depth > node_budget:
+    if m**depth > node_budget:
         raise DomainError(
-            f"depth {depth} needs {arch.m**depth} words, budget is {node_budget}")
+            f"depth {depth} needs {m**depth} words, budget is {node_budget}")
     seed = Fraction(seed)
-    layer = {seed}
+    p = system.p
+    scale = math.lcm(seed.denominator,
+                     *(b.denominator for _, _, b in system.terms))
+    maps = [(sign * p**exponent, b.numerator * (scale // b.denominator))
+            for sign, exponent, b in system.terms]
+    layer = {seed.numerator * (scale // seed.denominator)}
     for _ in range(depth):
-        layer = {m(x) for m in arch.maps for x in layer}
-    return PAdicAttractorSample(system=system, seed=seed, depth=depth,
-                                points=sorted(layer),
-                                certified_k=depth * system.min_exponent)
+        layer = {r * a + shift for r, shift in maps for a in layer}
+    return PAdicAttractorSample(
+        system=system, seed=seed, depth=depth, lattice=sorted(layer),
+        scale=scale,
+        certified_k=depth * system.min_exponent - _int_valuation(scale, p))
 
 
 @dataclass(frozen=True)
@@ -167,7 +185,8 @@ class PAdicBoxReport:
 
 def padic_box_dimension(points, p: int, k_values,
                         certified_k: int | None = None) -> PAdicBoxReport:
-    """Slope of log N_k against k log p for p-adic ball counts N_k."""
+    """Slope of log N_k against k log p for p-adic ball counts N_k of
+    points, a list of rationals or a sample on the integer lattice."""
     k_values = sorted(set(int(k) for k in k_values))
     if len(k_values) < 4:
         raise DomainError("need at least 4 ball levels")
@@ -213,8 +232,9 @@ def mass_box_sandwich(system: PAdicSystem, sample: OrbitSample,
     if not sample.complete:
         raise DomainError("sandwich requires a complete sample")
     p = system.p
-    pts = sample.points
-    denom_max = max((x.denominator for x in pts), default=1)
+    lattice, scale = sample.lattice, sample.scale
+    # the reduced denominator of a / L is L / gcd(a, L)
+    denom_max = max((scale // math.gcd(a, scale) for a in lattice), default=1)
     c_lower = Fraction(1, 2 * denom_max * denom_max)
     vals = [padic_valuation(x, p).valuation
             for x in [sample.seed] + [b for _, _, b in system.terms] if x != 0]
@@ -229,10 +249,12 @@ def mass_box_sandwich(system: PAdicSystem, sample: OrbitSample,
                 f"sandwich at k={k} needs radius >= "
                 f"{format_rational(upper_edge)}, sample has "
                 f"{format_rational(sample.radius)}")
-        lower_edge = c_lower * p**k
-        # open interval: points exactly on the edge are not separated
-        lower = bisect_left(pts, lower_edge) - bisect_right(pts, -lower_edge)
-        balls = ball_count(pts, p, k).count
+        # open interval (-e, e): points exactly on the edge are not
+        # separated, and a / L lies inside exactly when f < a < -f for
+        # f = floor(-e L)
+        edge = sample.floor_scaled(-c_lower * p**k)
+        lower = bisect_left(lattice, -edge) - bisect_right(lattice, edge)
+        balls = ball_count(sample, p, k).count
         upper = sample.count_within(upper_edge)
         rows.append(SandwichRow(k=k, lower=lower, balls=balls, upper=upper))
     return rows
@@ -254,7 +276,7 @@ def padic_attractor_box(system: PAdicSystem, seed, depth: int | None = None,
     """The attractor sample of `attractor_sample` and its box fit at the
     levels 2..min(certified_k, 12)."""
     att = attractor_sample(system, seed, depth, node_budget)
-    box = padic_box_dimension(att.points, system.p,
+    box = padic_box_dimension(att, system.p,
                               range(2, min(att.certified_k, 12) + 1),
                               certified_k=att.certified_k)
     return att, box

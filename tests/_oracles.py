@@ -201,6 +201,18 @@ def digit_numbers(base, digits, k):
     return sorted(values)
 
 
+def attractor_words(system, seed, depth):
+    """Sorted distinct values of the words of exactly the given length
+    applied to the seed, by Fraction AffineMap calls on the archimedean
+    maps of a p-adic system: the walk attractor_sample made before it
+    moved onto the integer lattice."""
+    maps = system.archimedean().maps
+    layer = {Fraction(seed)}
+    for _ in range(depth):
+        layer = {m(x) for m in maps for x in layer}
+    return sorted(layer)
+
+
 def box_count_cylinders(system, k):
     """Count cells [j*w, (j+1)*w), w = max ratio **-k, overlapping the
     depth-k cylinder intervals of the dual family with positive length.

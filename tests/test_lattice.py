@@ -18,9 +18,12 @@ from hypothesis import strategies as st
 
 from rifslab import (
     OrbitSample,
+    PAdicAttractorSample,
+    attractor_sample,
     enumerate_orbit,
     format_rational,
     integerize,
+    make_padic_system,
     make_system,
     min_gap,
     window_density_sup,
@@ -207,3 +210,34 @@ def test_report_without_padic_never_builds_view(tmp_path, capsys,
                          "renewal"):
             assert "error" not in doc[analysis], (name, analysis)
     capsys.readouterr()
+
+
+def test_padic_report_never_builds_either_view(tmp_path, capsys, monkeypatch):
+    # the padic fragment counts balls, brackets them and fits the attractor
+    # on the lattices of the orbit and the attractor samples
+    for cls in (OrbitSample, PAdicAttractorSample):
+        monkeypatch.setattr(cls, "points", property(_never_built))
+    cfg = tmp_path / "cantor.json"
+    cfg.write_text(json.dumps({
+        "maps": [{"r": "3", "b": "0"}, {"r": "3", "b": "2"}],
+        "seed": "0", "grid": {"base": "3", "kmax": 6}, "radius": "2187",
+        "padic": {"p": 3, "exponents": [1, 1], "signs": [1, 1]}}))
+    out = tmp_path / "out"
+    assert main(["report", "--config", str(cfg), "--out", str(out)]) == 0
+    frag = json.loads((out / "report.json").read_text())["padic"]
+    assert "error" not in frag
+    assert frag["attractor"]["size"] == 2**16
+    assert frag["sandwich"]["all_hold"]
+    assert "error" not in frag["mass_vs_box"]
+    capsys.readouterr()
+
+
+def test_len_is_the_lattice_length():
+    # the benchmark's tracer sizes ball counts by len() of what they count
+    orbit = enumerate_orbit(SYSTEM, Fraction(1, 3), 40)
+    att = attractor_sample(make_padic_system(3, [(1, 1, Fraction(1, 2)),
+                                                 (-1, 2, Fraction(2, 3))]),
+                           Fraction(1, 9), 5)
+    for sample in (orbit, att):
+        assert len(sample) == len(sample.lattice) > 0
+        assert integerize(sample) == (sample.lattice, sample.scale)

@@ -18,6 +18,7 @@ from rifslab import (
     padic_distance,
     padic_valuation,
 )
+from _oracles import attractor_words
 
 
 def _random_rationals(rng, count, den_pool):
@@ -177,6 +178,65 @@ def test_attractor_sample_default_depth(binary_padic_system):
 def test_attractor_sample_budget(binary_padic_system):
     with pytest.raises(DomainError, match="budget"):
         attractor_sample(binary_padic_system, Fraction(0), 20, node_budget=1000)
+
+
+def test_attractor_certified_k_counts_offset_denominators():
+    # the offset 1/2 has 2-adic valuation -1, so depth-8 word values are
+    # only within 2**-7 of the attractor: level 7 is certified, not 8
+    system = make_padic_system(2, [(1, 1, 0), (1, 1, Fraction(1, 2))])
+    shallow = attractor_sample(system, 0, 8)
+    deep = attractor_sample(system, 0, 14)
+    assert shallow.certified_k == 7
+    assert ball_count(shallow, 2, 7).count == ball_count(deep, 2, 7).count == 256
+    # one level further the depth-8 sample undercounts
+    assert ball_count(shallow, 2, 8).count == 256
+    assert ball_count(deep, 2, 8).count == 512
+    with pytest.raises(DomainError, match="certified resolution"):
+        padic_box_dimension(shallow, 2, range(5, 9),
+                            certified_k=shallow.certified_k)
+
+
+@st.composite
+def _small_padic_systems(draw):
+    """(system, seed, depth): p in {2, 3, 5}, two or three maps with signs
+    +-1 and exponents 1..2, offsets and seed with denominators p**0..p**2
+    times a part coprime to p, and at most 64 words."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    rationals = st.builds(
+        lambda n, e, c: Fraction(n, p**e * c), st.integers(-20, 20),
+        st.integers(0, 2), st.sampled_from([c for c in (1, 2, 3, 7) if c % p]))
+
+    def map_key(term):
+        sign, exponent, offset = term
+        return sign * p**exponent, offset
+
+    terms = draw(st.lists(
+        st.tuples(st.sampled_from([1, -1]), st.integers(1, 2), rationals),
+        min_size=2, max_size=3, unique_by=map_key))
+    depth = draw(st.integers(1, 6 if len(terms) == 2 else 3))
+    return make_padic_system(p, terms), draw(rationals), depth
+
+
+@given(_small_padic_systems())
+def test_attractor_walk_matches_fraction_walk(case):
+    system, seed, depth = case
+    att = attractor_sample(system, seed, depth)
+    assert att.points == attractor_words(system, seed, depth)
+    for k in range(max(att.certified_k, 0) + 3):
+        assert (ball_count(att, system.p, k)
+                == ball_count(att.points, system.p, k, method="pairwise"))
+
+
+@given(_small_padic_systems())
+def test_certified_levels_match_a_deeper_sample(case):
+    # up to certified_k the balls a sample meets are those the attractor
+    # meets, so a deeper sample counts the same
+    system, seed, depth = case
+    att = attractor_sample(system, seed, depth)
+    deeper = attractor_sample(system, seed, depth + 2)
+    for k in range(max(att.certified_k + 1, 0)):
+        assert (ball_count(att, system.p, k).count
+                == ball_count(deeper, system.p, k).count)
 
 
 def test_box_dimension_binary(binary_padic_system):
