@@ -391,8 +391,12 @@ def _frag_padic(ses: _Session, out_dir: str, args) -> dict:
     psys = cfg.padic
     p = psys.p
     sample = ses.orbit(cfg.radius)
-    clustering = [[k, ball_count(sample, p, k).count]
-                  for k in range(1, cfg.grid_kmax + 1)]
+    # a partial sample undercounts the balls it has not reached
+    if sample.complete:
+        clustering = [[k, ball_count(sample, p, k).count]
+                      for k in range(1, cfg.grid_kmax + 1)]
+    else:
+        clustering = {"error": "clustering requires a complete sample"}
 
     att, box = padic_attractor_box(psys, cfg.seed, args.depth,
                                    cfg.node_budget)

@@ -635,66 +635,72 @@ def density_profile(profile: CountingProfile, s: float, period_ratio=None,
     N(h_i)/h_{i+1}**s at the right end; the tail extrema scan both
     families.  They are exact for the window exactly when the grid
     contains every orbit point inside it, which is how the command line
-    builds density grids.
+    builds density grids.  The grid must increase strictly, as in every
+    profile counting_profile builds.
     """
-    entries = [(h if isinstance(h, Fraction) else Fraction(h), n)
-               for h, n in profile.entries]
-    if len(entries) < 2:
+    grid = [h if isinstance(h, Fraction) else Fraction(h)
+            for h, _ in profile.entries]
+    counts = [n for _, n in profile.entries]
+    if len(grid) < 2:
         raise DomainError("density profile needs at least 2 entries")
-
-    def value(h: Fraction, n: int) -> float:
-        return n / float(h) ** s
+    floats = [float(h) for h in grid]
+    values = [n / x ** s for n, x in zip(counts, floats)]
 
     if period_ratio is None:
-        tail = entries[-min(10, len(entries)):]
-        tail_window = (float(tail[0][0]), float(tail[-1][0]))
-        samples = tuple((float(h), None, value(h, n)) for h, n in entries)
+        start = max(0, len(grid) - 10)
+        tail_window = (floats[start], floats[-1])
+        samples = tuple((x, None, val) for x, val in zip(floats, values))
         periodic, defect = (), None
     else:
         ratio = Fraction(period_ratio)
         if ratio <= 1:
             raise DomainError("period ratio must exceed 1")
         log_r = math.log(float(ratio))
-        h_max = entries[-1][0]
-        if entries[0][0] > h_max / ratio**periods:
+        h_max = grid[-1]
+        if grid[0] > h_max / ratio**periods:
             raise DomainError(
                 f"profile must span at least {periods} periods of ratio "
                 f"{format_rational(ratio)}")
         for t in range(periods):
             lo, hi = h_max / ratio ** (t + 1), h_max / ratio**t
-            inside = sum(1 for h, _ in entries if lo < h <= hi)
+            inside = bisect_right(grid, hi) - bisect_right(grid, lo)
             if inside < min_per_period:
                 raise DomainError(
                     f"grid too sparse: period ({format_rational(lo)}, "
                     f"{format_rational(hi)}] holds {inside} < {min_per_period} values")
 
         window_lo = h_max / ratio
-        tail = [(h, n) for h, n in entries if window_lo <= h <= h_max]
+        start = bisect_left(grid, window_lo)
         tail_window = (float(window_lo), float(h_max))
 
-        by_h = {h: n for h, n in entries}
+        # ratio * h grows with h in [h_max / ratio**2, window_lo] and stays
+        # <= h_max, so one pointer from window_lo up finds each on the grid
         defect = None
         matched = 0
-        prev_lo = h_max / ratio**2
-        for h, n in entries:
-            if prev_lo <= h <= window_lo and ratio * h in by_h:
+        j = start
+        for i in range(bisect_left(grid, h_max / ratio**2),
+                       bisect_right(grid, window_lo)):
+            target = ratio * grid[i]
+            while grid[j] < target:
+                j += 1
+            if grid[j] == target:
                 matched += 1
-                gap = abs(value(ratio * h, by_h[ratio * h]) - value(h, n))
+                gap = abs(values[j] - values[i])
                 defect = gap if defect is None else max(defect, gap)
         if matched < min_per_period:
             raise DomainError(
                 "periodicity defect needs a period-matched grid: only "
                 f"{matched} values h with ratio*h also on the grid")
 
-        samples = tuple((float(h), math.log(float(h)) / log_r % 1.0, value(h, n))
-                        for h, n in entries)
-        periodic = tuple((ph, val) for (_, ph, val), (h, _) in zip(samples, entries)
-                         if window_lo <= h <= h_max)
+        samples = tuple((x, math.log(x) / log_r % 1.0, val)
+                        for x, val in zip(floats, values))
+        periodic = tuple((ph, val) for _, ph, val in samples[start:])
 
-    sup_tail = max(value(h, n) for h, n in tail)
-    inf_tail = min(value(h, n) for h, n in tail)
-    for (_, n0), (h1, _) in zip(tail, tail[1:]):
-        inf_tail = min(inf_tail, n0 / float(h1) ** s)
+    tail = values[start:]
+    sup_tail = max(tail)
+    inf_tail = min(tail)
+    for n0, x1 in zip(counts[start:], floats[start + 1:]):
+        inf_tail = min(inf_tail, n0 / x1 ** s)
     return DensityReport(samples=samples, sup_tail=sup_tail, inf_tail=inf_tail,
                          tail_window=tail_window, periodic_profile=periodic,
                          defect=defect)

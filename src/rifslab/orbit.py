@@ -7,12 +7,15 @@ and are pruned; breadth-first closure with that prune enumerates the orbit
 restricted to the window exactly, or stops early with a partial sample
 when the node budget runs out.
 
-One breadth-first walk serves every system.  When all ratios are
-integers, the orbit lives on a fixed integer lattice: after scaling seed
-and offsets by the lcm N of their denominators, the walk runs on Python
-ints.  Otherwise it runs on Fractions.  Both walks are exact.
+One breadth-first walk on Python ints serves every system.  A point x
+is held as a = x * S, with S first the lcm of the denominators of the
+seed and the offsets.  The images of depth n lie on (S Q**n)**-1 Z, Q the
+lcm of the ratio denominators, so when a map (p/q) x + b sends a to
+p a / q + b S and that is not an int, the walk multiplies S, and every
+int it holds, by q / gcd(p a, q).  Integer ratios never refine S, and
+each refinement at least doubles it.
 
-Either way the sample is stored once, on one integer lattice: point i is
+The sample is stored once, on one integer lattice: point i is
 lattice[i] / L, with L the lcm of the points' reduced denominators.
 Counts, window scans, gaps and the orbit dump work on those integers;
 a rational x enters them as floor(x * L), and a float comes out as the
@@ -130,50 +133,6 @@ class OverlapMatrix:
         )
 
 
-def _integer_form(system: Rifs, seed: Fraction):
-    """Rescale onto the integer lattice when all ratios are integers.
-
-    Returns (scale N, maps as (r, N*b) int pairs, N*seed) so that the
-    orbit of N*seed under y -> r*y + N*b is N times the original orbit,
-    or None when some ratio is non-integer.
-    """
-    if any(m.ratio.denominator != 1 for m in system.maps):
-        return None
-    scale = math.lcm(seed.denominator,
-                     *(m.offset.denominator for m in system.maps))
-    maps = [(m.ratio.numerator, int(m.offset * scale)) for m in system.maps]
-    return scale, maps, int(seed * scale)
-
-
-def _bfs_generic(maps, seed, expand_cap, node_budget):
-    """Breadth-first closure of the seed's images under the maps.
-
-    Values with |v| > expand_cap are pruned; dedup is exact.  Works for
-    any value type with arithmetic and comparison (int or Fraction).
-    Returns (seen set, complete flag, insertions used).
-    """
-    seen = set()
-    queue = deque([seed])
-    used = 0
-    complete = True
-    while queue:
-        x = queue.popleft()
-        for ratio, offset in maps:
-            v = ratio * x + offset
-            if v < -expand_cap or v > expand_cap:
-                continue
-            if v in seen:
-                continue
-            if used >= node_budget:
-                complete = False
-                queue.clear()
-                break
-            seen.add(v)
-            queue.append(v)
-            used += 1
-    return seen, complete, used
-
-
 def enumerate_orbit(system: Rifs, seed, radius, *,
                     node_budget: int = DEFAULT_NODE_BUDGET) -> OrbitSample:
     """Enumerate the orbit of seed restricted to [-radius, radius].
@@ -190,27 +149,55 @@ def enumerate_orbit(system: Rifs, seed, radius, *,
     if node_budget <= 0:
         raise DomainError("node_budget must be positive")
     expand_cap = max(radius, system.escape_radius)
+    cap_num, cap_den = expand_cap.numerator, expand_cap.denominator
 
-    integer_form = _integer_form(system, seed)
-    if integer_form is None:
-        maps = [(m.ratio, m.offset) for m in system.maps]
-        seen, complete, used = _bfs_generic(maps, seed, expand_cap,
-                                            node_budget)
-        inside = [v for v in seen if -radius <= v <= radius]
-        scale = math.lcm(*{v.denominator for v in inside})
-        lattice = sorted(v.numerator * (scale // v.denominator)
-                         for v in inside)
-    else:
-        scale, maps, start = integer_form
-        cap = (expand_cap * scale).__floor__()
-        record = (radius * scale).__floor__()
-        seen, complete, used = _bfs_generic(maps, start, cap, node_budget)
-        lattice = sorted(v for v in seen if -record <= v <= record)
-        # reduce N to the lcm of the points' reduced denominators
-        common = math.gcd(scale, *lattice)
-        if common > 1:
-            scale //= common
-            lattice = [v // common for v in lattice]
+    # x is held as the int a = x * scale, and (p/q) x + b sends it to
+    # p a / q + b * scale
+    scale = math.lcm(seed.denominator,
+                     *(m.offset.denominator for m in system.maps))
+    maps = [(m.ratio.numerator, m.ratio.denominator,
+             m.offset.numerator * (scale // m.offset.denominator))
+            for m in system.maps]
+    cap = cap_num * scale // cap_den
+    seen = set()
+    queue = deque([seed.numerator * (scale // seed.denominator)])
+    used = 0
+    complete = True
+    while queue:
+        a = queue.popleft()
+        for ratio, den, shift in maps:
+            v = ratio * a
+            if den != 1:
+                if v % den:
+                    # refine by g and walk a * g again; the images taken
+                    # so far are in seen, so the visit order is kept
+                    g = den // math.gcd(v, den)
+                    scale *= g
+                    cap = cap_num * scale // cap_den
+                    maps = [(r, d, b * g) for r, d, b in maps]
+                    seen = {b * g for b in seen}
+                    queue = deque(b * g for b in queue)
+                    queue.appendleft(a * g)
+                    break
+                v //= den
+            v += shift
+            if v < -cap or v > cap or v in seen:
+                continue
+            if used >= node_budget:
+                complete = False
+                queue.clear()
+                break
+            seen.add(v)
+            queue.append(v)
+            used += 1
+
+    record = radius.numerator * scale // radius.denominator
+    lattice = sorted(v for v in seen if -record <= v <= record)
+    # reduce the scale to the lcm of the points' reduced denominators
+    common = math.gcd(scale, *lattice)
+    if common > 1:
+        scale //= common
+        lattice = [v // common for v in lattice]
     return OrbitSample(system=system, seed=seed, radius=radius,
                        lattice=lattice, scale=scale, complete=complete,
                        node_budget_used=used)

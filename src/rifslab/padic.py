@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .dimension import (DimensionFit, _loglog_fit, estimate_mass_dimension,
                         integerize)
-from .errors import ConfigError, DomainError
+from .errors import BudgetExceededError, ConfigError, DomainError
 from .orbit import LatticePoints, OrbitSample, counting_profile, enumerate_orbit
 from .rational import (PAdicValue, _int_valuation, check_prime,
                        format_rational, padic_valuation)
@@ -158,7 +158,7 @@ def attractor_sample(system: PAdicSystem, seed, depth: int | None = None,
     if depth < 1:
         raise DomainError("depth must be >= 1")
     if m**depth > node_budget:
-        raise DomainError(
+        raise BudgetExceededError(
             f"depth {depth} needs {m**depth} words, budget is {node_budget}")
     seed = Fraction(seed)
     p = system.p

@@ -10,6 +10,7 @@ library did before its samples moved onto an integer lattice.
 
 import math
 from bisect import bisect_left, bisect_right
+from collections import deque
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
@@ -35,6 +36,43 @@ def brute_orbit(system, seed, radius, depth):
         saturated = not new_within
         within |= new_within
     return sorted(within), saturated
+
+
+def fraction_orbit(system, seed, radius, node_budget):
+    """The orbit walk on Fractions, as (lattice, scale, complete, used):
+    the fields enumerate_orbit's OrbitSample must hold.
+
+    Breadth-first closure of the seed's images, pruned beyond
+    max(radius, escape radius); each insertion into the seen set costs
+    one unit of the node budget, and the walk stops at the first image
+    that would overrun it.  The points inside the radius go onto the
+    lattice of the lcm of their reduced denominators at the end.  This
+    is the walk enumerate_orbit made for non-integer ratios before it
+    moved onto the integer lattice.
+    """
+    seed = Fraction(seed)
+    radius = Fraction(radius)
+    cap = max(radius, system.escape_radius)
+    seen = set()
+    queue = deque([seed])
+    used = 0
+    complete = True
+    while queue and complete:
+        x = queue.popleft()
+        for m in system.maps:
+            v = m(x)
+            if abs(v) > cap or v in seen:
+                continue
+            if used >= node_budget:
+                complete = False
+                break
+            seen.add(v)
+            queue.append(v)
+            used += 1
+    inside = [v for v in seen if -radius <= v <= radius]
+    scale = math.lcm(*{v.denominator for v in inside})
+    lattice = sorted(v.numerator * (scale // v.denominator) for v in inside)
+    return lattice, scale, complete, used
 
 
 def window_max_brute(sample, h):
@@ -78,6 +116,38 @@ def window_density_sup_points(pts, s, lo, hi):
     for a in jumps_in_points(pts, lo, Fraction(hi)):
         best = max(best, count_within_points(pts, a) / float(a) ** s)
     return best
+
+
+def density_scans(entries, s, ratio, periods):
+    """The range scans of a periodic density profile over the entries
+    (h, N(h)), one pass over every entry each, as (values per period,
+    sup_tail, inf_tail, defect, matched).
+
+    Period t counts the h in (h_max / ratio**(t+1), h_max / ratio**t];
+    the tail is [h_max / ratio, h_max]; the defect pairs each h in
+    [h_max / ratio**2, h_max / ratio] with ratio * h when that is also
+    an entry, found through a dict.
+    """
+    ratio = Fraction(ratio)
+    h_max = entries[-1][0]
+    per_period = [
+        sum(1 for h, _ in entries
+            if h_max / ratio ** (t + 1) < h <= h_max / ratio**t)
+        for t in range(periods)]
+    tail = [(h, n) for h, n in entries if h_max / ratio <= h <= h_max]
+    values = [n / float(h) ** s for h, n in tail]
+    inf_tail = min(values)
+    for (_, n0), (h1, _) in zip(tail, tail[1:]):
+        inf_tail = min(inf_tail, n0 / float(h1) ** s)
+    by_h = dict(entries)
+    defect, matched = None, 0
+    for h, n in entries:
+        if h_max / ratio**2 <= h <= h_max / ratio and ratio * h in by_h:
+            matched += 1
+            gap = abs(by_h[ratio * h] / float(ratio * h) ** s
+                      - n / float(h) ** s)
+            defect = gap if defect is None else max(defect, gap)
+    return per_period, max(values), inf_tail, defect, matched
 
 
 def consecutive_cover_min(points, alpha, n):

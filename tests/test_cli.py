@@ -214,6 +214,29 @@ def test_padic_depth_sets_mass_vs_box_attractor(tmp_path, capsys):
     assert frag["mass_vs_box"]["box"] == frag["box"]["fit"]
 
 
+def test_padic_refuses_clustering_on_partial_sample(tmp_path, capsys):
+    # the budget cuts the 2**13-point orbit sample at 1000 points, which
+    # would read as 1000 balls at the levels k >= 10
+    cfg = binary_padic_config(tmp_path)
+    code, frag = run_json(capsys, ["padic", "--config", cfg, "--budget",
+                                   "1000", "--depth", "8",
+                                   "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert frag["clustering"] == {
+        "error": "clustering requires a complete sample"}
+    assert frag["sandwich"] == {"error": "sandwich requires a complete sample"}
+
+
+def test_padic_attractor_over_budget_exits_3(tmp_path, capsys):
+    # the default depth of a 2-map system walks 2**16 words
+    cfg = binary_padic_config(tmp_path)
+    code = main(["padic", "--config", cfg, "--budget", "1000",
+                 "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert "budget exhausted: depth 16 needs 65536 words" in (
+        capsys.readouterr().err)
+
+
 def test_padic_requires_block(tmp_path, capsys):
     cfg = cantor_config(tmp_path)
     code = main(["padic", "--config", cfg, "--out", str(tmp_path / "out")])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from rifslab import (
     BudgetExceededError,
+    CountingProfile,
     DomainError,
     attractor_box_counts,
     counting_profile,
@@ -26,7 +27,7 @@ from rifslab import (
     solve_similarity_dimension,
     window_density_sup,
 )
-from _oracles import box_count_cut_set, box_count_cylinders
+from _oracles import box_count_cut_set, box_count_cylinders, density_scans
 
 LOG2_3 = math.log(2) / math.log(3)
 
@@ -391,6 +392,42 @@ def test_density_profile_rejects_short_span(cantor_system):
     profile = counting_profile(sample, grid)
     with pytest.raises(DomainError, match="period"):
         density_profile(profile, LOG2_3, period_ratio=Fraction(3))
+
+
+@given(ratio=st.sampled_from([Fraction(2), Fraction(3), Fraction(5, 2)]),
+       base=st.lists(st.fractions(min_value=Fraction(1, 6), max_value=40,
+                                  max_denominator=6),
+                     min_size=2, max_size=60, unique=True),
+       folded=st.lists(st.booleans(), max_size=60),
+       edges=st.booleans(),
+       periods=st.integers(min_value=1, max_value=3),
+       s=st.floats(min_value=0.2, max_value=1.0))
+def test_density_profile_matches_scans(ratio, base, folded, edges, periods,
+                                       s):
+    # some h come with ratio * h, so the defect fold finds matches, and
+    # edges puts the period ends h_max / ratio**t on the grid
+    grid = set(base) | {ratio * h for h, f in zip(base, folded) if f}
+    if edges:
+        grid |= {max(grid) / ratio**t for t in range(1, periods + 1)}
+    grid = sorted(grid)
+    entries = tuple((h, i + 1) for i, h in enumerate(grid))
+    per_period, sup_tail, inf_tail, defect, matched = density_scans(
+        entries, s, ratio, periods)
+    profile = CountingProfile(entries)
+    if grid[0] > grid[-1] / ratio**periods:
+        with pytest.raises(DomainError, match="span"):
+            density_profile(profile, s, ratio, periods)
+        return
+    report = density_profile(profile, s, ratio, periods,
+                             min(per_period + [matched]))
+    assert (report.sup_tail, report.inf_tail) == (sup_tail, inf_tail)
+    assert report.defect == defect
+    sparsest = min(per_period)
+    with pytest.raises(DomainError, match=f"holds {sparsest} < "):
+        density_profile(profile, s, ratio, periods, sparsest + 1)
+    if matched < sparsest:
+        with pytest.raises(DomainError, match=f"only {matched} values"):
+            density_profile(profile, s, ratio, periods, matched + 1)
 
 
 def test_window_density_sup_matches_scan(cantor_system):

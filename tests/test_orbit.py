@@ -19,7 +19,7 @@ from rifslab import (
     window_max_count,
     write_orbit_dump,
 )
-from _oracles import brute_orbit, digit_numbers, window_max_brute
+from _oracles import brute_orbit, digit_numbers, fraction_orbit, window_max_brute
 
 
 def test_matches_unpruned_search(cantor_system):
@@ -88,8 +88,8 @@ RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
        seed=RATIONALS,
        radius=st.fractions(min_value=3, max_value=60, max_denominator=4))
 def test_walk_matches_unpruned_search(maps, seed, radius):
-    # all-integer ratios take the integer-lattice walk, the rest the
-    # Fraction walk
+    # one integer walk serves both kinds of ratio: with a non-integer
+    # ratio it refines its lattice as images need it
     system = make_system(maps)
     # radius >= escape radius: a layer of the unpruned search that lands
     # wholly outside the radius can never lead back inside, so a
@@ -101,6 +101,43 @@ def test_walk_matches_unpruned_search(maps, seed, radius):
     sample = enumerate_orbit(system, seed, radius)
     assert sample.complete
     assert sample.points == expected
+
+
+def orbit_fields(sample):
+    return (sample.lattice, sample.scale, sample.complete,
+            sample.node_budget_used)
+
+
+FRACTIONAL_RATIOS = [sign * r for sign in (1, -1) for r in (
+    Fraction(3, 2), Fraction(5, 2), Fraction(4, 3), Fraction(7, 3),
+    Fraction(5, 4), Fraction(9, 4))]
+
+
+@given(maps=st.lists(st.tuples(st.sampled_from(FRACTIONAL_RATIOS),
+                               RATIONALS),
+                     min_size=2, max_size=3, unique=True),
+       seed=RATIONALS,
+       radius=st.fractions(min_value=1, max_value=60, max_denominator=4),
+       budget=st.integers(min_value=1, max_value=400))
+def test_walk_matches_fraction_walk(maps, seed, radius, budget):
+    # budgets this small cut most of these walks, so partial samples are
+    # compared too: same points, same scale, same flag, same node count
+    system = make_system(maps)
+    sample = enumerate_orbit(system, seed, radius, node_budget=budget)
+    assert orbit_fields(sample) == fraction_orbit(system, seed, radius,
+                                                  budget)
+
+
+def test_walk_refines_scale_with_points_queued():
+    # seed 0 under {(5/2)x, (5/2)x + 1}: the image 5/2 of 1 moves the
+    # walk to scale 2 with nothing queued, then the image 25/4 of 5/2
+    # moves it to scale 4 while 7/2 (held as 7) is still queued; the
+    # budget of 8 ends the walk before scale 8
+    system = make_system([(Fraction(5, 2), 0), (Fraction(5, 2), 1)])
+    sample = enumerate_orbit(system, 0, 40, node_budget=8)
+    assert orbit_fields(sample) == (
+        [0, 4, 10, 14, 25, 29, 35, 39], 4, False, 8)
+    assert orbit_fields(sample) == fraction_orbit(system, 0, 40, 8)
 
 
 def test_budget_exhaustion_is_partial_not_error(cantor_system):

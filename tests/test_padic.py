@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from rifslab import padic
 from rifslab import (
+    BudgetExceededError,
     ConfigError,
     DomainError,
     attractor_sample,
@@ -176,7 +177,7 @@ def test_attractor_sample_default_depth(binary_padic_system):
 
 
 def test_attractor_sample_budget(binary_padic_system):
-    with pytest.raises(DomainError, match="budget"):
+    with pytest.raises(BudgetExceededError, match="budget"):
         attractor_sample(binary_padic_system, Fraction(0), 20, node_budget=1000)
 
 
