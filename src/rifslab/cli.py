@@ -16,13 +16,14 @@ import json
 import math
 import os
 import sys
+from bisect import bisect_left
 from fractions import Fraction
 
 from . import __version__
 from .config import RunConfig, apply_overrides, load_config
 from .dimension import (
     DimensionFit,
-    _jumps_in,
+    _magnitudes,
     _renewal_radius,
     attractor_box_counts,
     density_profile,
@@ -36,6 +37,7 @@ from .dimension import (
 )
 from .errors import BudgetExceededError, ConfigError, DomainError
 from .orbit import (
+    CountingProfile,
     _residual_radius,
     counting_profile,
     enumerate_orbit,
@@ -265,41 +267,47 @@ def _frag_attractor(ses: _Session, out_dir: str, args) -> dict:
 
 def _density_grid(cfg: RunConfig, sample, ratio, periods: int = 3,
                   fill: int = 40,
-                  max_jumps: int = 200_000) -> list[Fraction]:
-    """Grid for the density profile: a linear fill of each period plus
-    every orbit jump in the span, so the tail extrema and the
+                  max_jumps: int = 200_000) -> CountingProfile:
+    """Counting profile for the density report: a linear fill of each
+    period plus every orbit jump in the span, so the tail extrema and the
     periodicity defect are exact for the sample.
 
     Orbits of nearly full density have as many jumps as integers in the
     span; beyond max_jumps the grid keeps only the fill, whose sampled
     extrema are then approximate but tight (the normalized count varies
     little between adjacent integers of a dense orbit).
+
+    The grid is built on one lattice, D = lcm(L q, the fill's
+    denominators) for the sample scale L and ratio p/q: a fill value x is
+    x D, a jump m / L is m D / L, and its fold ratio * m / L is
+    p m D / (q L).
     """
     top = cfg.grid_base**cfg.grid_kmax
     if ratio is None:
-        spine = cfg.h_grid()
-        lo = spine[_tail_window(len(spine))[0]]
-        grid = set(spine)
-        jumps = _jumps_in(sample, lo, top)
-        if len(jumps) <= max_jumps:
-            grid |= jumps
-        return sorted(x for x in grid if x <= top)
-    span_lo = top / ratio**periods
-    grid = set()
-    for t in range(periods):
-        period_lo = top / ratio ** (t + 1)
-        step = period_lo * (ratio - 1) / fill
-        grid.add(period_lo)
-        for i in range(1, fill + 1):
-            grid.add(period_lo + i * step)
-    jumps = _jumps_in(sample, span_lo, top)
+        fills = cfg.h_grid()
+        lo = fills[_tail_window(len(fills))[0]]
+        q = 1
+    else:
+        fills = [top / ratio ** (t + 1) * (1 + i * (ratio - 1) / fill)
+                 for t in range(periods) for i in range(fill + 1)]
+        lo = top / ratio**periods
+        q = ratio.denominator
+    scale = sample.scale
+    den = math.lcm(scale * q, *(x.denominator for x in fills))
+    grid = {x.numerator * (den // x.denominator) for x in fills}
+    mags = _magnitudes(sample, top)
+    # the jumps m / L in [lo, top] are the magnitudes from ceil(lo L) on
+    jumps = set(mags[bisect_left(mags, -sample.floor_scaled(-lo)):])
     if len(jumps) <= max_jumps:
-        grid |= jumps
-        # the defect fold needs ratio*h on the grid for jumps one period
-        # down
-        fold_lo, fold_hi = top / ratio**2, top / ratio
-        grid |= {ratio * x for x in jumps if fold_lo <= x <= fold_hi}
-    return sorted(grid)
+        grid.update(m * (den // scale) for m in jumps)
+        if ratio is not None:
+            # the defect fold needs ratio*h on the grid for jumps one
+            # period down
+            fold_lo = -sample.floor_scaled(-top / ratio**2)
+            fold_hi = sample.floor_scaled(top / ratio)
+            fold = ratio.numerator * (den // (q * scale))
+            grid.update(m * fold for m in jumps if fold_lo <= m <= fold_hi)
+    return sample.profile(sorted(grid), den)
 
 
 def _density_ratio(cfg: RunConfig) -> Fraction | None:
@@ -316,8 +324,7 @@ def _frag_density(ses: _Session, out_dir: str, args) -> dict:
     s = ses.similarity().value
     sample = ses.orbit(cfg.radius)
     ratio = _density_ratio(cfg)
-    grid = _density_grid(cfg, sample, ratio)
-    profile = counting_profile(sample, grid)
+    profile = _density_grid(cfg, sample, ratio)
     report = density_profile(profile, s, period_ratio=ratio)
     rows = [(_f(h), _f(phase) if phase is not None else "nan", _f(value))
             for h, phase, value in report.samples]

@@ -18,7 +18,7 @@ from .errors import BudgetExceededError, ConfigError, DomainError
 from .orbit import (CountingProfile, LatticePoints, OrbitSample,
                     window_max_count)
 from .rational import format_rational
-from .systems import Rifs, common_fixed_point
+from .systems import Rifs, common_fixed_point, fixed_point
 
 
 # ---------------------------------------------------------------------------
@@ -404,64 +404,20 @@ def integerize(points) -> tuple[list[int], int]:
 
 
 def dual_attractor_hull(system: Rifs) -> tuple[Fraction, Fraction]:
-    """Exact convex hull [u, v] of the attractor of the inverse family.
+    """Exact convex hull [u, v] of the attractor A of the inverse family.
 
-    The hull endpoints satisfy u = min over maps of the images of {u, v}
-    and v = the corresponding max.  Exact contraction from [-c, c], c the
-    escape radius, shows at each step which map and which endpoint attain
-    each bound; that assignment turns the pair of equations into a 2x2
-    rational linear system, solved exactly and verified by exact
-    invariance.  The invariant hull is unique, so a verified candidate is
-    the hull.  Endpoints of the true hull are fixed points of one- or
-    two-map cycles, hence rational, so the verification succeeds once the
-    assignment is right.
+    A = union of g_i(A) over the dual maps g_i, so u = min A is g_i(u) or
+    g_i(v) for some i, and v = max A is g_j(v) or g_j(u) for some j.
+    In the four cases u is a fixed point of g_i, an image g_i(fix g_j),
+    or the fixed point of g_i o g_j (when v = g_j(u)), and likewise for
+    v.  Each of those candidates lies in A, so u and v are the least and
+    the greatest of them, all exact rationals.
     """
     duals = system.dual_maps()
-    c = system.escape_radius
-    if c == 0:
-        return Fraction(0), Fraction(0)
-
-    def solve(assign):
-        (ia, wa), (ib, wb) = assign
-        ra, oa = duals[ia].ratio, duals[ia].offset
-        rb, ob = duals[ib].ratio, duals[ib].offset
-        if wa == 0 and wb == 1:
-            return oa / (1 - ra), ob / (1 - rb)
-        if wa == 0 and wb == 0:
-            u = oa / (1 - ra)
-            return u, rb * u + ob
-        if wa == 1 and wb == 1:
-            v = ob / (1 - rb)
-            return ra * v + oa, v
-        u = (ra * ob + oa) / (1 - ra * rb)
-        return u, rb * u + ob
-
-    def verify(u, v):
-        if u > v:
-            return False
-        images = [(g(u), g(v)) for g in duals]
-        lo = min(min(pair) for pair in images)
-        hi = max(max(pair) for pair in images)
-        return lo == u and hi == v
-
-    u, v = -c, c
-    for _ in range(500):
-        images = [(g(u), g(v)) for g in duals]
-        nu = min(min(pair) for pair in images)
-        nv = max(max(pair) for pair in images)
-        if (nu, nv) == (u, v):
-            return u, v
-        for idx, pair in enumerate(images):
-            for which, y in enumerate(pair):
-                if y == nu:
-                    lo_at = (idx, which)
-                if y == nv:
-                    hi_at = (idx, which)
-        u, v = nu, nv
-        cand = solve((lo_at, hi_at))
-        if verify(*cand):
-            return cand
-    raise DomainError("attractor hull iteration failed to stabilize")
+    fixed = [fixed_point(g) for g in duals]
+    candidates = (fixed + [g(x) for g in duals for x in fixed]
+                  + [fixed_point(g.after(h)) for g in duals for h in duals])
+    return min(candidates), max(candidates)
 
 
 @dataclass(frozen=True)
@@ -635,15 +591,17 @@ def density_profile(profile: CountingProfile, s: float, period_ratio=None,
     N(h_i)/h_{i+1}**s at the right end; the tail extrema scan both
     families.  They are exact for the window exactly when the grid
     contains every orbit point inside it, which is how the command line
-    builds density grids.  The grid must increase strictly, as in every
-    profile counting_profile builds.
+    builds density grids.
+
+    The scans run on the profile's lattice: h = g / D is the float g / D,
+    the period, tail and fold bounds are found by bisecting for
+    floor(x * D), and with ratio p/q the defect pairs g_i with the g_j
+    for which q g_j = p g_i.  No Fraction is built per entry.
     """
-    grid = [h if isinstance(h, Fraction) else Fraction(h)
-            for h, _ in profile.entries]
-    counts = [n for _, n in profile.entries]
+    grid, scale, counts = profile.lattice, profile.scale, profile.counts
     if len(grid) < 2:
         raise DomainError("density profile needs at least 2 entries")
-    floats = [float(h) for h in grid]
+    floats = [g / scale for g in grid]
     values = [n / x ** s for n, x in zip(counts, floats)]
 
     if period_ratio is None:
@@ -656,34 +614,38 @@ def density_profile(profile: CountingProfile, s: float, period_ratio=None,
         if ratio <= 1:
             raise DomainError("period ratio must exceed 1")
         log_r = math.log(float(ratio))
-        h_max = grid[-1]
-        if grid[0] > h_max / ratio**periods:
+        h_max = Fraction(grid[-1], scale)
+        floor_scaled = profile.floor_scaled
+        if grid[0] > floor_scaled(h_max / ratio**periods):
             raise DomainError(
                 f"profile must span at least {periods} periods of ratio "
                 f"{format_rational(ratio)}")
         for t in range(periods):
             lo, hi = h_max / ratio ** (t + 1), h_max / ratio**t
-            inside = bisect_right(grid, hi) - bisect_right(grid, lo)
+            inside = (bisect_right(grid, floor_scaled(hi))
+                      - bisect_right(grid, floor_scaled(lo)))
             if inside < min_per_period:
                 raise DomainError(
                     f"grid too sparse: period ({format_rational(lo)}, "
                     f"{format_rational(hi)}] holds {inside} < {min_per_period} values")
 
         window_lo = h_max / ratio
-        start = bisect_left(grid, window_lo)
+        # g / D >= x exactly when g >= ceil(x D) = -floor(-x D)
+        start = bisect_left(grid, -floor_scaled(-window_lo))
         tail_window = (float(window_lo), float(h_max))
 
         # ratio * h grows with h in [h_max / ratio**2, window_lo] and stays
         # <= h_max, so one pointer from window_lo up finds each on the grid
+        p, q = ratio.numerator, ratio.denominator
         defect = None
         matched = 0
         j = start
-        for i in range(bisect_left(grid, h_max / ratio**2),
-                       bisect_right(grid, window_lo)):
-            target = ratio * grid[i]
-            while grid[j] < target:
+        for i in range(bisect_left(grid, -floor_scaled(-h_max / ratio**2)),
+                       bisect_right(grid, floor_scaled(window_lo))):
+            target = p * grid[i]
+            while q * grid[j] < target:
                 j += 1
-            if grid[j] == target:
+            if q * grid[j] == target:
                 matched += 1
                 gap = abs(values[j] - values[i])
                 defect = gap if defect is None else max(defect, gap)
@@ -716,16 +678,6 @@ def _magnitudes(sample: OrbitSample, hi) -> list[int]:
     pts = sample.lattice
     top = sample.floor_scaled(hi)
     return sorted(map(abs, pts[bisect_left(pts, -top):bisect_right(pts, top)]))
-
-
-def _jumps_in(sample: OrbitSample, lo, hi) -> set:
-    """The h in [lo, hi] (0 < lo) where the count N(h) of the sample
-    jumps: the magnitudes of the points of either sign."""
-    mags = _magnitudes(sample, hi)
-    scale = sample.scale
-    # m / L >= lo exactly when m >= ceil(lo L) = -floor(-lo L)
-    first = -sample.floor_scaled(-lo)
-    return {Fraction(m, scale) for m in mags[bisect_left(mags, first):]}
 
 
 def window_density_sup(sample: OrbitSample, s: float, lo, hi) -> float:

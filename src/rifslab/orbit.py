@@ -17,10 +17,11 @@ each refinement at least doubles it.
 
 The sample is stored once, on one integer lattice: point i is
 lattice[i] / L, with L the lcm of the points' reduced denominators.
-Counts, window scans, gaps and the orbit dump work on those integers;
-a rational x enters them as floor(x * L), and a float comes out as the
-correctly rounded int / int quotient, which is what float(Fraction)
-computes too.  The Fraction list `points` is built only when asked for.
+Counts, counting profiles, window scans, gaps and the orbit dump work
+on those integers; a rational x enters them as floor(x * L), and a float
+comes out as the correctly rounded int / int quotient, which is what
+float(Fraction) computes too.  The Fraction list `points` is built only
+when asked for.
 """
 
 from __future__ import annotations
@@ -45,8 +46,15 @@ class LatticePoints:
     Subclasses are dataclasses with the fields lattice, sorted distinct
     ints, and scale, a positive int L: point i is lattice[i] / L.
     `points` is the same set as a list of Fractions, built on first use
-    and cached; the lattice is the sample and is never to be mutated.
+    and cached; the lattice holds the data and is never to be mutated.
     """
+
+    def floor_scaled(self, x) -> int:
+        """floor(x * L) for a rational x: the lattice points a <= x * L
+        are exactly those a <= floor(x * L)."""
+        if not isinstance(x, (int, Fraction)):
+            x = Fraction(x)
+        return x.numerator * self.scale // x.denominator
 
     @cached_property
     def points(self) -> list[Fraction]:
@@ -79,17 +87,23 @@ class OrbitSample(LatticePoints):
     complete: bool
     node_budget_used: int
 
-    def floor_scaled(self, x) -> int:
-        """floor(x * L) for a rational x: the lattice points a <= x * L
-        are exactly those a <= floor(x * L)."""
-        if not isinstance(x, (int, Fraction)):
-            x = Fraction(x)
-        return x.numerator * self.scale // x.denominator
-
     def count_within(self, h) -> int:
         """Number of points in [-h, h]; exact binary search."""
         top = self.floor_scaled(h)
         return bisect_right(self.lattice, top) - bisect_left(self.lattice, -top)
+
+    def profile(self, grid: list[int], scale: int) -> CountingProfile:
+        """Counts N(g / D) for the strictly increasing positive ints g of
+        grid, D = scale, on a complete sample.  A lattice point a lies in
+        [-g / D, g / D] exactly when |a| <= floor(g L / D)."""
+        if not self.complete:
+            raise DomainError("counting requires a complete sample")
+        pts = self.lattice
+        counts = []
+        for g in grid:
+            top = g * self.scale // scale
+            counts.append(bisect_right(pts, top) - bisect_left(pts, -top))
+        return CountingProfile(grid, scale, counts)
 
     def __contains__(self, x) -> bool:
         x = Fraction(x)
@@ -101,18 +115,22 @@ class OrbitSample(LatticePoints):
 
 
 @dataclass(frozen=True)
-class CountingProfile:
-    """Window counts N(h) = #(orbit in [-h, h]) along an increasing grid."""
+class CountingProfile(LatticePoints):
+    """Window counts N(h) = #(orbit in [-h, h]) along an increasing grid,
+    on one integer lattice: N(lattice[i] / scale) = counts[i].
 
-    entries: tuple[tuple[Fraction, int], ...]
+    The lattice holds the grid as strictly increasing positive ints, and
+    `points` is the grid as Fractions.  `entries`, the pairs (h, N(h)) with
+    h a Fraction, is built from that view on each use.
+    """
+
+    lattice: list[int]
+    scale: int
+    counts: list[int]
 
     @property
-    def grid(self) -> tuple[Fraction, ...]:
-        return tuple(h for h, _ in self.entries)
-
-    @property
-    def counts(self) -> tuple[int, ...]:
-        return tuple(n for _, n in self.entries)
+    def entries(self) -> tuple[tuple[Fraction, int], ...]:
+        return tuple(zip(self.points, self.counts))
 
 
 @dataclass(frozen=True)
@@ -207,9 +225,9 @@ def counting_profile(sample: OrbitSample, grid) -> CountingProfile:
     """Exact counts N(h) over an increasing grid of rational h values.
 
     Requires a complete sample and every h within the verified radius.
+    The grid goes onto the lattice of the lcm D of its denominators once,
+    and `OrbitSample.profile` counts it there.
     """
-    if not sample.complete:
-        raise DomainError("counting requires a complete sample")
     grid = [h if isinstance(h, Fraction) else Fraction(h) for h in grid]
     if not grid:
         raise DomainError("grid must be nonempty")
@@ -222,7 +240,9 @@ def counting_profile(sample: OrbitSample, grid) -> CountingProfile:
         raise DomainError(
             f"grid value {format_rational(grid[-1])} exceeds verified radius "
             f"{format_rational(sample.radius)}")
-    return CountingProfile(tuple((h, sample.count_within(h)) for h in grid))
+    scale = math.lcm(*(h.denominator for h in grid))
+    return sample.profile([h.numerator * (scale // h.denominator) for h in grid],
+                          scale)
 
 
 def window_max_count(sample: OrbitSample, h) -> tuple[int, Fraction | None]:

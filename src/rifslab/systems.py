@@ -146,6 +146,7 @@ def find_exact_overlaps(system: Rifs, max_word_length: int,
     the same affine map, deduplicated up to swapping the pair.
 
     Word count grows like m**max_word_length; a budget guards the scan.
+    Each word is composed from its prefix one length down.
     """
     if max_word_length < 1:
         raise DomainError("max_word_length must be >= 1")
@@ -155,9 +156,13 @@ def find_exact_overlaps(system: Rifs, max_word_length: int,
             f"overlap scan needs {total} words, budget is {word_budget}")
     first_seen: dict[tuple[Fraction, Fraction], Word] = {}
     pairs: list[tuple[Word, Word]] = []
+    layer = [IDENTITY]
     for n in range(1, max_word_length + 1):
-        for word in itertools.product(range(1, system.m + 1), repeat=n):
-            f = compose(system, word)
+        # each word is its prefix composed with one more map, in the
+        # order of itertools.product
+        layer = [f.after(g) for f in layer for g in system.maps]
+        words = itertools.product(range(1, system.m + 1), repeat=n)
+        for word, f in zip(words, layer):
             key = (f.ratio, f.offset)
             if key in first_seen:
                 pairs.append((first_seen[key], word))
@@ -177,7 +182,8 @@ def min_word_separation(system: Rifs, n: int,
     minimum, read as +infinity).  A value of 0 at level n is exactly an
     exact overlap at that length.
 
-    The scan composes m**n words; a budget guards it.
+    The scan composes the m**n words from their prefixes, length by
+    length; a budget on m**n guards it.
     """
     if n < 1:
         raise DomainError("word length must be >= 1")
@@ -186,8 +192,10 @@ def min_word_separation(system: Rifs, n: int,
         raise BudgetExceededError(
             f"separation scan needs {total} words, budget is {word_budget}")
     groups: dict[Fraction, list[Fraction]] = {}
-    for word in itertools.product(range(1, system.m + 1), repeat=n):
-        f = compose(system, word)
+    layer = [IDENTITY]
+    for _ in range(n):
+        layer = [f.after(g) for f in layer for g in system.maps]
+    for f in layer:
         # inverse image of 0 under the composed map
         groups.setdefault(f.ratio, []).append(-f.offset / f.ratio)
     best: Fraction | None = None

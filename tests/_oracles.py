@@ -150,6 +150,100 @@ def density_scans(entries, s, ratio, periods):
     return per_period, max(values), inf_tail, defect, matched
 
 
+def fraction_density_entries(cfg, pts, ratio, periods=3, fill=40,
+                             max_jumps=200_000):
+    """The density profile's entries (h, N(h)) on Fractions: the grid the
+    command line built as a set of Fractions, and the counts
+    counting_profile took h by h, before both moved onto the integer
+    lattice.  pts is the sorted Fraction list of a complete sample.
+
+    Without a ratio the grid is the h-grid plus every jump from its tail
+    window up; with one it is a linear fill of each of the last periods,
+    every jump in their span, and ratio * x for the jumps x one period
+    below the top.  Beyond max_jumps distinct jumps only the fill stays.
+    """
+    top = cfg.grid_base**cfg.grid_kmax
+    if ratio is None:
+        spine = cfg.h_grid()
+        lo = spine[max(0, len(spine) - 10)]
+        grid = set(spine)
+        jumps = jumps_in_points(pts, lo, top)
+        if len(jumps) <= max_jumps:
+            grid |= jumps
+        grid = sorted(x for x in grid if x <= top)
+    else:
+        grid = set()
+        for t in range(periods):
+            period_lo = top / ratio ** (t + 1)
+            step = period_lo * (ratio - 1) / fill
+            grid.add(period_lo)
+            for i in range(1, fill + 1):
+                grid.add(period_lo + i * step)
+        jumps = jumps_in_points(pts, top / ratio**periods, top)
+        if len(jumps) <= max_jumps:
+            grid |= jumps
+            fold_lo, fold_hi = top / ratio**2, top / ratio
+            grid |= {ratio * x for x in jumps if fold_lo <= x <= fold_hi}
+        grid = sorted(grid)
+    return [(h, count_within_points(pts, h)) for h in grid]
+
+
+def contracted_hull(system):
+    """Convex hull [u, v] of the inverse family's attractor by exact
+    contraction from [-c, c], c the escape radius: the interval is mapped
+    to the hull of its images until it stops moving.  After each step
+    the map and endpoint attaining each bound give a 2x2 linear system
+    whose solution is accepted once it is invariant.  This is the hull
+    dual_attractor_hull computed before it took the closed form.
+    """
+    duals = system.dual_maps()
+    c = system.escape_radius
+    if c == 0:
+        return Fraction(0), Fraction(0)
+
+    def solve(assign):
+        (ia, wa), (ib, wb) = assign
+        ra, oa = duals[ia].ratio, duals[ia].offset
+        rb, ob = duals[ib].ratio, duals[ib].offset
+        if wa == 0 and wb == 1:
+            return oa / (1 - ra), ob / (1 - rb)
+        if wa == 0 and wb == 0:
+            u = oa / (1 - ra)
+            return u, rb * u + ob
+        if wa == 1 and wb == 1:
+            v = ob / (1 - rb)
+            return ra * v + oa, v
+        u = (ra * ob + oa) / (1 - ra * rb)
+        return u, rb * u + ob
+
+    def verify(u, v):
+        if u > v:
+            return False
+        images = [(g(u), g(v)) for g in duals]
+        lo = min(min(pair) for pair in images)
+        hi = max(max(pair) for pair in images)
+        return lo == u and hi == v
+
+    u, v = -c, c
+    for _ in range(500):
+        images = [(g(u), g(v)) for g in duals]
+        nu = min(min(pair) for pair in images)
+        nv = max(max(pair) for pair in images)
+        if (nu, nv) == (u, v):
+            return u, v
+        for idx, pair in enumerate(images):
+            for which, y in enumerate(pair):
+                if y == nu:
+                    lo_at = (idx, which)
+                if y == nv:
+                    hi_at = (idx, which)
+        u, v = nu, nv
+        cand = solve((lo_at, hi_at))
+        if verify(*cand):
+            return cand
+    raise AssertionError("attractor hull iteration failed to stabilize")
+
+
 def consecutive_cover_min(points, alpha, n):
     """Minimal cover cost by enumerating every partition of the sorted
     points into consecutive runs (2**(k-1) bitmasks)."""
@@ -236,17 +330,36 @@ def arbitrary_cover_min(points, alpha, n, max_intervals):
     return best
 
 
+def composed_brute(system, word):
+    """(ratio, offset) of f_{i1} o ... o f_{in} for the 1-based word,
+    composed from scratch, innermost map first."""
+    ratio, offset = Fraction(1), Fraction(0)
+    for idx in reversed(word):
+        m = system.maps[idx - 1]
+        ratio, offset = m.ratio * ratio, m.ratio * offset + m.offset
+    return ratio, offset
+
+
+def overlaps_brute(system, max_word_length):
+    """Pairs (first word, later word) of words of length <= max_word_length
+    with the same composed map, each later word paired with the first
+    one seen, words taken by length and then in itertools.product order."""
+    first_seen, pairs = {}, []
+    for n in range(1, max_word_length + 1):
+        for word in product(range(1, system.m + 1), repeat=n):
+            key = composed_brute(system, word)
+            if key in first_seen:
+                pairs.append((first_seen[key], word))
+            else:
+                first_seen[key] = word
+    return pairs
+
+
 def separation_brute(system, n):
     """Minimum over all pairs of distinct length-n words with equal
     composed ratio of |inverse image of 0 - inverse image of 0|."""
     words = list(product(range(1, system.m + 1), repeat=n))
-    composed = []
-    for word in words:
-        ratio, offset = Fraction(1), Fraction(0)
-        for idx in reversed(word):
-            m = system.maps[idx - 1]
-            ratio, offset = m.ratio * ratio, m.ratio * offset + m.offset
-        composed.append((word, ratio, offset))
+    composed = [(word, *composed_brute(system, word)) for word in words]
     best = None
     for i in range(len(composed)):
         wi, ri, oi = composed[i]

@@ -27,7 +27,8 @@ from rifslab import (
     solve_similarity_dimension,
     window_density_sup,
 )
-from _oracles import box_count_cut_set, box_count_cylinders, density_scans
+from _oracles import (box_count_cut_set, box_count_cylinders,
+                      contracted_hull, density_scans)
 
 LOG2_3 = math.log(2) / math.log(3)
 
@@ -226,6 +227,27 @@ def test_hull_invariance_random():
         assert max(images) == v
 
 
+def test_hull_endpoint_off_every_short_cycle():
+    # -10/11 = g_2(7) with g_2 the inverse of the second map; it is the
+    # fixed point of no one- or two-map cycle of the inverse family
+    system = make_system([(-4, 10), (Fraction(-11, 10), 6), (2, -7)])
+    assert dual_attractor_hull(system) == (Fraction(-10, 11), Fraction(7))
+    assert contracted_hull(system) == (Fraction(-10, 11), Fraction(7))
+
+
+HULL_RATIOS = [Fraction(r) for r in (-4, -3, -2, 2, 3, 4)] + [
+    Fraction(9, 8), Fraction(-11, 10), Fraction(5, 2), Fraction(-7, 3)]
+
+
+@given(maps=st.lists(
+    st.tuples(st.sampled_from(HULL_RATIOS),
+              st.fractions(min_value=-6, max_value=6, max_denominator=3)),
+    min_size=2, max_size=4, unique=True))
+def test_hull_matches_contraction_oracle(maps):
+    system = make_system(maps)
+    assert dual_attractor_hull(system) == contracted_hull(system)
+
+
 def test_box_counts_cantor_exact(cantor_system):
     box = attractor_box_counts(cantor_system, 12)
     assert box.counts == tuple(2**k for k in range(1, 13))
@@ -401,11 +423,13 @@ def test_density_profile_rejects_short_span(cantor_system):
        folded=st.lists(st.booleans(), max_size=60),
        edges=st.booleans(),
        periods=st.integers(min_value=1, max_value=3),
-       s=st.floats(min_value=0.2, max_value=1.0))
+       s=st.floats(min_value=0.2, max_value=1.0),
+       stretch=st.sampled_from([1, 7]))
 def test_density_profile_matches_scans(ratio, base, folded, edges, periods,
-                                       s):
+                                       s, stretch):
     # some h come with ratio * h, so the defect fold finds matches, and
-    # edges puts the period ends h_max / ratio**t on the grid
+    # edges puts the period ends h_max / ratio**t on the grid; stretch
+    # puts the profile on a finer lattice than its grid needs
     grid = set(base) | {ratio * h for h, f in zip(base, folded) if f}
     if edges:
         grid |= {max(grid) / ratio**t for t in range(1, periods + 1)}
@@ -413,7 +437,10 @@ def test_density_profile_matches_scans(ratio, base, folded, edges, periods,
     entries = tuple((h, i + 1) for i, h in enumerate(grid))
     per_period, sup_tail, inf_tail, defect, matched = density_scans(
         entries, s, ratio, periods)
-    profile = CountingProfile(entries)
+    scale = stretch * math.lcm(*(h.denominator for h in grid))
+    profile = CountingProfile([int(h * scale) for h in grid], scale,
+                              [n for _, n in entries])
+    assert profile.entries == entries
     if grid[0] > grid[-1] / ratio**periods:
         with pytest.raises(DomainError, match="span"):
             density_profile(profile, s, ratio, periods)
@@ -422,6 +449,8 @@ def test_density_profile_matches_scans(ratio, base, folded, edges, periods,
                              min(per_period + [matched]))
     assert (report.sup_tail, report.inf_tail) == (sup_tail, inf_tail)
     assert report.defect == defect
+    assert report.tail_window == (float(grid[-1] / ratio), float(grid[-1]))
+    assert [x for x, _, _ in report.samples] == [float(h) for h in grid]
     sparsest = min(per_period)
     with pytest.raises(DomainError, match=f"holds {sparsest} < "):
         density_profile(profile, s, ratio, periods, sparsest + 1)

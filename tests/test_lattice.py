@@ -17,9 +17,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rifslab import (
+    CountingProfile,
     OrbitSample,
     PAdicAttractorSample,
     attractor_sample,
+    counting_profile,
     enumerate_orbit,
     format_rational,
     integerize,
@@ -30,11 +32,12 @@ from rifslab import (
     window_max_count,
     write_orbit_dump,
 )
-from rifslab.cli import main
-from rifslab.dimension import _jumps_in
+from rifslab.cli import _density_grid, _density_ratio, main
+from rifslab.config import parse_config
 from _oracles import (
     brute_orbit,
     count_within_points,
+    fraction_density_entries,
     jumps_in_points,
     window_density_sup_points,
     window_max_brute,
@@ -130,7 +133,11 @@ def test_jumps_and_density_sup_match_oracle(case, data):
     # windows that end flush at the radius, as the renewal tail does
     hi = data.draw(st.sampled_from([min(hi, radius), radius]))
     assume(0 < lo < hi)
-    assert _jumps_in(sample, lo, hi) == jumps_in_points(pts, lo, hi)
+    # counts at every jump, where |a| meets floor(h L) exactly, and at
+    # the window's ends
+    grid = sorted(jumps_in_points(pts, lo, hi) | {lo, hi})
+    assert counting_profile(sample, grid).entries == tuple(
+        (h, count_within_points(pts, h)) for h in grid)
     s = data.draw(st.sampled_from([0.25, math.log(2) / math.log(3), 1.0, 1.5]))
     assert (window_density_sup(sample, s, lo, hi)
             == window_density_sup_points(pts, s, lo, hi))
@@ -169,6 +176,36 @@ def test_enumerated_lattice_matches_oracles(maps, seed, radius):
     for h in (Fraction(1, 3), Fraction(2), radius / 2, radius):
         assert sample.count_within(h) == count_within_points(expected, h)
         assert window_max_count(sample, h) == window_max_brute(oracle, h)
+
+
+DENSITY_RATIOS = [Fraction(2), Fraction(3), Fraction(5, 2), Fraction(7, 3)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(ratio=st.sampled_from(DENSITY_RATIOS),
+       other=st.sampled_from([None, Fraction(7, 2)]),
+       signs=st.tuples(st.sampled_from([1, -1]), st.sampled_from([1, -1])),
+       offsets=st.lists(RATIONALS, min_size=2, max_size=2, unique=True),
+       seed=RATIONALS,
+       kmax=st.integers(min_value=3, max_value=6),
+       max_jumps=st.sampled_from([0, 5, 200_000]))
+def test_density_grid_matches_fraction_oracle(ratio, other, signs, offsets,
+                                              seed, kmax, max_jumps):
+    # a second ratio magnitude takes the non-periodic branch; max_jumps 0
+    # and 5 keep only the fill on most samples
+    second = ratio if other is None else other
+    cfg = parse_config({
+        "maps": [{"r": str(signs[0] * ratio), "b": str(offsets[0])},
+                 {"r": str(signs[1] * second), "b": str(offsets[1])}],
+        "seed": str(seed), "grid": {"base": str(ratio), "kmax": kmax}})
+    sample = enumerate_orbit(cfg.system, cfg.seed, cfg.radius,
+                             node_budget=20_000)
+    assume(sample.complete)
+    period = _density_ratio(cfg)
+    profile = _density_grid(cfg, sample, period, max_jumps=max_jumps)
+    assert all(a < b for a, b in zip(profile.lattice, profile.lattice[1:]))
+    assert list(profile.entries) == fraction_density_entries(
+        cfg, sample.points, period, max_jumps=max_jumps)
 
 
 def test_scale_is_lcm_of_reduced_denominators(tmp_path, capsys):
@@ -210,6 +247,36 @@ def test_report_without_padic_never_builds_view(tmp_path, capsys,
                          "renewal"):
             assert "error" not in doc[analysis], (name, analysis)
     capsys.readouterr()
+
+
+def test_density_never_builds_profile_view(tmp_path, capsys, monkeypatch):
+    # the density grid is built, counted and folded on the lattice: the
+    # periodic fold on an integer and a non-integer ratio, and the
+    # non-periodic scan
+    for cls in (OrbitSample, CountingProfile):
+        monkeypatch.setattr(cls, "points", property(_never_built))
+    for name, maps in (("cantor", [("3", "0"), ("3", "2")]),
+                       ("mixed", [("2", "0"), ("3", "1")]),
+                       ("wide", [("5/2", "0"), ("5/2", "1")])):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps({
+            "maps": [{"r": r, "b": b} for r, b in maps],
+            "seed": "0", "grid": {"kmax": 8}}))
+        assert main(["density", "--config", str(cfg),
+                     "--out", str(tmp_path / name)]) == 0
+        frag = json.loads(capsys.readouterr().out)
+        assert (frag["defect"] is None) == (name == "mixed")
+
+
+def test_density_refuses_cut_sample(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({
+        "maps": [{"r": "5/2", "b": "0"}, {"r": "5/2", "b": "1"}],
+        "seed": "0", "grid": {"kmax": 8}}))
+    assert main(["density", "--config", str(cfg), "--budget", "50",
+                 "--out", str(tmp_path / "out")]) == 4
+    assert ("counting requires a complete sample"
+            in capsys.readouterr().err)
 
 
 def test_padic_report_never_builds_either_view(tmp_path, capsys, monkeypatch):

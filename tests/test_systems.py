@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rifslab import (
     BudgetExceededError,
@@ -17,7 +19,7 @@ from rifslab import (
     min_word_separation,
 )
 from rifslab import systems
-from _oracles import separation_brute
+from _oracles import overlaps_brute, separation_brute
 
 
 def _random_map(rng):
@@ -125,8 +127,14 @@ def test_no_overlap_in_binary_system():
     assert find_exact_overlaps(system, 10) == []
 
 
-def test_overlap_scan_budget():
+def _refuse(*args):
+    raise AssertionError("composed a word over budget")
+
+
+def test_overlap_scan_budget(monkeypatch):
     system = make_system([(Fraction(2), Fraction(0)), (Fraction(2), Fraction(1))])
+    # the scan composes every word from its prefix by AffineMap.after
+    monkeypatch.setattr(systems.AffineMap, "after", _refuse)
     with pytest.raises(BudgetExceededError, match="budget"):
         find_exact_overlaps(system, 30, word_budget=1000)
 
@@ -163,14 +171,30 @@ def test_separation_matches_brute_force(cantor_system, renewal_system):
             assert min_word_separation(system, n) == separation_brute(system, n)
 
 
+SCAN_RATIOS = [Fraction(r) for r in (-3, -2, 2, 3, 4)] + [
+    Fraction(3, 2), Fraction(-5, 2)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(maps=st.lists(
+    st.tuples(st.sampled_from(SCAN_RATIOS),
+              st.fractions(min_value=-4, max_value=4, max_denominator=3)),
+    min_size=2, max_size=3, unique=True),
+    length=st.integers(min_value=1, max_value=4))
+def test_word_scans_match_oracles(maps, length):
+    # the prefix-sharing scans keep the word order of composing each word
+    # from scratch, so witnesses and separations are the same
+    system = make_system(maps)
+    assert find_exact_overlaps(system, length) == overlaps_brute(system, length)
+    assert min_word_separation(system, length) == separation_brute(system,
+                                                                   length)
+
+
 def test_separation_scan_budget(monkeypatch):
     system = make_system([(Fraction(3), Fraction(0)), (Fraction(3), Fraction(1)),
                           (Fraction(3), Fraction(2))])
 
-    def refuse(*args):
-        raise AssertionError("composed a word over budget")
-
-    monkeypatch.setattr(systems, "compose", refuse)
+    monkeypatch.setattr(systems.AffineMap, "after", _refuse)
     with pytest.raises(BudgetExceededError, match="needs 531441 words"):
         min_word_separation(system, 12, word_budget=1000)
     monkeypatch.undo()
