@@ -444,12 +444,19 @@ def attractor_box_counts(system: Rifs, k_max: int, delta=None,
     of a word w is g_w(x) = (x + e / (Q L)) / (P / Q), held as the triple
     (P, Q, e); appending map j gives (P p_j, Q q_j, p_j e - b_j L q_j Q).
 
+    One depth-first walk serves every level: a word adds its interval to
+    each level whose cut set it belongs to, and is expanded while some
+    level is left.  Children are visited left to right, so when the
+    first-level images g_j([u, v]) are pairwise interior-disjoint every
+    level's intervals arrive sorted and its count is a running sweep;
+    when they overlap each level collects its cells in a set.
+
     Every cut word at level k expands by less than delta**k * max|r|, and
     the cut words' expansions satisfy sum |R_w|**-s = 1 with s the
     similarity dimension, so the level-k_max cut set holds fewer than
     (delta**k_max * max|r|)**s words; that bound is checked against
-    word_budget before walking.  The words the walk visits, over all
-    levels, are counted against the same budget as it goes.
+    word_budget before walking.  The words the walk pushes are counted
+    against the same budget as it goes.
     """
     if k_max < 1:
         raise DomainError("k_max must be >= 1")
@@ -467,9 +474,9 @@ def attractor_box_counts(system: Rifs, k_max: int, delta=None,
             f"budget is {word_budget}")
 
     u, v = dual_attractor_hull(system)
+    ks = tuple(range(1, k_max + 1))
     if u == v:
-        return BoxCounts(delta=delta, hull=(u, v), ks=tuple(range(1, k_max + 1)),
-                         counts=(1,) * k_max)
+        return BoxCounts(delta=delta, hull=(u, v), ks=ks, counts=(1,) * k_max)
     offset_den = math.lcm(*(m.offset.denominator for m in system.maps))
     gens = [(m.ratio.numerator, m.ratio.denominator,
              int(m.offset * offset_den) * m.ratio.denominator)
@@ -479,36 +486,68 @@ def attractor_box_counts(system: Rifs, k_max: int, delta=None,
     hull_den = math.lcm(u.denominator, v.denominator)
     nu, nv = int(u * hull_den), int(v * hull_den)
     ul, vl = nu * offset_den, nv * offset_den
+    span = offset_den * (nv - nu)
+    # level k at index k as (a_k, b_k, b_k * span), delta**k = a_k / b_k;
+    # the entry past k_max cuts no word, so every scan of the levels ends
+    levels = [None] + [(t.numerator, t.denominator, t.denominator * span)
+                       for t in (delta**k for k in ks)] + [(1, 0, 0)]
+
+    # g_j([u, v]) scaled by offset_den * hull_den: the word (p_j, q_j, -bq)
+    images = [tuple(sorted((Fraction(ul * qj - bq * hull_den, pj),
+                            Fraction(vl * qj - bq * hull_den, pj))))
+              for pj, qj, bq in gens]
+    order = sorted(range(len(gens)), key=images.__getitem__)
+    sweep = all(images[i][1] <= images[j][0]
+                for i, j in zip(order, order[1:]))
+    # the stack pops the last child pushed; g_w reverses order when P < 0
+    push_rising = [gens[j] for j in reversed(order)]
+    push_falling = [gens[j] for j in order]
+    last = [None] * (k_max + 1)
+    counts = [0] * (k_max + 1)
+    cells = None if sweep else [set() for _ in counts]
+
     walked = 0
-    counts = []
-    for k in range(1, k_max + 1):
-        threshold = delta**k
-        a_k, b_k = threshold.numerator, threshold.denominator
-        scale = offset_den * (nv - nu) * b_k
-        cells = set()
-        stack = [(1, 1, 0)]  # the empty word, never a cut word
-        while stack:
-            p, q, e = stack.pop()
-            if abs(p) * b_k >= a_k * q:
-                # g_w(u) / side = (ul q + e hull_den) a_k / (p scale)
-                ed = e * hull_den
-                lo = (ul * q + ed) * a_k
-                hi = (vl * q + ed) * a_k
-                if p < 0:
-                    lo, hi = hi, lo
+    stack = [(1, 1, 0, 1)]  # the empty word, never a cut word
+    pop, push = stack.pop, stack.append
+    while stack:
+        p, q, e, k = pop()
+        a_k, b_k, scale = levels[k]
+        mag = abs(p)
+        if mag * b_k >= a_k * q:
+            # g_w(u) / side = (ul q + e hull_den) a_k / (p scale)
+            ed = e * hull_den
+            lo = ul * q + ed
+            hi = vl * q + ed
+            if p < 0:
+                lo, hi = hi, lo
+            while True:
                 den = p * scale
-                cells.update(range(lo // den, -(-hi // den)))
+                c0 = lo * a_k // den
+                c1 = -(-hi * a_k // den)
+                if sweep:
+                    start = last[k]
+                    if start is None or c0 > start:
+                        start = c0
+                    if c1 > start:
+                        counts[k] += c1 - start
+                        last[k] = c1
+                else:
+                    cells[k].update(range(c0, c1))
+                k += 1
+                a_k, b_k, scale = levels[k]
+                if mag * b_k < a_k * q:
+                    break
+            if k > k_max:
                 continue
-            walked += len(gens)
-            if walked > word_budget:
-                raise BudgetExceededError(
-                    f"box counting walked more than {word_budget} words "
-                    f"by k={k}")
-            stack.extend([(p * pj, q * qj, pj * e - bq * q)
-                          for pj, qj, bq in gens])
-        counts.append(len(cells))
-    return BoxCounts(delta=delta, hull=(u, v), ks=tuple(range(1, k_max + 1)),
-                     counts=tuple(counts))
+        walked += len(gens)
+        if walked > word_budget:
+            raise BudgetExceededError(
+                f"box counting walked more than {word_budget} words")
+        for pj, qj, bq in push_rising if p > 0 else push_falling:
+            push((p * pj, q * qj, pj * e - bq * q, k))
+    if not sweep:
+        counts = [len(c) for c in cells]
+    return BoxCounts(delta=delta, hull=(u, v), ks=ks, counts=tuple(counts[1:]))
 
 
 def estimate_box_dimension(box: BoxCounts,
@@ -758,35 +797,41 @@ def renewal_constant(system: Rifs, sample: OrbitSample, residuals, s: float,
     if not sample.complete:
         raise DomainError("renewal sums require a complete sample")
 
-    def clamped(t: Fraction) -> float:
-        # min(1, |t|**-s), with the value 1 at t = 0
-        if -1 <= t <= 1:
+    def clamped(num: int, den: int) -> float:
+        # min(1, |t|**-s) for t = num / den, den > 0, with the value 1 at
+        # t = 0; int / int rounds correctly, as float(Fraction) does
+        if abs(num) <= den:
             return 1.0
-        return abs(float(t)) ** -s
+        return (abs(num) / den) ** -s
 
     pts = sample.lattice
     scale = sample.scale
-    maps = [(m.ratio, m.offset) for m in system.maps]
+    # for x = a / L and a map (p / q) x + n / d: r x = p a / (q L) and
+    # r x + b = (p d a + n q L) / (q L d)
+    maps = [(m.ratio.numerator, m.ratio.denominator * scale,
+             m.ratio.numerator * m.offset.denominator,
+             m.offset.numerator * m.ratio.denominator * scale,
+             m.ratio.denominator * scale * m.offset.denominator)
+            for m in system.maps]
 
     # the open interval (-1, 1) holds the lattice points -L < a < L
-    near = [Fraction(a, scale)
-            for a in pts[bisect_right(pts, -scale):bisect_left(pts, scale)]]
+    near = pts[bisect_right(pts, -scale):bisect_left(pts, scale)]
     s1 = math.fsum(
-        math.fsum(clamped(r * x) for r, _ in maps) - 1.0 for x in near)
+        math.fsum(clamped(p * a, ql) for p, ql, _, _, _ in maps) - 1.0
+        for a in near)
 
     top = sample.floor_scaled(cutoff)
-    terms = []
-    for a in pts[bisect_left(pts, -top):bisect_right(pts, top)]:
-        x = Fraction(a, scale)
-        for r, b in maps:
-            rx = r * x
-            terms.append(clamped(rx + b) - clamped(rx))
-    s2 = math.fsum(terms)
+    s2 = math.fsum(
+        [clamped(pd * a + nql, qld) - clamped(p * a, ql)
+         for a in pts[bisect_left(pts, -top):bisect_right(pts, top)]
+         for p, ql, pd, nql, qld in maps])
 
-    s3 = math.fsum(clamped(Fraction(y)) for y in residuals)
+    s3 = math.fsum(clamped(y.numerator, y.denominator)
+                   for y in map(Fraction, residuals))
 
     denom = s * math.fsum(
-        abs(float(r)) ** -s * math.log(abs(float(r))) for r, _ in maps)
+        abs(float(m.ratio)) ** -s * math.log(abs(float(m.ratio)))
+        for m in system.maps)
     value = (s1 + s2 + s3) / denom
 
     sup_tail = window_density_sup(sample, s, cutoff, sample.radius)

@@ -459,3 +459,35 @@ def box_count_cut_set(system, k, delta=None):
         for gj, mj in zip(duals, system.maps):
             stack.append((g.after(gj), expansion * abs(mj.ratio)))
     return len(cells)
+
+
+def fraction_renewal_constant(system, sample, residuals, s, cutoff):
+    """renewal_constant with its three sums taken over Fractions: one
+    Fraction per sample point within the cutoff, clamped after comparing
+    it with -1 and 1.  The preconditions are the library's to check."""
+    from rifslab import RenewalEstimate, window_density_sup
+
+    def clamped(t):
+        # min(1, |t|**-s), with the value 1 at t = 0
+        if -1 <= t <= 1:
+            return 1.0
+        return abs(float(t)) ** -s
+
+    cutoff = Fraction(cutoff)
+    points = [Fraction(a, sample.scale) for a in sample.lattice]
+    maps = [(m.ratio, m.offset) for m in system.maps]
+    s1 = math.fsum(
+        math.fsum(clamped(r * x) for r, _ in maps) - 1.0
+        for x in points if -1 < x < 1)
+    s2 = math.fsum([clamped(r * x + b) - clamped(r * x)
+                    for x in points if -cutoff <= x <= cutoff
+                    for r, b in maps])
+    s3 = math.fsum(clamped(Fraction(y)) for y in residuals)
+    denom = s * math.fsum(
+        abs(float(r)) ** -s * math.log(abs(float(r))) for r, _ in maps)
+    sup_tail = window_density_sup(sample, s, cutoff, sample.radius)
+    tail_bound = (system.m * float(system.max_offset_mag) * s * sup_tail
+                  * 2.0 ** (s + 2) / float(cutoff))
+    return RenewalEstimate(value=(s1 + s2 + s3) / denom,
+                           tail_bound=tail_bound, cutoff=float(cutoff),
+                           tail_density_sup=sup_tail)

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -28,7 +29,8 @@ from rifslab import (
     window_density_sup,
 )
 from _oracles import (box_count_cut_set, box_count_cylinders,
-                      contracted_hull, density_scans)
+                      contracted_hull, density_scans,
+                      fraction_renewal_constant)
 
 LOG2_3 = math.log(2) / math.log(3)
 
@@ -281,19 +283,49 @@ def test_box_counts_budget(cantor_system):
 
 
 @pytest.mark.parametrize("delta, budget, match", [
-    # the cut set at delta = 9 holds 2**16 words, far beyond the budget
+    # the cut set at delta = 9 may hold 2.46e6 words, far beyond the budget
     (9, 1000, "may hold"),
-    # the pre-check allows 2**9 cut words; the walk visits 1004 words
-    (None, 1003, "walked"),
+    # the pre-check allows 2,417 cut words; the one walk pushes 2,884 words
+    (None, 2883, "walked"),
 ])
-def test_box_counts_budget_bounds_the_walk(cantor_system, delta, budget, match):
+def test_box_counts_budget_bounds_the_walk(renewal_system, delta, budget,
+                                           match):
     with pytest.raises(BudgetExceededError, match=match):
-        attractor_box_counts(cantor_system, 8, delta=delta, word_budget=budget)
+        attractor_box_counts(renewal_system, 8, delta=delta,
+                             word_budget=budget)
 
 
-def test_box_counts_budget_counts_visited_words(cantor_system):
-    box = attractor_box_counts(cantor_system, 8, word_budget=1004)
-    assert box.counts == tuple(2**k for k in range(1, 9))
+def test_box_counts_budget_counts_visited_words(renewal_system):
+    box = attractor_box_counts(renewal_system, 8, word_budget=2884)
+    assert box.counts == tuple(box_count_cut_set(renewal_system, k)
+                               for k in box.ks)
+
+
+@pytest.mark.parametrize("maps", [
+    # first-level images overlap: each level counts a cell set
+    [(3, 0), (3, 1), (3, 3)],
+    [(3, 0), (3, 3), (3, 4)],
+    # orientation reverses: children are walked right to left
+    [(-2, 0), (3, 1)],
+    [(-3, 0), (-3, 2)],
+    # the images touch at an endpoint
+    [(2, 0), (2, 1)],
+    [(2, 0), (3, 1)],
+])
+def test_box_counts_sweep_and_cell_sets_match_cut_set_oracle(maps):
+    system = make_system([(Fraction(r), Fraction(b)) for r, b in maps])
+    box = attractor_box_counts(system, 8)
+    assert box.counts == tuple(box_count_cut_set(system, k) for k in box.ks)
+
+
+def test_box_counts_hold_no_cell_sets(renewal_system):
+    tracemalloc.start()
+    try:
+        attractor_box_counts(renewal_system, 9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 RATIOS = [Fraction(r) for r in (2, -2, 3, -3, 4, -4)] + [Fraction(5, 2),
@@ -505,3 +537,18 @@ def test_renewal_value_reasonable(renewal_system):
     assert estimate.value == pytest.approx(empirical, rel=0.2)
     assert estimate.tail_bound > 0
     assert estimate.cutoff == 1000.0
+
+
+@pytest.mark.parametrize("maps, seed", [
+    # the mixed-ratio and rational-wide benchmark systems
+    ([(2, 0), (3, 1)], 5),
+    ([(Fraction(5, 2), 0), (Fraction(5, 2), 1)], 0),
+])
+def test_renewal_sums_on_the_lattice_match_fraction_oracle(maps, seed):
+    system = make_system([(Fraction(r), Fraction(b)) for r, b in maps])
+    s = solve_similarity_dimension([m.ratio for m in system.maps]).value
+    cutoff = Fraction(10) ** 4
+    sample = enumerate_orbit(system, seed, 3 * cutoff + 1)
+    residuals = residual_points(sample)
+    assert renewal_constant(system, sample, residuals, s, cutoff) == \
+        fraction_renewal_constant(system, sample, residuals, s, cutoff)
