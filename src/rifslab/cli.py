@@ -398,12 +398,23 @@ def _frag_padic(ses: _Session, out_dir: str, args) -> dict:
     psys = cfg.padic
     p = psys.p
     sample = ses.orbit(cfg.radius)
-    # a partial sample undercounts the balls it has not reached
-    if sample.complete:
-        clustering = [[k, ball_count(sample, p, k).count]
-                      for k in range(1, cfg.grid_kmax + 1)]
-    else:
-        clustering = {"error": "clustering requires a complete sample"}
+    ks = range(1, cfg.grid_kmax + 1)
+    try:
+        rows_sw = mass_box_sandwich(psys, sample, ks)
+        sandwich = {
+            "rows": [{"k": r.k, "lower": r.lower, "balls": r.balls,
+                      "upper": r.upper, "holds": r.holds}
+                     for r in rows_sw],
+            "all_hold": all(r.holds for r in rows_sw),
+        }
+        # the sandwich counted the balls at every k already
+        clustering = [[r.k, r.balls] for r in rows_sw]
+    except DomainError as exc:
+        sandwich = {"error": str(exc)}
+        # a partial sample undercounts the balls it has not reached
+        clustering = ([[k, ball_count(sample, p, k).count] for k in ks]
+                      if sample.complete else
+                      {"error": "clustering requires a complete sample"})
 
     att, box = padic_attractor_box(psys, cfg.seed, args.depth,
                                    cfg.node_budget)
@@ -426,18 +437,8 @@ def _frag_padic(ses: _Session, out_dir: str, args) -> dict:
             "fit": _fit_dict(box.fit),
         },
         "csv": "padic.csv",
+        "sandwich": sandwich,
     }
-    try:
-        rows_sw = mass_box_sandwich(psys, sample,
-                                    range(1, cfg.grid_kmax + 1))
-        frag["sandwich"] = {
-            "rows": [{"k": r.k, "lower": r.lower, "balls": r.balls,
-                      "upper": r.upper, "holds": r.holds}
-                     for r in rows_sw],
-            "all_hold": all(r.holds for r in rows_sw),
-        }
-    except DomainError as exc:
-        frag["sandwich"] = {"error": str(exc)}
     try:
         check = mass_versus_box(psys, ses.orbit(Fraction(p) ** cfg.grid_kmax),
                                 box.fit)

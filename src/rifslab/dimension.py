@@ -146,20 +146,17 @@ def estimate_mass_dimension(profile: CountingProfile,
 def estimate_beurling_dimension(sample: OrbitSample, h_grid,
                                 window: tuple[int, int] | None = None) -> DimensionFit:
     """Same fit applied to the sliding-window maxima instead of central
-    counts: log of max #(orbit in [x-h, x+h]) against log h."""
-    h_grid = [Fraction(h) for h in h_grid]
-    entries = []
-    for h in h_grid:
-        if h < 2:
-            raise DomainError("window fit needs h >= 2")
-        count, _ = window_max_count(sample, h)
-        if count < 1:
-            raise DomainError("window fit needs a nonempty sample")
-        entries.append((h, count))
-    chosen = _fit_window(entries, window)
-    return _loglog_fit([math.log(float(h)) for h, _ in chosen],
-                       [math.log(n) for _, n in chosen],
-                       (float(chosen[0][0]), float(chosen[-1][0])))
+    counts: log of max #(orbit in [x-h, x+h]) against log h, scanned for
+    the grid values inside the fit window only."""
+    chosen = _fit_window([Fraction(h) for h in h_grid], window)
+    if min(chosen) < 2:
+        raise DomainError("window fit needs h >= 2")
+    counts = [window_max_count(sample, h)[0] for h in chosen]
+    if min(counts) < 1:
+        raise DomainError("window fit needs a nonempty sample")
+    return _loglog_fit([math.log(float(h)) for h in chosen],
+                       [math.log(n) for n in counts],
+                       (float(chosen[0]), float(chosen[-1])))
 
 
 # ---------------------------------------------------------------------------
@@ -454,9 +451,10 @@ def attractor_box_counts(system: Rifs, k_max: int, delta=None,
     Every cut word at level k expands by less than delta**k * max|r|, and
     the cut words' expansions satisfy sum |R_w|**-s = 1 with s the
     similarity dimension, so the level-k_max cut set holds fewer than
-    (delta**k_max * max|r|)**s words; that bound is checked against
-    word_budget before walking.  The words the walk pushes are counted
-    against the same budget as it goes.
+    B = (delta**k_max * max|r|)**s words.  They are the leaves of the
+    walk's m-ary tree, which thus pushes fewer than m B / (m - 1) words;
+    that bound is checked against word_budget before walking, and the
+    pushes are counted against the same budget as the walk goes.
     """
     if k_max < 1:
         raise DomainError("k_max must be >= 1")
@@ -468,10 +466,11 @@ def attractor_box_counts(system: Rifs, k_max: int, delta=None,
     s = solve_similarity_dimension([m.ratio for m in system.maps]).value
     log_bound = s * (k_max * math.log(delta) + math.log(system.max_ratio_mag))
     bound = math.exp(min(log_bound, 700.0))  # exp overflows past ~709
-    if bound > word_budget:
+    pushes = bound * system.m / (system.m - 1)
+    if pushes > word_budget:
         raise BudgetExceededError(
-            f"cut set at k={k_max} may hold {bound:.3g} words, "
-            f"budget is {word_budget}")
+            f"cut set at k={k_max} may hold {bound:.3g} words, so the walk "
+            f"may push {pushes:.3g}, budget is {word_budget}")
 
     u, v = dual_attractor_hull(system)
     ks = tuple(range(1, k_max + 1))

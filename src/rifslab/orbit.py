@@ -22,6 +22,12 @@ on those integers; a rational x enters them as floor(x * L), and a float
 comes out as the correctly rounded int / int quotient, which is what
 float(Fraction) computes too.  The Fraction list `points` is built only
 when asked for.
+
+The overlap probe walks the words of length at most top, the deepest
+probed depth, on the fixed scale S Q**(top + 1).  There every value it
+maps, of length k <= top, is a multiple of Q, so (p/q) x + b acts on
+ints exactly.  Only `residual_points` still computes on Fractions: the
+preimages of the few seed images.
 """
 
 from __future__ import annotations
@@ -144,11 +150,8 @@ class OverlapMatrix:
 
     @property
     def max_offdiagonal(self) -> int:
-        m = len(self.cells)
-        return max(
-            (self.cells[i][j] for i in range(m) for j in range(m) if i != j),
-            default=0,
-        )
+        return max((c for i, row in enumerate(self.cells)
+                    for j, c in enumerate(row) if i != j), default=0)
 
 
 def enumerate_orbit(system: Rifs, seed, radius, *,
@@ -298,30 +301,6 @@ def min_gap(sample: OrbitSample) -> Fraction | None:
     return Fraction(min(b - a for a, b in zip(pts, pts[1:])), sample.scale)
 
 
-def truncated_orbit(system: Rifs, seed, depth: int,
-                    node_budget: int = DEFAULT_NODE_BUDGET) -> set[Fraction]:
-    """All values of compositions of length 0..depth applied to the seed."""
-    if depth < 0:
-        raise DomainError("depth must be >= 0")
-    total = sum(system.m**k for k in range(1, depth + 1))
-    if total > node_budget:
-        raise BudgetExceededError(
-            f"depth {depth} needs up to {total} nodes, budget is {node_budget}")
-    seed = Fraction(seed)
-    current = {seed}
-    frontier = [seed]
-    for _ in range(depth):
-        nxt = []
-        for x in frontier:
-            for m in system.maps:
-                v = m(x)
-                if v not in current:
-                    current.add(v)
-                    nxt.append(v)
-        frontier = nxt
-    return current
-
-
 def overlap_probe(system: Rifs, seed, depths,
                   node_budget: int = DEFAULT_NODE_BUDGET) -> list[OverlapMatrix]:
     """Pairwise image intersections of depth-truncated orbits.
@@ -330,21 +309,43 @@ def overlap_probe(system: Rifs, seed, depths,
     most n, count #(f_i(O_n) with f_j(O_n)) for each pair.  Cells that
     stay zero as the depth grows are evidence (not proof) that the system
     is non-overlapping off its exceptional seeds.
+
+    One walk on the module's fixed scale serves every depth: each map's
+    image set grows by the images of the newest layer of values.  The
+    m + ... + m**n nodes of each depth n are budgeted before walking.
     """
     depths = sorted(set(int(d) for d in depths))
     if not depths or depths[0] < 1:
         raise DomainError("depths must be positive")
-    out = []
     for depth in depths:
-        o_n = truncated_orbit(system, seed, depth, node_budget)
-        images = [{m(x) for x in o_n} for m in system.maps]
-        cells = tuple(
-            tuple(
-                0 if i == j else len(images[i] & images[j])
-                for j in range(system.m))
-            for i in range(system.m))
-        out.append(OverlapMatrix(depth=depth, truncated_orbit_size=len(o_n),
-                                 cells=cells))
+        total = sum(system.m**k for k in range(1, depth + 1))
+        if total > node_budget:
+            raise BudgetExceededError(f"depth {depth} needs up to {total} "
+                                      f"nodes, budget is {node_budget}")
+    seed = Fraction(seed)
+    top = depths[-1]
+    scale = (math.lcm(seed.denominator,
+                      *(m.offset.denominator for m in system.maps))
+             * math.lcm(*(m.ratio.denominator for m in system.maps))
+             ** (top + 1))
+    maps = [(m.ratio.numerator, m.ratio.denominator,
+             m.offset.numerator * (scale // m.offset.denominator))
+            for m in system.maps]
+    fresh = [{seed.numerator * (scale // seed.denominator)}]
+    orbit = set()
+    images = [set() for _ in maps]
+    out = []
+    for k in range(top + 1):
+        layer = set().union(*fresh) - orbit
+        orbit |= layer
+        fresh = [{p * a // q + shift for a in layer} for p, q, shift in maps]
+        for image, new in zip(images, fresh):
+            image |= new
+        if k == depths[len(out)]:
+            cells = tuple(tuple(0 if i == j else len(a & b)
+                                for j, b in enumerate(images))
+                          for i, a in enumerate(images))
+            out.append(OverlapMatrix(k, len(orbit), cells))
     return out
 
 

@@ -75,6 +75,40 @@ def fraction_orbit(system, seed, radius, node_budget):
     return lattice, scale, complete, used
 
 
+def truncated_orbit(system, seed, depth):
+    """All values of compositions of length 0..depth applied to the seed,
+    as a set of Fractions, by a breadth-first walk of AffineMap calls."""
+    seed = Fraction(seed)
+    current = {seed}
+    frontier = [seed]
+    for _ in range(depth):
+        nxt = []
+        for x in frontier:
+            for m in system.maps:
+                v = m(x)
+                if v not in current:
+                    current.add(v)
+                    nxt.append(v)
+        frontier = nxt
+    return current
+
+
+def fraction_overlap_probe(system, seed, depths):
+    """(depth, |O_depth|, cells) for each depth in ascending order, with
+    O_depth = truncated_orbit restarted from the seed and cells[i][j] =
+    #(f_i(O_depth) with f_j(O_depth)) off the diagonal, 0 on it: the
+    probe overlap_probe ran before it moved onto one integer walk."""
+    out = []
+    for depth in sorted(set(depths)):
+        o_n = truncated_orbit(system, seed, depth)
+        images = [{m(x) for x in o_n} for m in system.maps]
+        cells = tuple(
+            tuple(0 if i == j else len(a & b) for j, b in enumerate(images))
+            for i, a in enumerate(images))
+        out.append((depth, len(o_n), cells))
+    return out
+
+
 def window_max_brute(sample, h):
     """Most points in a window [x-h, x+h] inside [-radius, radius], as
     (count, centre), by counting every candidate window point by point.

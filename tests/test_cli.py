@@ -93,6 +93,46 @@ def test_orbit_writes_dump(tmp_path, capsys):
     assert len(lines) == 4 + 2**6
 
 
+def test_overlap_branch_reported_by_orbit_and_renewal(tmp_path, capsys):
+    # 3x + 3 = 3(x + 1): f_1 and f_3 meet at f_1(x + 1) = f_3(x) as soon
+    # as x and x + 1 are both in the truncated orbit
+    cfg = cantor_config(tmp_path, maps=[{"r": "3", "b": "0"},
+                                        {"r": "3", "b": "1"},
+                                        {"r": "3", "b": "3"}])
+    out = str(tmp_path / "out")
+    code, frag = run_json(capsys, ["orbit", "--config", cfg, "--out", out])
+    assert code == 0
+    probe = frag["overlap_probe"]
+    assert probe["overlaps_observed"] is True
+    assert all(m["max_offdiagonal"] > 0 for m in probe["matrices"])
+    assert probe["matrices"][0]["cells"][0][2] > 0
+    code, frag = run_json(capsys, ["renewal", "--config", cfg, "--out", out])
+    assert code == 0
+    assert frag["overlaps_observed"] is True
+    assert "overlaps_observed = true" in (
+        (tmp_path / "out" / "renewal.txt").read_text().splitlines())
+
+
+def test_dims_fits_only_the_tail_window(tmp_path, capsys, monkeypatch):
+    # kmin 0 puts h = 1, which fails h >= 2, on the grid; the tail window
+    # of both fits starts at h = 27, and only the window is scanned
+    cfg = cantor_config(tmp_path, grid={"base": "3", "kmin": 0, "kmax": 12})
+    scanned = []
+    window_max_count = rifslab.dimension.window_max_count
+
+    def counted(sample, h):
+        scanned.append(h)
+        return window_max_count(sample, h)
+
+    monkeypatch.setattr(rifslab.dimension, "window_max_count", counted)
+    code, frag = run_json(capsys, ["dims", "--config", cfg,
+                                   "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert frag["beurling"]["window"] == [27.0, 531441.0]
+    assert frag["beurling"]["window"] == frag["mass"]["window"]
+    assert scanned == [3**k for k in range(3, 13)]
+
+
 def test_dims_csv(tmp_path, capsys):
     cfg = cantor_config(tmp_path)
     out = tmp_path / "out"
@@ -202,6 +242,32 @@ def test_padic_csv_and_sandwich(tmp_path, capsys, monkeypatch):
     k, nk, ratio = lines[1].split(",")
     assert (k, nk) == ("2", "4")
     assert float(ratio) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_padic_counts_each_ball_level_once(tmp_path, capsys, monkeypatch):
+    # clustering reads the sandwich's ball counts at k = 1..12; the box
+    # fit counts the attractor sample at k = 2..12
+    cfg = binary_padic_config(tmp_path)
+    calls = count_padic_calls(monkeypatch, ("ball_count",))
+    code, frag = run_json(capsys, ["padic", "--config", cfg,
+                                   "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert calls == {"ball_count": 12 + 11}
+    assert frag["clustering"] == [[r["k"], r["balls"]]
+                                  for r in frag["sandwich"]["rows"]]
+
+
+def test_padic_clusters_when_sandwich_refuses(tmp_path, capsys):
+    # radius 64 holds the orbit 0..64 of {2x, 2x + 1}, but the sandwich
+    # at k = 6 needs radius 128
+    doc = json.loads(open(binary_padic_config(tmp_path, kmax=6)).read())
+    cfg = write_config(tmp_path, dict(doc, radius="64"), name="small.json")
+    code, frag = run_json(capsys, ["padic", "--config", cfg, "--depth", "8",
+                                   "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert frag["sandwich"] == {
+        "error": "sandwich at k=6 needs radius >= 128, sample has 64"}
+    assert frag["clustering"] == [[k, 2**k] for k in range(1, 7)]
 
 
 def test_padic_depth_sets_mass_vs_box_attractor(tmp_path, capsys):

@@ -15,11 +15,13 @@ from rifslab import (
     min_gap,
     overlap_probe,
     residual_points,
-    truncated_orbit,
     window_max_count,
     write_orbit_dump,
 )
-from _oracles import brute_orbit, digit_numbers, fraction_orbit, window_max_brute
+from _oracles import (brute_orbit, digit_numbers, fraction_orbit,
+                      fraction_overlap_probe, truncated_orbit,
+                      window_max_brute)
+from rifslab.systems import AffineMap
 
 
 def test_matches_unpruned_search(cantor_system):
@@ -227,18 +229,23 @@ def test_min_gap_empty_and_single(cantor_system):
     assert min_gap(sample) is None
 
 
-def test_truncated_orbit_levels(cantor_system):
+def test_overlap_probe_orbit_sizes(cantor_system):
     # compositions of length 0..depth, so the seed itself belongs
-    o1 = truncated_orbit(cantor_system, 1, 1)
-    assert o1 == {Fraction(1), Fraction(3), Fraction(5)}
-    o2 = truncated_orbit(cantor_system, 1, 2)
-    assert o2 == {Fraction(1), Fraction(3), Fraction(5), Fraction(9),
-                  Fraction(11), Fraction(15), Fraction(17)}
+    o1 = {Fraction(1), Fraction(3), Fraction(5)}
+    o2 = o1 | {Fraction(9), Fraction(11), Fraction(15), Fraction(17)}
+    assert truncated_orbit(cantor_system, 1, 1) == o1
+    assert truncated_orbit(cantor_system, 1, 2) == o2
+    matrices = overlap_probe(cantor_system, 1, (1, 2))
+    assert [m.truncated_orbit_size for m in matrices] == [len(o1), len(o2)]
 
 
-def test_truncated_orbit_budget(cantor_system):
-    with pytest.raises(BudgetExceededError, match="budget"):
-        truncated_orbit(cantor_system, 1, 30, node_budget=100)
+def test_overlap_probe_budget(cantor_system):
+    # every depth is checked before the walk, so depth 2, which fits,
+    # is not walked either
+    with pytest.raises(BudgetExceededError,
+                       match="depth 30 needs up to 2147483646 nodes, "
+                             "budget is 100"):
+        overlap_probe(cantor_system, 1, (2, 30), node_budget=100)
 
 
 def test_overlap_probe_silent_for_separated(cantor_system):
@@ -254,6 +261,39 @@ def test_overlap_probe_grows_for_degenerate():
     values = [m.max_offdiagonal for m in matrices]
     assert values[0] > 0
     assert values == sorted(values)
+
+
+PROBE_RATIOS = RATIOS + FRACTIONAL_RATIOS
+
+
+@given(maps=st.lists(st.tuples(st.sampled_from(PROBE_RATIOS),
+                               st.one_of(st.integers(-3, 3).map(Fraction),
+                                         RATIONALS)),
+                     min_size=2, max_size=3, unique=True),
+       seed=RATIONALS,
+       depths=st.lists(st.integers(1, 6), min_size=1, max_size=3))
+def test_overlap_probe_matches_fraction_probe(maps, seed, depths):
+    # small integer offsets under one shared ratio make overlapping
+    # systems such as {3x, 3x+1, 3x+3} common among the examples
+    system = make_system(maps)
+    probe = overlap_probe(system, seed, depths)
+    assert ([(m.depth, m.truncated_orbit_size, m.cells) for m in probe]
+            == fraction_overlap_probe(system, seed, depths))
+
+
+def test_overlap_probe_builds_no_affine_values(monkeypatch):
+    system = make_system([(Fraction(5, 2), Fraction(1, 3)),
+                          (Fraction(-7, 3), 0), (Fraction(5, 2), 1)])
+    expected = fraction_overlap_probe(system, Fraction(1, 2), (2, 4, 6))
+
+    def refuse(*args):
+        raise AssertionError("AffineMap used by the probe walk")
+
+    monkeypatch.setattr(AffineMap, "__call__", refuse)
+    monkeypatch.setattr(AffineMap, "after", refuse)
+    probe = overlap_probe(system, Fraction(1, 2), (2, 4, 6))
+    assert [(m.depth, m.truncated_orbit_size, m.cells)
+            for m in probe] == expected
 
 
 def test_residual_points_frozen(cantor_system):
