@@ -47,7 +47,7 @@ from .orbit import (
     write_orbit_dump,
 )
 from .padic import (
-    ball_count,
+    ball_counts,
     mass_box_sandwich,
     mass_versus_box,
     padic_attractor_box,
@@ -412,7 +412,7 @@ def _frag_padic(ses: _Session, out_dir: str, args) -> dict:
     except DomainError as exc:
         sandwich = {"error": str(exc)}
         # a partial sample undercounts the balls it has not reached
-        clustering = ([[k, ball_count(sample, p, k).count] for k in ks]
+        clustering = ([[k, n] for k, n in zip(ks, ball_counts(sample, p, ks))]
                       if sample.complete else
                       {"error": "clustering requires a complete sample"})
 

@@ -10,9 +10,13 @@ around log-log fits.
 from __future__ import annotations
 
 import math
+import os
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from itertools import accumulate, zip_longest
 
 from .errors import BudgetExceededError, ConfigError, DomainError
 from .orbit import (CountingProfile, LatticePoints, OrbitSample,
@@ -423,6 +427,29 @@ class BoxCounts:
     hull: tuple[Fraction, Fraction]
     ks: tuple[int, ...]
     counts: tuple[int, ...]
+    words_pushed: int
+
+
+# A fork and a pickled result cost about 3 ms and a walk of 50,000 pushes
+# about 60 ms: smaller walks stay in one process.
+_SPLIT_PUSHES = 50_000
+_MAX_WORKERS = 8
+
+
+def _workers() -> int:
+    """Processes a box walk may use: the CPUs this process may run on, at
+    most _MAX_WORKERS; 1 without os.fork, or while this process runs
+    other threads, since a forked child may then block on a lock one of
+    them held."""
+    threading = sys.modules.get("threading")
+    if not hasattr(os, "fork") or (threading is not None
+                                   and threading.active_count() > 1):
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return min(cpus, _MAX_WORKERS)
 
 
 def attractor_box_counts(system: Rifs, k_max: int, delta=None,
@@ -455,6 +482,22 @@ def attractor_box_counts(system: Rifs, k_max: int, delta=None,
     walk's m-ary tree, which thus pushes fewer than m B / (m - 1) words;
     that bound is checked against word_budget before walking, and the
     pushes are counted against the same budget as the walk goes.
+
+    A walk that may push 50,000 words or more is split across the CPUs
+    this process may use (at most 8, only where os.fork exists and while
+    no other thread runs).
+    This process walks levels 1..k0, k0 the least level whose cut words
+    each root a subtree of at most B / (8 * workers) leaves, but below
+    k_max.  The level-k0 cut words, in walk order, are cut into
+    contiguous chunks of equal total subtree bound.  The subtrees of the
+    first chunk are walked here and those of each other chunk in a forked
+    child, for the levels past k0, each chunk under a share of the budget
+    left in proportion to its bound.  A chunk sums each sweep level as
+    (count, first cell, end cell): a level's intervals arrive sorted
+    across chunks too, so consecutive chunks share at most the cell at
+    their border, and do exactly when the later one starts before the
+    earlier one ends.  Cell sets are united.  The counts and words_pushed
+    are those of the serial walk, whatever the number of processes.
     """
     if k_max < 1:
         raise DomainError("k_max must be >= 1")
@@ -475,7 +518,8 @@ def attractor_box_counts(system: Rifs, k_max: int, delta=None,
     u, v = dual_attractor_hull(system)
     ks = tuple(range(1, k_max + 1))
     if u == v:
-        return BoxCounts(delta=delta, hull=(u, v), ks=ks, counts=(1,) * k_max)
+        return BoxCounts(delta=delta, hull=(u, v), ks=ks, counts=(1,) * k_max,
+                         words_pushed=0)
     offset_den = math.lcm(*(m.offset.denominator for m in system.maps))
     gens = [(m.ratio.numerator, m.ratio.denominator,
              int(m.offset * offset_den) * m.ratio.denominator)
@@ -501,12 +545,65 @@ def attractor_box_counts(system: Rifs, k_max: int, delta=None,
     # the stack pops the last child pushed; g_w reverses order when P < 0
     push_rising = [gens[j] for j in reversed(order)]
     push_falling = [gens[j] for j in order]
+
+    def walk(roots, levels, budget, frontier=None):
+        return _box_walk(roots, levels, push_rising, push_falling, ul, vl,
+                         hull_den, sweep, budget, frontier)
+
+    root = (1, 1, 0, 1)  # the empty word, never a cut word
+    workers = _workers() if pushes >= _SPLIT_PUSHES and k_max > 1 else 1
+    if workers == 1:
+        results = [walk([root], levels, word_budget)]
+    else:
+        # a level-k0 cut word expands by |P| / Q >= delta**k0, so its
+        # subtree has at most B_w = (delta**k_max max|r| Q / |P|)**s
+        # leaves, which is B / (8 workers) or less unless k0 is capped,
+        # and its walk pushes at most m (B_w - 1) / (m - 1) words
+        k0 = min(k_max - 1,
+                 math.ceil(math.log(8 * workers) / (s * math.log(delta))))
+        # the level-k0 cut words, in walk order, root the chunks' subtrees
+        roots = []
+        top = walk([root], levels[:k0 + 1] + levels[-1:], word_budget, roots)
+        weights = [math.exp(log_bound - s * math.log(abs(p) / q)) - 1
+                   for p, q, _, _ in roots]
+        ends = list(accumulate(weights))
+        total = ends[-1]
+        cuts = sorted({0, len(roots)}
+                      | {bisect_left(ends, total * i / workers) + 1
+                         for i in range(1, workers)})
+        # budget shares in proportion to the push bounds: while the
+        # pre-check holds, no chunk exhausts its share
+        left = word_budget - top[1]
+        results = [top] + _run_forked([
+            partial(walk, roots[lo:hi], levels,
+                    int(left * math.fsum(weights[lo:hi]) / total))
+            for lo, hi in zip(cuts, cuts[1:]) if lo < hi])
+    return BoxCounts(delta=delta, hull=(u, v), ks=ks,
+                     counts=tuple(_merge_box_pieces(
+                         [pieces for pieces, _ in results], sweep)),
+                     words_pushed=sum(n for _, n in results))
+
+
+def _box_walk(roots, levels, push_rising, push_falling, ul, vl, hull_den,
+              sweep, budget, frontier=None):
+    """Walk the subtrees of roots, words held as (P, Q, e, first level not
+    yet cut at), one after another, for the levels of levels (whose first
+    and last entries are guards).
+
+    Returns the summary of each level, its cell set or, when sweeping,
+    (count, first cell, end cell) and None if it has no cell, and the
+    number of words pushed.  The words cut at the last level, which the
+    walk does not expand, are appended to frontier, in walk order, if it
+    is a list.
+    """
+    k_max = len(levels) - 2
+    first = [None] * (k_max + 1)
     last = [None] * (k_max + 1)
     counts = [0] * (k_max + 1)
     cells = None if sweep else [set() for _ in counts]
-
+    width = len(push_rising)
     walked = 0
-    stack = [(1, 1, 0, 1)]  # the empty word, never a cut word
+    stack = roots[::-1]
     pop, push = stack.pop, stack.append
     while stack:
         p, q, e, k = pop()
@@ -525,7 +622,9 @@ def attractor_box_counts(system: Rifs, k_max: int, delta=None,
                 c1 = -(-hi * a_k // den)
                 if sweep:
                     start = last[k]
-                    if start is None or c0 > start:
+                    if start is None:
+                        first[k] = start = c0
+                    elif c0 > start:
                         start = c0
                     if c1 > start:
                         counts[k] += c1 - start
@@ -537,16 +636,92 @@ def attractor_box_counts(system: Rifs, k_max: int, delta=None,
                 if mag * b_k < a_k * q:
                     break
             if k > k_max:
+                if frontier is not None:
+                    frontier.append((p, q, e, k))
                 continue
-        walked += len(gens)
-        if walked > word_budget:
+        walked += width
+        if walked > budget:
             raise BudgetExceededError(
-                f"box counting walked more than {word_budget} words")
+                f"box counting walked more than {budget} words")
         for pj, qj, bq in push_rising if p > 0 else push_falling:
             push((p * pj, q * qj, pj * e - bq * q, k))
     if not sweep:
-        counts = [len(c) for c in cells]
-    return BoxCounts(delta=delta, hull=(u, v), ks=ks, counts=tuple(counts[1:]))
+        return cells[1:], walked
+    return [None if f is None else (n, f, end)
+            for n, f, end in zip(counts[1:], first[1:], last[1:])], walked
+
+
+def _merge_box_pieces(pieces, sweep) -> list[int]:
+    """Cell counts per level of the summaries of `_box_walk`, walked in
+    tree order."""
+    counts = []
+    for level in zip_longest(*pieces):
+        parts = [part for part in level if part]
+        if not sweep:
+            counts.append(len(set().union(*parts)))
+            continue
+        # a level's intervals are sorted across pieces, so consecutive
+        # pieces share at most the cell at their border
+        total = 0
+        end = None
+        for n, first, last in parts:
+            total += n - (1 if end is not None and first < end else 0)
+            end = last
+        counts.append(total)
+    return counts
+
+
+def _run_forked(tasks) -> list:
+    """Results of the zero-argument callables tasks, in order.
+
+    The first runs in this process and every other one in a forked child,
+    which pickles its result or its exception into a pipe and exits; once
+    a fork fails, the tasks left run here.  Every child is reaped before
+    this returns or raises, and the first exception of a child is
+    re-raised.
+    """
+    import pickle
+
+    children = []
+    try:
+        for task in tasks[1:]:
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                break
+            if pid == 0:
+                try:
+                    os.close(read_fd)
+                    try:
+                        outcome = (True, task())
+                    except BaseException as exc:
+                        outcome = (False, exc)
+                    data = pickle.dumps(outcome)
+                    with os.fdopen(write_fd, "wb") as pipe:
+                        pipe.write(data)
+                finally:
+                    os._exit(0)
+            os.close(write_fd)
+            children.append((pid, read_fd))
+        mine = [task() for task in tasks[:1] + tasks[1 + len(children):]]
+    finally:
+        received = []
+        for pid, read_fd in children:
+            with os.fdopen(read_fd, "rb") as pipe:
+                received.append(pipe.read())
+            os.waitpid(pid, 0)
+    results = mine[:1]
+    for data in received:
+        if not data:
+            raise RuntimeError("a box counting child exited without a result")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        results.append(value)
+    return results + mine[1:]
 
 
 def estimate_box_dimension(box: BoxCounts,

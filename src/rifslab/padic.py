@@ -49,12 +49,9 @@ def ball_count(points, p: int, k: int, method: str = "residues") -> BallClusteri
     the classes off those residues.  The pairwise method is the quadratic
     union-find reference.  Both are exact.
     """
-    check_prime(p)
-    if k < 0:
-        raise DomainError("ball level k must be >= 0")
+    _check_ball_levels(p, [k])
     if method == "residues":
-        ints, scale = integerize(points)
-        modulus = p ** (k + padic_valuation(scale, p).valuation)
+        ints, modulus = _ball_lattice(points, p, k)
         sizes = Counter(a % modulus for a in ints)
         return BallClustering(p=p, k=k, count=len(sizes),
                               class_sizes=tuple(sorted(sizes.values())))
@@ -82,6 +79,44 @@ def ball_count(points, p: int, k: int, method: str = "residues") -> BallClusteri
         sizes[r] = sizes.get(r, 0) + 1
     return BallClustering(p=p, k=k, count=len(sizes),
                           class_sizes=tuple(sorted(sizes.values())))
+
+
+def ball_counts(points, p: int, ks) -> list[int]:
+    """Numbers of p-adic balls of radius p**-k that hold points, for each
+    k in ks, in the order given.
+
+    One pass reduces the lattice of `ball_count`'s residue method modulo
+    its modulus for the largest k; every lower level then folds the
+    residue set of the level above it.  Exact, and equal to
+    `ball_count(points, p, k).count` for every k.
+    """
+    ks = [int(k) for k in ks]
+    _check_ball_levels(p, ks)
+    if not ks:
+        return []
+    top = max(ks)
+    residues, modulus = _ball_lattice(points, p, top)
+    counts = {}
+    for k in sorted(set(ks), reverse=True):
+        level_modulus = modulus // p ** (top - k)
+        residues = {a % level_modulus for a in residues}
+        counts[k] = len(residues)
+    return [counts[k] for k in ks]
+
+
+def _check_ball_levels(p: int, ks) -> None:
+    check_prime(p)
+    if any(k < 0 for k in ks):
+        raise DomainError("ball level k must be >= 0")
+
+
+def _ball_lattice(points, p: int, k: int):
+    """The integers a of the points x = a / L on the lattice of
+    `integerize` (a sample's own), and the modulus p**(k + v_p(L)) modulo
+    which two of them agree exactly when their points share a ball of
+    radius p**-k, since x - y = (a - b) / L."""
+    ints, scale = integerize(points)
+    return ints, p ** (k + padic_valuation(scale, p).valuation)
 
 
 @dataclass(frozen=True)
@@ -241,20 +276,22 @@ def mass_box_sandwich(system: PAdicSystem, sample: OrbitSample,
     big_n = max((v for v in vals), default=0)
     shift = big_n + max(e for _, e, _ in system.terms)
     c_upper = abs(sample.seed) + system.archimedean().max_offset_mag / (p - 1)
-    rows = []
-    for k in sorted(set(int(k) for k in k_values)):
-        upper_edge = c_upper * p ** (k + shift)
+    ks = sorted(set(int(k) for k in k_values))
+    upper_edges = [c_upper * p ** (k + shift) for k in ks]
+    for k, upper_edge in zip(ks, upper_edges):
         if upper_edge > sample.radius:
             raise DomainError(
                 f"sandwich at k={k} needs radius >= "
                 f"{format_rational(upper_edge)}, sample has "
                 f"{format_rational(sample.radius)}")
+    rows = []
+    for k, upper_edge, balls in zip(ks, upper_edges,
+                                    ball_counts(sample, p, ks)):
         # open interval (-e, e): points exactly on the edge are not
         # separated, and a / L lies inside exactly when f < a < -f for
         # f = floor(-e L)
         edge = sample.floor_scaled(-c_lower * p**k)
         lower = bisect_left(lattice, -edge) - bisect_right(lattice, edge)
-        balls = ball_count(sample, p, k).count
         upper = sample.count_within(upper_edge)
         rows.append(SandwichRow(k=k, lower=lower, balls=balls, upper=upper))
     return rows

@@ -245,14 +245,14 @@ def test_padic_csv_and_sandwich(tmp_path, capsys, monkeypatch):
 
 
 def test_padic_counts_each_ball_level_once(tmp_path, capsys, monkeypatch):
-    # clustering reads the sandwich's ball counts at k = 1..12; the box
-    # fit counts the attractor sample at k = 2..12
+    # clustering reads the sandwich's ball counts at k = 1..12, counted in
+    # one pass; the box fit counts the attractor sample at k = 2..12
     cfg = binary_padic_config(tmp_path)
-    calls = count_padic_calls(monkeypatch, ("ball_count",))
+    calls = count_padic_calls(monkeypatch, ("ball_count", "ball_counts"))
     code, frag = run_json(capsys, ["padic", "--config", cfg,
                                    "--out", str(tmp_path / "out")])
     assert code == 0
-    assert calls == {"ball_count": 12 + 11}
+    assert calls == {"ball_count": 11, "ball_counts": 1}
     assert frag["clustering"] == [[r["k"], r["balls"]]
                                   for r in frag["sandwich"]["rows"]]
 

@@ -1,12 +1,17 @@
+import contextlib
 import math
+import os
 import random
+import threading
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rifslab import dimension
 from rifslab import (
     BudgetExceededError,
     CountingProfile,
@@ -304,6 +309,15 @@ def test_box_counts_budget_counts_visited_words(renewal_system):
                                for k in box.ks)
 
 
+@contextlib.contextmanager
+def split_walk(workers):
+    """Split every box walk across `workers` processes, however small."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dimension, "_SPLIT_PUSHES", 0)
+        mp.setattr(dimension, "_workers", lambda: workers)
+        yield
+
+
 @pytest.mark.parametrize("maps", [
     # first-level images overlap: each level counts a cell set
     [(3, 0), (3, 1), (3, 3)],
@@ -314,11 +328,15 @@ def test_box_counts_budget_counts_visited_words(renewal_system):
     # the images touch at an endpoint
     [(2, 0), (2, 1)],
     [(2, 0), (3, 1)],
+    # non-integer ratios, one reversing
+    [(Fraction(5, 2), 0), (Fraction(-7, 3), 1)],
 ])
 def test_box_counts_sweep_and_cell_sets_match_cut_set_oracle(maps):
     system = make_system([(Fraction(r), Fraction(b)) for r, b in maps])
-    box = attractor_box_counts(system, 8)
-    assert box.counts == tuple(box_count_cut_set(system, k) for k in box.ks)
+    expected = tuple(box_count_cut_set(system, k) for k in range(1, 9))
+    for workers in (1, 3):
+        with split_walk(workers):
+            assert attractor_box_counts(system, 8).counts == expected
 
 
 def test_box_counts_hold_no_cell_sets(renewal_system):
@@ -342,8 +360,12 @@ MAX_CUT_WORDS = 5000
        delta=st.one_of(st.none(),
                        st.fractions(min_value=Fraction(5, 4), max_value=4,
                                     max_denominator=4)),
-       k_max=st.integers(1, 6))
-def test_box_counts_match_cut_set_oracle(maps, delta, k_max):
+       k_max=st.integers(1, 6), workers=st.integers(2, 4))
+@settings(deadline=None)
+def test_box_counts_match_cut_set_oracle(maps, delta, k_max, workers):
+    # RATIOS has P < 0 orderings, 5/2 and -7/3, and OFFSETS makes both
+    # disjoint first-level images (sweep) and overlapping ones (cell sets);
+    # the walk is split however small it is, and must equal the serial one
     system = make_system(maps)
     s = solve_similarity_dimension([r for r, _ in maps]).value
     scale = float(system.max_ratio_mag if delta is None else delta)
@@ -351,9 +373,89 @@ def test_box_counts_match_cut_set_oracle(maps, delta, k_max):
     while k_max > 1 and (scale**k_max * float(system.max_ratio_mag))**s \
             > MAX_CUT_WORDS:
         k_max -= 1
-    box = attractor_box_counts(system, k_max, delta=delta)
+    with split_walk(workers):
+        box = attractor_box_counts(system, k_max, delta=delta)
     assert box.counts == tuple(box_count_cut_set(system, k, delta)
                                for k in box.ks)
+    with split_walk(1):
+        assert attractor_box_counts(system, k_max, delta=delta) == box
+
+
+def test_split_box_walk_pushes_the_serial_words(renewal_system):
+    for workers in (1, 2, 3):
+        with split_walk(workers):
+            assert attractor_box_counts(renewal_system, 8).words_pushed == 2884
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_split_box_walk_reaps_its_children(renewal_system, monkeypatch):
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with split_walk(4):
+            box = attractor_box_counts(renewal_system, 8)
+    assert len(forks) == 3
+    assert box.counts == tuple(box_count_cut_set(renewal_system, k)
+                               for k in box.ks)
+    assert_no_child_left()
+
+
+def test_split_box_walk_raises_a_childs_error(renewal_system, monkeypatch):
+    parent = os.getpid()
+    walk = dimension._box_walk
+
+    def over_budget_in_children(*args):
+        if os.getpid() != parent:
+            raise BudgetExceededError("box counting walked more than 7 words")
+        return walk(*args)
+
+    monkeypatch.setattr(dimension, "_box_walk", over_budget_in_children)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with split_walk(3), pytest.raises(BudgetExceededError,
+                                          match="more than 7 words"):
+            attractor_box_counts(renewal_system, 8)
+    assert_no_child_left()
+
+
+def test_box_walk_is_serial_on_one_cpu_or_without_fork(renewal_system,
+                                                       monkeypatch):
+    expected = attractor_box_counts(renewal_system, 8)
+    monkeypatch.setattr(dimension, "_SPLIT_PUSHES", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert dimension._workers() == 1
+    assert attractor_box_counts(renewal_system, 8) == expected
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert dimension._workers() == 2
+    # a forked child of a threaded process may deadlock: no fork then
+    release = threading.Event()
+    waiting = threading.Thread(target=release.wait)
+    waiting.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert dimension._workers() == 1
+            assert attractor_box_counts(renewal_system, 8) == expected
+    finally:
+        release.set()
+        waiting.join()
+    assert_no_child_left()
+    monkeypatch.delattr(os, "fork")
+    assert dimension._workers() == 1
+    assert attractor_box_counts(renewal_system, 8) == expected
 
 
 # --------------------------------------------------------------------------

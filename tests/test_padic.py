@@ -12,6 +12,7 @@ from rifslab import (
     DomainError,
     attractor_sample,
     ball_count,
+    ball_counts,
     compare_mass_and_box,
     make_padic_system,
     mass_box_sandwich,
@@ -120,6 +121,33 @@ def test_ball_count_rejects_bad_input():
 def test_ball_count_level_zero_merges_integral_points():
     # at k = 0 every p-adic integer lies in the unit ball
     assert ball_count(list(range(9)), 3, 0).count == 1
+
+
+@given(_padic_point_sets(), st.lists(st.integers(0, 8), max_size=6))
+def test_ball_counts_match_ball_count_per_level(case, ks):
+    # the point sets' scales L reach p**3, so v_p(L) > 0 is covered;
+    # levels come unsorted and repeated
+    p, points = case
+    assert ball_counts(points, p, ks) == [ball_count(points, p, k).count
+                                          for k in ks]
+
+
+def test_ball_counts_on_a_lattice_not_p_integral():
+    # the offset 1/8 puts the sample on the scale L = 8: v_2(L) = 3
+    # shifts every modulus by 2**3
+    system = make_padic_system(2, [(1, 1, 0), (1, 1, Fraction(1, 8))])
+    att = attractor_sample(system, 0, 6)
+    assert att.scale % 8 == 0
+    ks = [7, 0, 3, 3, 1, 5]
+    assert ball_counts(att, 2, ks) == [ball_count(att, 2, k).count
+                                       for k in ks]
+
+
+def test_ball_counts_rejects_bad_input():
+    with pytest.raises(ConfigError, match="prime"):
+        ball_counts([1, 2], 4, [1])
+    with pytest.raises(DomainError, match=">= 0"):
+        ball_counts([1, 2], 2, [1, -1])
 
 
 def test_valuation_table():
