@@ -69,11 +69,6 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _get(doc: dict, key: str, default):
-    value = doc.get(key, default)
-    return value
-
-
 def _rat(value, field: str) -> Fraction:
     _require(isinstance(value, str),
              f"{field}: must be a rational string like \"3\" or \"-5/2\"")
@@ -135,14 +130,14 @@ def parse_config(doc: dict) -> RunConfig:
     system = _parse_maps(doc)
     seed = _rat(doc["seed"], "seed")
 
-    grid = _get(doc, "grid", {})
+    grid = doc.get("grid", {})
     _require(isinstance(grid, dict) and set(grid) <= {"base", "kmin", "kmax"},
              "grid: must be an object with keys base, kmin, kmax")
     base = (_rat(grid["base"], "grid.base") if "base" in grid
             else system.min_ratio_mag)
     _require(base > 1, "grid.base: must exceed 1")
-    kmin = _get(grid, "kmin", 1)
-    kmax = _get(grid, "kmax", 12)
+    kmin = grid.get("kmin", 1)
+    kmax = grid.get("kmax", 12)
     _require(isinstance(kmin, int) and isinstance(kmax, int)
              and 0 <= kmin < kmax, "grid: needs integers 0 <= kmin < kmax")
 
@@ -150,49 +145,49 @@ def parse_config(doc: dict) -> RunConfig:
               else base**kmax)
     _require(radius >= base**kmax, "radius: must cover the h-grid")
 
-    depths = _get(doc, "depths", [2, 4, 6, 8])
+    depths = doc.get("depths", [2, 4, 6, 8])
     _require(isinstance(depths, list) and depths
              and all(isinstance(d, int) and d >= 1 for d in depths)
              and depths == sorted(depths),
              "depths: must be an ascending list of integers >= 1")
 
-    separation_max_n = _get(doc, "separation_max_n", 8)
+    separation_max_n = doc.get("separation_max_n", 8)
     _require(isinstance(separation_max_n, int) and separation_max_n >= 1,
              "separation_max_n: must be an integer >= 1")
-    overlap_scan_length = _get(doc, "overlap_scan_length", 6)
+    overlap_scan_length = doc.get("overlap_scan_length", 6)
     _require(isinstance(overlap_scan_length, int) and overlap_scan_length >= 1,
              "overlap_scan_length: must be an integer >= 1")
 
-    tol = _get(doc, "tolerances", {})
+    tol = doc.get("tolerances", {})
     _require(isinstance(tol, dict) and set(tol) <= {"residual", "tau"},
              "tolerances: must be an object with keys residual, tau")
-    residual = float(_get(tol, "residual", 1e-12))
-    tau = float(_get(tol, "tau", 0.05))
+    residual = float(tol.get("residual", 1e-12))
+    tau = float(tol.get("tau", 0.05))
     _require(residual > 0, "tolerances.residual: must be positive")
     _require(tau > 0, "tolerances.tau: must be positive")
 
-    alpha = _get(doc, "alpha_grid", {})
+    alpha = doc.get("alpha_grid", {})
     _require(isinstance(alpha, dict) and set(alpha) <= {"start", "stop", "step"},
              "alpha_grid: must be an object with keys start, stop, step")
-    alpha_start = float(_get(alpha, "start", 0.1))
-    alpha_stop = float(_get(alpha, "stop", 1.2))
-    alpha_step = float(_get(alpha, "step", 0.1))
+    alpha_start = float(alpha.get("start", 0.1))
+    alpha_stop = float(alpha.get("stop", 1.2))
+    alpha_step = float(alpha.get("step", 0.1))
     _require(alpha_start > 0 and alpha_step > 0 and alpha_stop > alpha_start,
              "alpha_grid: needs 0 < start < stop and step > 0")
 
-    nu_range = _get(doc, "nu_range", {})
+    nu_range = doc.get("nu_range", {})
     _require(isinstance(nu_range, dict) and set(nu_range) <= {"start", "stop"},
              "nu_range: must be an object with keys start, stop")
-    nu_start = _get(nu_range, "start", 0)
-    nu_stop = _get(nu_range, "stop", 18)
+    nu_start = nu_range.get("start", 0)
+    nu_stop = nu_range.get("stop", 18)
     _require(isinstance(nu_start, int) and isinstance(nu_stop, int)
              and 0 <= nu_start < nu_stop,
              "nu_range: needs integers 0 <= start < stop")
 
-    cutoff = _rat(_get(doc, "cutoff", "10000"), "cutoff")
+    cutoff = _rat(doc.get("cutoff", "10000"), "cutoff")
     _require(cutoff > 1, "cutoff: must exceed 1")
 
-    node_budget = _get(doc, "node_budget", 10_000_000)
+    node_budget = doc.get("node_budget", 10_000_000)
     _require(isinstance(node_budget, int) and node_budget >= 1,
              "node_budget: must be an integer >= 1")
 
@@ -202,7 +197,7 @@ def parse_config(doc: dict) -> RunConfig:
     if density_period is not None:
         _require(density_period > 1, "density_period: must exceed 1")
 
-    out_dir = _get(doc, "out", "out")
+    out_dir = doc.get("out", "out")
     _require(isinstance(out_dir, str) and out_dir, "out: must be a path string")
 
     return RunConfig(

@@ -4,12 +4,13 @@ A system is a finite family f_i(x) = r_i * x + b_i with rational
 coefficients and |r_i| > 1.  Words over the index alphabet compose maps;
 the inverse family contracts, and several diagnostics below (exact overlap
 scan, separation of inverse branches, residue test) probe whether distinct
-words can produce colliding values.
+words can produce colliding values; the two scans walk words as int pairs.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -140,13 +141,30 @@ def common_fixed_point(system: Rifs) -> Fraction | None:
     return x0
 
 
+def _word_layers(system: Rifs, top: int):
+    """For n = 1..top, the pairs (A, C) of the words of length n in
+    itertools.product order: f_w(x) = A x / Q**top + C / (L Q**top), Q and L
+    the lcms of the ratio and offset denominators.  Appending p x / q + s / L
+    sends (A, C) to (A p / q, A s + C), an int for words of length <= top."""
+    q = math.lcm(*(m.ratio.denominator for m in system.maps))
+    lcm = math.lcm(*(m.offset.denominator for m in system.maps))
+    maps = [(m.ratio.numerator, m.ratio.denominator,
+             m.offset.numerator * (lcm // m.offset.denominator))
+            for m in system.maps]
+    layer = [(q**top, 0)]
+    for _ in range(top):
+        layer = [(a * p // d, a * shift + c)
+                 for a, c in layer for p, d, shift in maps]
+        yield layer
+
+
 def find_exact_overlaps(system: Rifs, max_word_length: int,
                         word_budget: int = 2_000_000) -> list[tuple[Word, Word]]:
     """All pairs of distinct words of length <= max_word_length composing to
     the same affine map, deduplicated up to swapping the pair.
 
-    Word count grows like m**max_word_length; a budget guards the scan.
-    Each word is composed from its prefix one length down.
+    Words are keyed on their int pairs; as their count grows like
+    m**max_word_length, a budget guards the scan.
     """
     if max_word_length < 1:
         raise DomainError("max_word_length must be >= 1")
@@ -154,16 +172,11 @@ def find_exact_overlaps(system: Rifs, max_word_length: int,
     if total > word_budget:
         raise BudgetExceededError(
             f"overlap scan needs {total} words, budget is {word_budget}")
-    first_seen: dict[tuple[Fraction, Fraction], Word] = {}
+    first_seen: dict[tuple[int, int], Word] = {}
     pairs: list[tuple[Word, Word]] = []
-    layer = [IDENTITY]
-    for n in range(1, max_word_length + 1):
-        # each word is its prefix composed with one more map, in the
-        # order of itertools.product
-        layer = [f.after(g) for f in layer for g in system.maps]
+    for n, layer in enumerate(_word_layers(system, max_word_length), 1):
         words = itertools.product(range(1, system.m + 1), repeat=n)
-        for word, f in zip(words, layer):
-            key = (f.ratio, f.offset)
+        for word, key in zip(words, layer):
             if key in first_seen:
                 pairs.append((first_seen[key], word))
             else:
@@ -182,8 +195,8 @@ def min_word_separation(system: Rifs, n: int,
     minimum, read as +infinity).  A value of 0 at level n is exactly an
     exact overlap at that length.
 
-    The scan composes the m**n words from their prefixes, length by
-    length; a budget on m**n guards it.
+    The inverse image of 0 is -C / (L A), so words are grouped on A, a
+    group's gap being its least C step over L |A|; a budget guards m**n.
     """
     if n < 1:
         raise DomainError("word length must be >= 1")
@@ -191,23 +204,15 @@ def min_word_separation(system: Rifs, n: int,
     if total > word_budget:
         raise BudgetExceededError(
             f"separation scan needs {total} words, budget is {word_budget}")
-    groups: dict[Fraction, list[Fraction]] = {}
-    layer = [IDENTITY]
-    for _ in range(n):
-        layer = [f.after(g) for f in layer for g in system.maps]
-    for f in layer:
-        # inverse image of 0 under the composed map
-        groups.setdefault(f.ratio, []).append(-f.offset / f.ratio)
-    best: Fraction | None = None
-    for values in groups.values():
-        if len(values) < 2:
-            continue
-        values.sort()
-        for a, b in zip(values, values[1:]):
-            gap = b - a
-            if best is None or gap < best:
-                best = gap
-    return best
+    for layer in _word_layers(system, n):
+        pass
+    groups: dict[int, list[int]] = {}
+    for a, c in layer:
+        groups.setdefault(a, []).append(c)
+    lcm = math.lcm(*(m.offset.denominator for m in system.maps))
+    return min((Fraction(min(y - x for x, y in itertools.pairwise(sorted(cs))),
+                         lcm * abs(a))
+                for a, cs in groups.items() if len(cs) > 1), default=None)
 
 
 def has_incongruent_offsets(system: Rifs) -> bool:

@@ -133,8 +133,8 @@ def _refuse(*args):
 
 def test_overlap_scan_budget(monkeypatch):
     system = make_system([(Fraction(2), Fraction(0)), (Fraction(2), Fraction(1))])
-    # the scan composes every word from its prefix by AffineMap.after
-    monkeypatch.setattr(systems.AffineMap, "after", _refuse)
+    # the scan composes every word in the layered walk
+    monkeypatch.setattr(systems, "_word_layers", _refuse)
     with pytest.raises(BudgetExceededError, match="budget"):
         find_exact_overlaps(system, 30, word_budget=1000)
 
@@ -172,7 +172,7 @@ def test_separation_matches_brute_force(cantor_system, renewal_system):
 
 
 SCAN_RATIOS = [Fraction(r) for r in (-3, -2, 2, 3, 4)] + [
-    Fraction(3, 2), Fraction(-5, 2)]
+    Fraction(3, 2), Fraction(-5, 2), Fraction(7, 3), Fraction(-7, 3)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -180,21 +180,33 @@ SCAN_RATIOS = [Fraction(r) for r in (-3, -2, 2, 3, 4)] + [
     st.tuples(st.sampled_from(SCAN_RATIOS),
               st.fractions(min_value=-4, max_value=4, max_denominator=3)),
     min_size=2, max_size=3, unique=True),
-    length=st.integers(min_value=1, max_value=4))
+    length=st.integers(min_value=1, max_value=5))
 def test_word_scans_match_oracles(maps, length):
-    # the prefix-sharing scans keep the word order of composing each word
-    # from scratch, so witnesses and separations are the same
+    # the integer word walk keeps the word order of composing each word
+    # from scratch, so witnesses and separations are the same; mixing the
+    # denominators 2 and 3 puts the walk on the scale 6**length
     system = make_system(maps)
     assert find_exact_overlaps(system, length) == overlaps_brute(system, length)
     assert min_word_separation(system, length) == separation_brute(system,
                                                                    length)
 
 
+def test_word_scans_build_no_affine_maps(monkeypatch):
+    system = make_system([(Fraction(3), Fraction(0)), (Fraction(3), Fraction(1)),
+                          (Fraction(3), Fraction(3))])
+    monkeypatch.setattr(systems.AffineMap, "after", _refuse)
+    monkeypatch.setattr(systems.AffineMap, "__call__", _refuse)
+    assert len(find_exact_overlaps(system, 6)) == 484
+    assert min_word_separation(system, 1) == Fraction(1, 3)
+    for n in range(2, 9):
+        assert min_word_separation(system, n) == 0
+
+
 def test_separation_scan_budget(monkeypatch):
     system = make_system([(Fraction(3), Fraction(0)), (Fraction(3), Fraction(1)),
                           (Fraction(3), Fraction(2))])
 
-    monkeypatch.setattr(systems.AffineMap, "after", _refuse)
+    monkeypatch.setattr(systems, "_word_layers", _refuse)
     with pytest.raises(BudgetExceededError, match="needs 531441 words"):
         min_word_separation(system, 12, word_budget=1000)
     monkeypatch.undo()
