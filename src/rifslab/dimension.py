@@ -164,6 +164,89 @@ def estimate_beurling_dimension(sample: OrbitSample, h_grid,
 
 
 # ---------------------------------------------------------------------------
+# work across processes
+
+
+# A fork and a pickled result cost about 3 ms and a walk of 50,000 pushes
+# about 60 ms: smaller walks stay in one process.  A cover-cost table of
+# six cubes, timed serial and split in two on 2 CPUs, split faster from
+# about 3,500 points in its alpha <= 1 DPs on {3x, 3x + 2} and from 10,700
+# on {2x, 3x + 1}: smaller tables stay in one process.
+_SPLIT_PUSHES = 50_000
+_SPLIT_COVER_POINTS = 10_000
+_MAX_WORKERS = 8
+
+
+def _workers() -> int:
+    """Processes a split box walk or cover-cost table may use: the CPUs
+    this process may run on, at most _MAX_WORKERS; 1 without os.fork, or
+    while this process runs other threads, since a forked child may then
+    block on a lock one of them held."""
+    threading = sys.modules.get("threading")
+    if not hasattr(os, "fork") or (threading is not None
+                                   and threading.active_count() > 1):
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return min(cpus, _MAX_WORKERS)
+
+
+def _run_forked(tasks) -> list:
+    """Results of the zero-argument callables tasks, in order.
+
+    The first runs in this process and every other one in a forked child,
+    which pickles its result or its exception into a pipe and exits; once
+    a fork fails, the tasks left run here.  Every child is reaped before
+    this returns or raises, and the first exception of a child is
+    re-raised.
+    """
+    import pickle
+
+    children = []
+    try:
+        for task in tasks[1:]:
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                break
+            if pid == 0:
+                try:
+                    os.close(read_fd)
+                    try:
+                        outcome = (True, task())
+                    except BaseException as exc:
+                        outcome = (False, exc)
+                    data = pickle.dumps(outcome)
+                    with os.fdopen(write_fd, "wb") as pipe:
+                        pipe.write(data)
+                finally:
+                    os._exit(0)
+            os.close(write_fd)
+            children.append((pid, read_fd))
+        mine = [task() for task in tasks[:1] + tasks[1 + len(children):]]
+    finally:
+        received = []
+        for pid, read_fd in children:
+            with os.fdopen(read_fd, "rb") as pipe:
+                received.append(pipe.read())
+            os.waitpid(pid, 0)
+    results = mine[:1]
+    for data in received:
+        if not data:
+            raise RuntimeError("a forked child exited without a result")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        results.append(value)
+    return results + mine[1:]
+
+
+# ---------------------------------------------------------------------------
 # cover costs on integer cubes
 
 
@@ -244,8 +327,8 @@ def min_cover_cost(points, alpha: float, n: int) -> CoverCost:
             raise DomainError(
                 f"point {p} outside the side-2^{n} cube centred at 0")
     size = 2.0**n
+    single = (1 / size) ** alpha  # w(1)
     if alpha > 1:
-        single = (1 / size) ** alpha
         total = 0.0
         # in order, as the scan adds: sum() compensates from Python 3.12
         for _ in pts:
@@ -256,17 +339,19 @@ def min_cover_cost(points, alpha: float, n: int) -> CoverCost:
     cost = [0.0] * (k + 1)
     blocks = [0] * (k + 1)
     choice = [0] * (k + 1)
+    # the new start i, at the point x after a prefix of cost prior in
+    # runs runs, is the later one, so it wins a tie of totals and runs
+    prior = x = runs = None
 
-    def ahead(a, b, i):
-        """Whether start a beats start b for the last run of prefix i."""
+    def ahead(b, i):
+        """Whether the new start beats start b for the last run of
+        prefix i."""
         right = pts[i - 1]
-        total_a = cost[a - 1] + ((right - pts[a - 1] + 1) / size) ** alpha
+        total = prior + ((right - x + 1) / size) ** alpha
         total_b = cost[b - 1] + ((right - pts[b - 1] + 1) / size) ** alpha
-        if total_a != total_b:
-            return total_a < total_b
-        if blocks[a - 1] != blocks[b - 1]:
-            return blocks[a - 1] < blocks[b - 1]
-        return a > b
+        if total != total_b:
+            return total < total_b
+        return runs <= blocks[b - 1]
 
     # (start, first prefix it is best for); down the stack the starts
     # get older and their first prefixes later
@@ -274,27 +359,39 @@ def min_cover_cost(points, alpha: float, n: int) -> CoverCost:
     for i in range(1, k + 1):
         while len(stack) > 1 and stack[-2][1] <= i:
             stack.pop()
-        # the top is best at i; a start i behind it never catches up
-        if not stack or ahead(i, stack[-1][0], i):
+        prior = cost[i - 1]
+        runs = blocks[i - 1]
+        total = prior + single
+        if stack:
+            # the top is best at i, with the total it gives cost[i]; a
+            # start i behind it never catches up
+            top = stack[-1][0]
+            x = pts[i - 1]
+            total_top = cost[top - 1] + ((x - pts[top - 1] + 1) / size) ** alpha
+            if total_top < total or (total_top == total
+                                     and blocks[top - 1] < runs):
+                cost[i] = total_top
+                blocks[i] = blocks[top - 1] + 1
+                choice[i] = top
+                continue
             while stack:
                 top = stack[-1][0]
                 end = stack[-2][1] - 1 if len(stack) > 1 else k
-                if not ahead(i, top, end):
+                if not ahead(top, end):
                     lo, hi = i + 1, end
                     while lo < hi:
                         mid = (lo + hi) // 2
-                        if ahead(i, top, mid):
+                        if ahead(top, mid):
                             lo = mid + 1
                         else:
                             hi = mid
                     stack[-1] = (top, lo)
                     break
                 stack.pop()
-            stack.append((i, i))
-        j = stack[-1][0]
-        cost[i] = cost[j - 1] + ((pts[i - 1] - pts[j - 1] + 1) / size) ** alpha
-        blocks[i] = blocks[j - 1] + 1
-        choice[i] = j
+        stack.append((i, i))
+        cost[i] = total
+        blocks[i] = runs + 1
+        choice[i] = i
     partition = []
     i = k
     while i > 0:
@@ -338,6 +435,13 @@ def estimate_discrete_hausdorff(points, alpha_grid, n_values,
 
     Needs at least 6 cube sizes so the stabilization window means
     something.  The empty set reports 0 for both estimates.
+
+    A table whose alpha <= 1 DPs hold 10,000 points or more is split
+    across the processes `_workers` allows: the (alpha, n) jobs, sorted
+    by (points, alpha), are dealt round robin, this process computes the
+    first share and forked children the others, and each returns only
+    its costs.  The partial sums are formed here, in (alpha, n) order, so
+    every row is the same float whatever the number of processes.
     """
     n_values = sorted(set(int(n) for n in n_values))
     if len(n_values) < 6:
@@ -351,19 +455,33 @@ def estimate_discrete_hausdorff(points, alpha_grid, n_values,
         raise DomainError("alpha grid must be ascending")
     pts = _integer_points(points)
 
+    # each cube's slice pts[lo:hi], then one job per (alpha, n)
+    slices = [(n, *(bisect_left(pts, end) for end in _cube(n)))
+              for n in n_values]
+    jobs = [(alpha, n, lo, hi) for alpha in alpha_grid
+            for n, lo, hi in slices]
+    # only the alpha <= 1 DPs cost more than a pass over their points
+    dp_points = sum(hi - lo for alpha, _, lo, hi in jobs if alpha <= 1)
+    workers = _workers() if dp_points >= _SPLIT_COVER_POINTS else 1
+    # the cost per point grows with alpha up to about 0.8: dealt round
+    # robin in order of (points, alpha), each share gets a like mix
+    order = sorted(range(len(jobs)),
+                   key=lambda j: (jobs[j][3] - jobs[j][2], jobs[j][0]))
+    shares = [order[w::workers] for w in range(workers)]
+    costs = [0.0] * len(jobs)
+    for share, values in zip(shares, _run_forked([
+            partial(_cover_costs, pts, [jobs[j] for j in share])
+            for share in shares])):
+        for j, cost in zip(share, values):
+            costs[j] = cost
+
     rows = []
     tail = {}
-    for alpha in alpha_grid:
-        running = 0.0
-        costs = []
-        for n in n_values:
-            lo, hi = _cube(n)
-            inside = pts[bisect_left(pts, lo):bisect_left(pts, hi)]
-            cc = min_cover_cost(inside, alpha, n)
-            running += cc.cost
-            costs.append(cc.cost)
-            rows.append((alpha, n, cc.cost, running))
-        tail[alpha] = costs[-stabilization_terms:]
+    for row, alpha in enumerate(alpha_grid):
+        alpha_costs = costs[row * len(n_values):(row + 1) * len(n_values)]
+        rows += [(alpha, n, cost, running) for n, cost, running
+                 in zip(n_values, alpha_costs, accumulate(alpha_costs))]
+        tail[alpha] = alpha_costs[-stabilization_terms:]
 
     if not pts:
         return DiscreteHausdorffReport(0.0, 0.0, alpha_grid, tuple(n_values),
@@ -382,6 +500,13 @@ def estimate_discrete_hausdorff(points, alpha_grid, n_values,
             break
     return DiscreteHausdorffReport(dim_estimate, decay_estimate, alpha_grid,
                                    tuple(n_values), tuple(rows))
+
+
+def _cover_costs(pts, jobs) -> list[float]:
+    """The cover cost of each job (alpha, n, lo, hi): of pts[lo:hi] in
+    the side-2**n cube."""
+    return [min_cover_cost(pts[lo:hi], alpha, n).cost
+            for alpha, n, lo, hi in jobs]
 
 
 def integerize(points) -> tuple[list[int], int]:
@@ -428,28 +553,6 @@ class BoxCounts:
     ks: tuple[int, ...]
     counts: tuple[int, ...]
     words_pushed: int
-
-
-# A fork and a pickled result cost about 3 ms and a walk of 50,000 pushes
-# about 60 ms: smaller walks stay in one process.
-_SPLIT_PUSHES = 50_000
-_MAX_WORKERS = 8
-
-
-def _workers() -> int:
-    """Processes a box walk may use: the CPUs this process may run on, at
-    most _MAX_WORKERS; 1 without os.fork, or while this process runs
-    other threads, since a forked child may then block on a lock one of
-    them held."""
-    threading = sys.modules.get("threading")
-    if not hasattr(os, "fork") or (threading is not None
-                                   and threading.active_count() > 1):
-        return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cpus = os.cpu_count() or 1
-    return min(cpus, _MAX_WORKERS)
 
 
 def attractor_box_counts(system: Rifs, k_max: int, delta=None,
@@ -669,59 +772,6 @@ def _merge_box_pieces(pieces, sweep) -> list[int]:
             end = last
         counts.append(total)
     return counts
-
-
-def _run_forked(tasks) -> list:
-    """Results of the zero-argument callables tasks, in order.
-
-    The first runs in this process and every other one in a forked child,
-    which pickles its result or its exception into a pipe and exits; once
-    a fork fails, the tasks left run here.  Every child is reaped before
-    this returns or raises, and the first exception of a child is
-    re-raised.
-    """
-    import pickle
-
-    children = []
-    try:
-        for task in tasks[1:]:
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_fd)
-                os.close(write_fd)
-                break
-            if pid == 0:
-                try:
-                    os.close(read_fd)
-                    try:
-                        outcome = (True, task())
-                    except BaseException as exc:
-                        outcome = (False, exc)
-                    data = pickle.dumps(outcome)
-                    with os.fdopen(write_fd, "wb") as pipe:
-                        pipe.write(data)
-                finally:
-                    os._exit(0)
-            os.close(write_fd)
-            children.append((pid, read_fd))
-        mine = [task() for task in tasks[:1] + tasks[1 + len(children):]]
-    finally:
-        received = []
-        for pid, read_fd in children:
-            with os.fdopen(read_fd, "rb") as pipe:
-                received.append(pipe.read())
-            os.waitpid(pid, 0)
-    results = mine[:1]
-    for data in received:
-        if not data:
-            raise RuntimeError("a box counting child exited without a result")
-        ok, value = pickle.loads(data)
-        if not ok:
-            raise value
-        results.append(value)
-    return results + mine[1:]
 
 
 def estimate_box_dimension(box: BoxCounts,

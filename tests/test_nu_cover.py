@@ -1,14 +1,20 @@
+import contextlib
+import os
 import random
+import threading
+import warnings
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rifslab import dimension
 from rifslab import (DomainError, enumerate_orbit, estimate_discrete_hausdorff,
-                     min_cover_cost)
+                     make_system, min_cover_cost)
 from _oracles import (arbitrary_cover_min, consecutive_cover_min,
                       quadratic_cover_min)
+from test_dimension import assert_no_child_left
 
 
 def test_empty_set_costs_nothing():
@@ -123,11 +129,15 @@ def test_arbitrary_covers_never_beat_partitions():
 GRID_ALPHAS = [round(0.1 * a, 12) for a in range(1, 13)]
 
 
+ANY_ALPHA = st.one_of(st.sampled_from(GRID_ALPHAS), st.floats(0.01, 0.99),
+                      st.floats(1.01, 3.0))
+
+
 @st.composite
-def _cover_cases(draw):
+def _cover_cases(draw, ns=st.integers(3, 14), alphas=ANY_ALPHA):
     """Up to 300 cube points drawn as dense runs, a periodic subset or a
     sparse random set, with alpha from the config grid or up to 3."""
-    n = draw(st.integers(3, 14))
+    n = draw(ns)
     lo, hi = -(2**n // 2), 2**n // 2
     count = draw(st.integers(1, min(300, hi - lo)))
     kind = draw(st.sampled_from(["runs", "periodic", "sparse"]))
@@ -145,8 +155,7 @@ def _cover_cases(draw):
         points = [y for y in range(x, hi) if y % period in residues]
     else:
         points = rng.sample(range(lo, hi), count)
-    alpha = draw(st.one_of(st.sampled_from(GRID_ALPHAS),
-                           st.floats(0.01, 0.99), st.floats(1.01, 3.0)))
+    alpha = draw(alphas)
     return points[:count], alpha, n
 
 
@@ -172,3 +181,159 @@ def test_orbit_costs_match_quadratic_dp(renewal_system):
         half = Fraction(2**n, 2)
         inside = [x for x in sample.points if -half <= x < half]
         assert cost == quadratic_cover_min(inside, alpha, n)[0], (alpha, n)
+
+
+# the report's largest cubes, n = 15..18, at the alphas whose DPs search
+# crossovers most
+REPORT_ALPHAS = [0.7, 0.8, 0.9]
+
+
+@settings(max_examples=100)
+@given(_cover_cases(ns=st.integers(15, 18),
+                    alphas=st.sampled_from(REPORT_ALPHAS)))
+def test_matches_quadratic_dp_at_report_cubes(case):
+    points, alpha, n = case
+    cc = min_cover_cost(points, alpha, n)
+    assert (cc.cost, cc.optimal_partition) == quadratic_cover_min(points,
+                                                                  alpha, n)
+
+
+@pytest.mark.parametrize("maps, seed, radius", [
+    ([(3, 0), (3, 2)], 0, 2**17),  # 384 to 1,280 points
+    ([(2, 0), (3, 1)], 5, 2**14),  # 824 and 825 points
+])
+def test_orbit_costs_match_quadratic_dp_at_report_cubes(maps, seed, radius):
+    system = make_system([(Fraction(r), Fraction(b)) for r, b in maps])
+    points = enumerate_orbit(system, seed, radius).lattice
+    for n in range(15, 19):
+        half = 2**n // 2
+        inside = [x for x in points if -half <= x < half]
+        for alpha in REPORT_ALPHAS:
+            cc = min_cover_cost(inside, alpha, n)
+            assert (cc.cost, cc.optimal_partition) == quadratic_cover_min(
+                inside, alpha, n), (alpha, n)
+
+
+# --------------------------------------------------------------------------
+# the cover-cost table across processes
+
+
+@contextlib.contextmanager
+def split_table(workers):
+    """Split every cover-cost table across `workers` processes, however
+    small."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dimension, "_SPLIT_COVER_POINTS", 0)
+        mp.setattr(dimension, "_workers", lambda: workers)
+        yield
+
+
+def serial_table(*args):
+    with split_table(1):
+        return estimate_discrete_hausdorff(*args)
+
+
+@pytest.mark.parametrize("maps, seed", [
+    ([(2, 0), (3, 1)], 5),
+    ([(3, 0), (3, 2)], 0),
+])
+def test_split_table_matches_serial(maps, seed):
+    system = make_system([(Fraction(r), Fraction(b)) for r, b in maps])
+    points = enumerate_orbit(system, seed, 2**13).lattice
+    expected = serial_table(points, GRID_ALPHAS, range(15))
+    for workers in (2, 3):
+        with split_table(workers):
+            report = estimate_discrete_hausdorff(points, GRID_ALPHAS,
+                                                 range(15))
+        # float == row for row, partial sums and estimates included
+        assert report == expected
+
+
+@given(points=st.lists(st.integers(-600, 600), max_size=120),
+       alphas=st.lists(st.sampled_from(GRID_ALPHAS + [0.05, 0.75, 2.5]),
+                       min_size=1, max_size=6, unique=True),
+       low=st.integers(0, 6), cubes=st.integers(6, 9),
+       workers=st.integers(2, 3))
+def test_split_table_matches_serial_on_drawn_points(points, alphas, low,
+                                                    cubes, workers):
+    args = (points, sorted(alphas), range(low, low + cubes))
+    with split_table(workers):
+        report = estimate_discrete_hausdorff(*args)
+    assert report.rows == serial_table(*args).rows
+
+
+def count_forks(monkeypatch):
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
+
+
+def test_table_forks_only_past_the_threshold(monkeypatch):
+    points = list(range(-200, 200, 3))
+    expected = serial_table(points, GRID_ALPHAS, range(12))
+    forks = count_forks(monkeypatch)
+    monkeypatch.setattr(dimension, "_workers", lambda: 3)
+    # 10 alphas <= 1 of 12 cubes hold 5,720 DP points
+    monkeypatch.setattr(dimension, "_SPLIT_COVER_POINTS", 5721)
+    assert estimate_discrete_hausdorff(points, GRID_ALPHAS,
+                                       range(12)) == expected
+    assert forks == []
+    monkeypatch.setattr(dimension, "_SPLIT_COVER_POINTS", 5720)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert estimate_discrete_hausdorff(points, GRID_ALPHAS,
+                                           range(12)) == expected
+    assert len(forks) == 2
+    assert_no_child_left()
+
+
+def test_split_table_raises_a_childs_error(monkeypatch):
+    parent = os.getpid()
+    costs = dimension._cover_costs
+
+    def failing_in_children(pts, jobs):
+        if os.getpid() != parent:
+            raise DomainError("cover table child failed")
+        return costs(pts, jobs)
+
+    monkeypatch.setattr(dimension, "_cover_costs", failing_in_children)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with split_table(3), pytest.raises(DomainError,
+                                           match="table child failed"):
+            estimate_discrete_hausdorff(range(-100, 100), GRID_ALPHAS,
+                                        range(9))
+    assert_no_child_left()
+
+
+def test_table_is_serial_on_one_cpu_or_without_fork(monkeypatch):
+    points = list(range(-300, 300, 7))
+    expected = estimate_discrete_hausdorff(points, GRID_ALPHAS, range(12))
+    monkeypatch.setattr(dimension, "_SPLIT_COVER_POINTS", 0)
+    forks = count_forks(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert estimate_discrete_hausdorff(points, GRID_ALPHAS,
+                                       range(12)) == expected
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    # a forked child of a threaded process may deadlock: no fork then
+    release = threading.Event()
+    waiting = threading.Thread(target=release.wait)
+    waiting.start()
+    try:
+        assert estimate_discrete_hausdorff(points, GRID_ALPHAS,
+                                           range(12)) == expected
+    finally:
+        release.set()
+        waiting.join()
+    assert forks == []
+    monkeypatch.delattr(os, "fork")
+    assert estimate_discrete_hausdorff(points, GRID_ALPHAS,
+                                       range(12)) == expected
