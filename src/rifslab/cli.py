@@ -20,7 +20,7 @@ from bisect import bisect_left
 from fractions import Fraction
 
 from . import __version__
-from .config import RunConfig, apply_overrides, load_config
+from .config import RunConfig, load_config
 from .dimension import (
     DimensionFit,
     _magnitudes,
@@ -52,7 +52,7 @@ from .padic import (
     mass_versus_box,
     padic_attractor_box,
 )
-from .rational import format_rational, parse_rational
+from .rational import format_rational
 from .systems import (
     common_fixed_point,
     find_exact_overlaps,
@@ -513,15 +513,27 @@ _HELP = {
 }
 
 
-def _parse_alpha_grid(text: str) -> tuple[float, float, float]:
+def _parse_alpha_grid(text: str) -> dict:
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError("--alpha-grid: expected START:STOP:STEP")
-    try:
-        start, stop, step = (float(p) for p in parts)
-    except ValueError:
-        raise ConfigError(f"--alpha-grid: not numeric: {text!r}") from None
-    return start, stop, step
+    return dict(zip(("start", "stop", "step"), parts))
+
+
+def _config_patch(args) -> dict:
+    """The edits the override flags make to the config document."""
+    patch = {key: value for key, value in (("node_budget", args.budget),
+                                           ("cutoff", args.cutoff),
+                                           ("out", args.out))
+             if value is not None}
+    grid = {key: value for key, value in (("base", args.grid_base),
+                                          ("kmax", args.kmax))
+            if value is not None}
+    if grid:
+        patch["grid"] = grid
+    if args.alpha_grid is not None:
+        patch["alpha_grid"] = _parse_alpha_grid(args.alpha_grid)
+    return patch
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -558,18 +570,7 @@ def main(argv=None) -> int:
     try:
         if args.depth is not None and args.depth < 1:
             raise ConfigError("--depth: must be >= 1")
-        cfg = load_config(args.config)
-        cfg = apply_overrides(
-            cfg,
-            budget=args.budget,
-            grid_base=(parse_rational(args.grid_base)
-                       if args.grid_base else None),
-            kmax=args.kmax,
-            cutoff=parse_rational(args.cutoff) if args.cutoff else None,
-            alpha_grid=(_parse_alpha_grid(args.alpha_grid)
-                        if args.alpha_grid else None),
-            out_dir=args.out,
-        )
+        cfg = load_config(args.config, _config_patch(args))
         session = _Session(cfg)
         os.makedirs(cfg.out_dir, exist_ok=True)
         fragment = _DISPATCH[args.command](session, cfg.out_dir, args)

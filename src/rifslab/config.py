@@ -4,12 +4,19 @@ knobs every subcommand shares.
 Rational values are strings ("3", "-5/2") so they survive JSON without
 floating-point damage.  Unknown keys are rejected rather than ignored;
 a silently misspelled knob would change results without a trace.
+
+`parse_config` is the one place a setting is checked.  Command-line
+overrides are edits of the document (`load_config`'s patch), so a flag
+runs exactly the config it edits and a bad flag value is reported under
+the key it sets.  A radius absent from the document follows the h-grid
+top base**kmax; an explicit radius is kept and must cover it.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConfigError
@@ -22,6 +29,9 @@ _TOP_KEYS = {
     "overlap_scan_length", "padic", "tolerances", "alpha_grid", "nu_range",
     "cutoff", "node_budget", "density_period", "out",
 }
+
+# the most cover-cost exponents an alpha grid may hold (the default has 12)
+_MAX_ALPHA_VALUES = 1000
 
 
 @dataclass(frozen=True)
@@ -76,6 +86,13 @@ def _rat(value, field: str) -> Fraction:
         return parse_rational(value)
     except ConfigError as exc:
         raise ConfigError(f"{field}: {exc}") from None
+
+
+def _real(value, field: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{field}: must be a number") from None
 
 
 def _parse_maps(doc: dict) -> Rifs:
@@ -161,19 +178,26 @@ def parse_config(doc: dict) -> RunConfig:
     tol = doc.get("tolerances", {})
     _require(isinstance(tol, dict) and set(tol) <= {"residual", "tau"},
              "tolerances: must be an object with keys residual, tau")
-    residual = float(tol.get("residual", 1e-12))
-    tau = float(tol.get("tau", 0.05))
+    residual = _real(tol.get("residual", 1e-12), "tolerances.residual")
+    tau = _real(tol.get("tau", 0.05), "tolerances.tau")
     _require(residual > 0, "tolerances.residual: must be positive")
     _require(tau > 0, "tolerances.tau: must be positive")
 
     alpha = doc.get("alpha_grid", {})
     _require(isinstance(alpha, dict) and set(alpha) <= {"start", "stop", "step"},
              "alpha_grid: must be an object with keys start, stop, step")
-    alpha_start = float(alpha.get("start", 0.1))
-    alpha_stop = float(alpha.get("stop", 1.2))
-    alpha_step = float(alpha.get("step", 0.1))
+    alpha_start = _real(alpha.get("start", 0.1), "alpha_grid.start")
+    alpha_stop = _real(alpha.get("stop", 1.2), "alpha_grid.stop")
+    alpha_step = _real(alpha.get("step", 0.1), "alpha_grid.step")
+    _require(all(map(math.isfinite, (alpha_start, alpha_stop, alpha_step))),
+             "alpha_grid: start, stop and step must be finite")
     _require(alpha_start > 0 and alpha_step > 0 and alpha_stop > alpha_start,
              "alpha_grid: needs 0 < start < stop and step > 0")
+    # RunConfig.alpha_values adds step to start until it passes stop
+    _require(alpha_step >= math.ulp(alpha_stop),
+             "alpha_grid: step must not vanish beside stop")
+    _require((alpha_stop - alpha_start) / alpha_step < _MAX_ALPHA_VALUES,
+             f"alpha_grid: holds more than {_MAX_ALPHA_VALUES} values")
 
     nu_range = doc.get("nu_range", {})
     _require(isinstance(nu_range, dict) and set(nu_range) <= {"start", "stop"},
@@ -212,7 +236,13 @@ def parse_config(doc: dict) -> RunConfig:
         out_dir=out_dir)
 
 
-def load_config(path: str) -> RunConfig:
+def load_config(path: str, patch: dict | None = None) -> RunConfig:
+    """Read and validate the config at path.
+
+    A patch edits the document before it is validated: its keys replace
+    the document's, except that a nested object (`grid`, `alpha_grid`)
+    is updated key by key.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -220,44 +250,9 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    if patch and isinstance(doc, dict):
+        for key, value in patch.items():
+            old = doc.get(key)
+            doc[key] = ({**old, **value} if isinstance(old, dict)
+                        and isinstance(value, dict) else value)
     return parse_config(doc)
-
-
-def apply_overrides(config: RunConfig, *, budget: int | None = None,
-                    grid_base: Fraction | None = None,
-                    kmax: int | None = None, cutoff: Fraction | None = None,
-                    alpha_grid: tuple[float, float, float] | None = None,
-                    out_dir: str | None = None) -> RunConfig:
-    """Fold command-line overrides into a parsed config."""
-    updates: dict = {}
-    if budget is not None:
-        _require(budget >= 1, "--budget: must be >= 1")
-        updates["node_budget"] = budget
-    if grid_base is not None:
-        _require(grid_base > 1, "--grid-base: must exceed 1")
-        updates["grid_base"] = grid_base
-    if kmax is not None:
-        _require(kmax > config.grid_kmin, "--kmax: must exceed grid kmin")
-        updates["grid_kmax"] = kmax
-    if cutoff is not None:
-        _require(cutoff > 1, "--cutoff: must exceed 1")
-        updates["cutoff"] = cutoff
-    if alpha_grid is not None:
-        start, stop, step = alpha_grid
-        _require(start > 0 and step > 0 and stop > start,
-                 "--alpha-grid: needs 0 < start < stop and step > 0")
-        updates["alpha_start"] = start
-        updates["alpha_stop"] = stop
-        updates["alpha_step"] = step
-    if out_dir is not None:
-        updates["out_dir"] = out_dir
-    if not updates:
-        return config
-    cfg = replace(config, **updates)
-    if cfg.radius < cfg.grid_base**cfg.grid_kmax:
-        # a radius that merely tracked the old default grows with it
-        if config.radius == config.grid_base**config.grid_kmax:
-            cfg = replace(cfg, radius=cfg.grid_base**cfg.grid_kmax)
-        else:
-            raise ConfigError("radius: must cover the h-grid after overrides")
-    return cfg

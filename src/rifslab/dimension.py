@@ -277,6 +277,14 @@ def _integer_points(points) -> list[int]:
     return sorted(set(ints))
 
 
+def _check_cube_exponent(n: int) -> None:
+    if n < 0:
+        raise DomainError("cube exponent must be >= 0")
+    if n >= sys.float_info.max_exp:
+        raise DomainError(f"cube exponent must be below "
+                          f"{sys.float_info.max_exp}: 2.0**{n} overflows")
+
+
 def min_cover_cost(points, alpha: float, n: int) -> CoverCost:
     """Minimal cost sum((interval length)/2**n)**alpha of covering the
     points with integer intervals, in O(k log k) for k points.
@@ -318,8 +326,7 @@ def min_cover_cost(points, alpha: float, n: int) -> CoverCost:
     """
     if alpha <= 0:
         raise DomainError("alpha must be positive")
-    if n < 0:
-        raise DomainError("cube exponent must be >= 0")
+    _check_cube_exponent(n)
     lo, hi = _cube(n)
     pts = _integer_points(points)
     for p in pts:
@@ -446,8 +453,8 @@ def estimate_discrete_hausdorff(points, alpha_grid, n_values,
     n_values = sorted(set(int(n) for n in n_values))
     if len(n_values) < 6:
         raise DomainError("need at least 6 cube exponents")
-    if n_values[0] < 0:
-        raise DomainError("cube exponents must be >= 0")
+    _check_cube_exponent(n_values[0])
+    _check_cube_exponent(n_values[-1])
     alpha_grid = tuple(float(a) for a in alpha_grid)
     if not alpha_grid or any(a <= 0 for a in alpha_grid):
         raise DomainError("alpha grid must be positive")
@@ -783,51 +790,6 @@ def estimate_box_dimension(box: BoxCounts,
     return _loglog_fit([k * log_delta for k, _ in chosen],
                        [math.log(max(n, 1)) for _, n in chosen],
                        (float(chosen[0][0]), float(chosen[-1][0])))
-
-
-# ---------------------------------------------------------------------------
-# digit measures
-
-
-def digit_measure_cdf(base: int, digits, h, depth: int = 64
-                      ) -> tuple[Fraction, Fraction]:
-    """Exact bracket for mu([0, h]) where mu is the equal-weight
-    self-similar measure on base-`base` expansions with the given digit
-    set, supported in [0, 1].
-
-    Descends the digit cells of h; every level multiplies the unresolved
-    mass by 1/#digits, so the bracket width is at most #digits**-depth.
-    """
-    if not isinstance(base, int) or base < 2:
-        raise ConfigError("base must be an integer >= 2")
-    digit_list = sorted(set(int(d) for d in digits))
-    if not digit_list:
-        raise ConfigError("digit set must be nonempty")
-    if digit_list[0] < 0 or digit_list[-1] >= base:
-        raise ConfigError("digits must lie in [0, base)")
-    if depth < 1:
-        raise DomainError("depth must be >= 1")
-    h = Fraction(h)
-    if h < 0 or h > 1:
-        raise DomainError("h must lie in [0, 1]")
-
-    weight = Fraction(1, 1)
-    lo = Fraction(0)
-    t = h
-    count = Fraction(1, len(digit_list))
-    for _ in range(depth):
-        if t >= 1:
-            return lo + weight, lo + weight
-        if t <= 0:
-            return lo, lo
-        full = sum(1 for d in digit_list if Fraction(d + 1, base) <= t)
-        lo += weight * count * full
-        cell = (t * base).__floor__()
-        if cell not in digit_list:
-            return lo, lo
-        weight *= count
-        t = t * base - cell
-    return lo, lo + weight
 
 
 # ---------------------------------------------------------------------------

@@ -346,6 +346,74 @@ def test_report_is_deterministic(tmp_path, capsys):
         assert (out / n).read_bytes() == first[n], n
 
 
+def report_bytes(capsys, argv, out):
+    assert main(["report", *argv, "--out", str(out)]) == 0
+    capsys.readouterr()
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("flag, value, edit", [
+    # no radius in either config: it follows the grid the flag sets
+    ("--kmax", "9", {"grid": {"base": "3", "kmax": 9}}),
+    ("--kmax", "5", {"grid": {"base": "3", "kmax": 5}}),
+    ("--grid-base", "2", {"grid": {"base": "2", "kmax": 6}}),
+    ("--budget", "1000", {"node_budget": 1000}),
+    ("--cutoff", "1000", {"cutoff": "1000"}),
+    ("--alpha-grid", "0.3:0.9:0.3",
+     {"alpha_grid": {"start": 0.3, "stop": 0.9, "step": 0.3}}),
+])
+def test_override_runs_the_config_it_edits(tmp_path, capsys, flag, value,
+                                           edit):
+    base = {"maps": [{"r": "3", "b": "0"}, {"r": "3", "b": "2"}],
+            "seed": "0", "grid": {"base": "3", "kmax": 6}}
+    flagged = report_bytes(capsys, ["--config", write_config(tmp_path, base),
+                                    flag, value], tmp_path / "flag")
+    edited = report_bytes(capsys, ["--config", write_config(
+        tmp_path, {**base, **edit}, "edited.json")], tmp_path / "edited")
+    assert flagged == edited
+    assert "report.json" in flagged
+
+
+def test_out_flag_runs_the_config_it_edits(tmp_path, capsys):
+    doc = {"maps": [{"r": "3", "b": "0"}, {"r": "3", "b": "2"}],
+           "seed": "0", "grid": {"base": "3", "kmax": 6}}
+    flagged = report_bytes(capsys, ["--config", write_config(tmp_path, doc)],
+                           tmp_path / "flag")
+    edited = tmp_path / "edited"
+    doc["out"] = str(edited)
+    assert main(["report", "--config",
+                 write_config(tmp_path, doc, "edited.json")]) == 0
+    capsys.readouterr()
+    assert flagged == {p.name: p.read_bytes() for p in sorted(edited.iterdir())}
+
+
+def test_kmax_flag_lowers_a_default_radius(tmp_path, capsys):
+    # the file's grid defaults to kmax 12, and its radius to 3**12
+    doc = {"maps": [{"r": "3", "b": "0"}, {"r": "3", "b": "2"}], "seed": "0"}
+    flagged = report_bytes(capsys, ["--config", write_config(tmp_path, doc),
+                                    "--kmax", "9"], tmp_path / "flag")
+    edited = report_bytes(capsys, ["--config", write_config(
+        tmp_path, {**doc, "grid": {"kmax": 9}}, "edited.json")],
+        tmp_path / "edited")
+    assert flagged == edited
+    orbit = json.loads(flagged["report.json"])["orbit"]
+    assert (orbit["size"], orbit["radius"]) == (512, "19683")
+
+
+def test_cube_overflow_is_a_precondition(tmp_path, capsys):
+    # 2.0**n overflows a float from n = 1024 on
+    cfg = cantor_config(tmp_path, nu_range={"start": 1020, "stop": 1030})
+    out = tmp_path / "out"
+    code, frag = run_json(capsys, ["report", "--config", cfg,
+                                   "--out", str(out)])
+    assert code == 0
+    assert "2.0**1030 overflows" in frag["discrete_hausdorff"]["error"]
+    assert (json.loads((out / "report.json").read_text())
+            ["discrete_hausdorff"] == frag["discrete_hausdorff"])
+    assert main(["dhd", "--config", cfg, "--out", str(out)]) == 4
+    assert "2.0**1030 overflows" in capsys.readouterr().err
+
+
 def test_report_absorbs_fragment_failure(tmp_path, capsys):
     # degenerate system: renewal must fail in place, everything else runs
     cfg = write_config(tmp_path, {
@@ -387,6 +455,40 @@ def test_exit_2_bad_alpha_grid(tmp_path, capsys):
                  "--out", str(tmp_path / "out")])
     assert code == 2
     assert "config error:" in capsys.readouterr().err
+
+
+def test_exit_2_unbounded_alpha_grid(tmp_path, capsys):
+    cfg = cantor_config(tmp_path)
+    code = main(["solve-s", "--config", cfg, "--alpha-grid", "0.1:inf:0.1",
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert ("config error: alpha_grid: start, stop and step must be finite"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--budget", "0", "node_budget: must be an integer >= 1"),
+    ("--kmax", "0", "grid: needs integers 0 <= kmin < kmax"),
+    ("--grid-base", "1", "grid.base: must exceed 1"),
+    ("--cutoff", "1/2", "cutoff: must exceed 1"),
+    ("--alpha-grid", "0.5:0.2:0.1", "alpha_grid: needs 0 < start < stop"),
+    ("--out", "", "out: must be a path string"),
+])
+def test_exit_2_bad_flag_names_its_key(tmp_path, capsys, flag, value,
+                                       message):
+    cfg = cantor_config(tmp_path)
+    code = main(["solve-s", "--config", cfg, flag, value])
+    assert code == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
+def test_exit_2_explicit_radius_must_cover_overridden_grid(tmp_path, capsys):
+    # the radius is the default of the file's grid, but written in: kept
+    cfg = cantor_config(tmp_path, radius=str(3**6))
+    code = main(["orbit", "--config", cfg, "--kmax", "7",
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "radius: must cover the h-grid" in capsys.readouterr().err
 
 
 def test_exit_3_budget(tmp_path, capsys):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from rifslab import ConfigError
-from rifslab.config import apply_overrides, load_config, parse_config
+from rifslab.config import _MAX_ALPHA_VALUES, load_config, parse_config
 
 
 def cantor_doc(**extra):
@@ -128,8 +128,9 @@ def test_load_config_reads_json(tmp_path):
 def test_load_config_rejects_non_object(tmp_path):
     path = tmp_path / "run.json"
     path.write_text("[1, 2]")
-    with pytest.raises(ConfigError):
-        load_config(str(path))
+    for patch in (None, {"out": "elsewhere"}):
+        with pytest.raises(ConfigError, match="must be a JSON object"):
+            load_config(str(path), patch)
 
 
 def test_load_config_missing_file(tmp_path):
@@ -137,35 +138,85 @@ def test_load_config_missing_file(tmp_path):
         load_config(str(tmp_path / "absent.json"))
 
 
-def test_overrides_grow_default_radius():
-    cfg = parse_config(cantor_doc())
-    bigger = apply_overrides(cfg, kmax=14)
+def load_patched(tmp_path, doc, patch):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc))
+    return load_config(str(path), patch)
+
+
+def test_overrides_grow_default_radius(tmp_path):
+    # a radius absent from the document follows the grid, up and down
+    bigger = load_patched(tmp_path, cantor_doc(), {"grid": {"kmax": 14}})
     assert bigger.grid_kmax == 14
     assert bigger.radius == Fraction(3) ** 14
+    smaller = load_patched(tmp_path, cantor_doc(), {"grid": {"kmax": 9}})
+    assert smaller.radius == Fraction(3) ** 9
+    halves = load_patched(tmp_path, cantor_doc(), {"grid": {"base": "2"}})
+    assert halves.radius == Fraction(2) ** 12
 
 
-def test_overrides_keep_explicit_radius():
-    cfg = parse_config(cantor_doc(radius="1000000"))
-    with pytest.raises(ConfigError, match="cover the h-grid"):
-        apply_overrides(cfg, kmax=14)
+def test_overrides_keep_explicit_radius(tmp_path):
+    for radius in ("1000000", str(3**12)):
+        with pytest.raises(ConfigError, match="radius: must cover the h-grid"):
+            load_patched(tmp_path, cantor_doc(radius=radius),
+                         {"grid": {"kmax": 14}})
+    kept = load_patched(tmp_path, cantor_doc(radius=str(3**12)),
+                        {"grid": {"kmax": 9}})
+    assert kept.radius == Fraction(3) ** 12
 
 
-def test_overrides_validate():
-    cfg = parse_config(cantor_doc())
-    with pytest.raises(ConfigError, match="--budget"):
-        apply_overrides(cfg, budget=0)
-    with pytest.raises(ConfigError, match="--kmax"):
-        apply_overrides(cfg, kmax=1)
-    with pytest.raises(ConfigError, match="--alpha-grid"):
-        apply_overrides(cfg, alpha_grid=(0.5, 0.2, 0.1))
-    assert apply_overrides(cfg) is cfg
+def test_overrides_validate(tmp_path):
+    # a bad value is reported under the key it sets
+    for patch, message in (
+            ({"node_budget": 0}, "node_budget: must be an integer >= 1"),
+            ({"grid": {"kmax": 1}}, "grid: needs integers 0 <= kmin < kmax"),
+            ({"grid": {"base": "1"}}, "grid.base: must exceed 1"),
+            ({"cutoff": "1"}, "cutoff: must exceed 1"),
+            ({"alpha_grid": {"start": "0.5", "stop": "0.2", "step": "0.1"}},
+             "alpha_grid: needs 0 < start < stop"),
+            ({"alpha_grid": {"start": "x", "stop": "1", "step": "0.1"}},
+             "alpha_grid.start: must be a number"),
+            ({"out": ""}, "out: must be a path string")):
+        with pytest.raises(ConfigError, match=message):
+            load_patched(tmp_path, cantor_doc(), patch)
+    assert load_patched(tmp_path, cantor_doc(), {}) == parse_config(
+        cantor_doc())
 
 
-def test_overrides_replace_fields():
-    cfg = parse_config(cantor_doc())
-    out = apply_overrides(cfg, budget=500, cutoff=Fraction(99),
-                          alpha_grid=(0.2, 0.8, 0.3), out_dir="elsewhere")
+def test_overrides_replace_fields(tmp_path):
+    out = load_patched(tmp_path, cantor_doc(), {
+        "node_budget": 500, "cutoff": "99", "out": "elsewhere",
+        "alpha_grid": {"start": "0.2", "stop": "0.8", "step": "0.3"}})
     assert out.node_budget == 500
     assert out.cutoff == 99
     assert out.alpha_values() == [0.2, 0.5, 0.8]
     assert out.out_dir == "elsewhere"
+
+
+def test_overrides_update_nested_objects_key_by_key(tmp_path):
+    doc = cantor_doc(grid={"base": "3", "kmin": 2, "kmax": 5},
+                     alpha_grid={"start": 0.3, "stop": 0.9})
+    cfg = load_patched(tmp_path, doc, {"grid": {"kmax": 7},
+                                       "alpha_grid": {"step": 0.3}})
+    assert (cfg.grid_base, cfg.grid_kmin, cfg.grid_kmax) == (3, 2, 7)
+    assert cfg.alpha_values() == [0.3, 0.6, 0.9]
+    assert cfg == parse_config(cantor_doc(
+        grid={"base": "3", "kmin": 2, "kmax": 7},
+        alpha_grid={"start": 0.3, "stop": 0.9, "step": 0.3}))
+
+
+def test_alpha_grid_is_finite_and_bounded():
+    # RunConfig.alpha_values loops from start to stop by step
+    for alpha_grid, message in (
+            ({"stop": "inf"}, "must be finite"),
+            ({"start": "nan"}, "must be finite"),
+            ({"step": float("inf")}, "must be finite"),
+            ({"stop": 1000.0}, f"more than {_MAX_ALPHA_VALUES} values"),
+            ({"step": 1e-6}, f"more than {_MAX_ALPHA_VALUES} values"),
+            ({"start": 1e17, "stop": 1e17 + 64, "step": 1},
+             "step must not vanish")):
+        with pytest.raises(ConfigError, match=f"alpha_grid: .*{message}"):
+            parse_config(cantor_doc(alpha_grid=alpha_grid))
+    widest = parse_config(cantor_doc(alpha_grid={
+        "start": 0.001, "stop": 0.001 * _MAX_ALPHA_VALUES, "step": 0.001}))
+    assert len(widest.alpha_values()) == _MAX_ALPHA_VALUES

@@ -19,7 +19,6 @@ from rifslab import (
     attractor_box_counts,
     counting_profile,
     density_profile,
-    digit_measure_cdf,
     dual_attractor_hull,
     enumerate_orbit,
     estimate_beurling_dimension,
@@ -456,45 +455,6 @@ def test_box_walk_is_serial_on_one_cpu_or_without_fork(renewal_system,
     monkeypatch.delattr(os, "fork")
     assert dimension._workers() == 1
     assert attractor_box_counts(renewal_system, 8) == expected
-
-
-# --------------------------------------------------------------------------
-# digit measure
-
-
-def test_digit_measure_known_values():
-    lo, hi = digit_measure_cdf(3, (0, 2), Fraction(1, 3))
-    assert lo == hi == Fraction(1, 2)
-    lo, hi = digit_measure_cdf(3, (0, 2), Fraction(2, 3))
-    assert lo == hi == Fraction(1, 2)
-    lo, hi = digit_measure_cdf(3, (0, 2), Fraction(1))
-    assert lo == hi == 1
-    lo, hi = digit_measure_cdf(3, (0, 2), Fraction(0))
-    assert hi <= Fraction(1, 2**30)
-
-
-def test_digit_measure_bracket_contains_enumeration():
-    rng = random.Random(17)
-    base, digits, depth = 3, (0, 2), 10
-    # truncating every expansion misplaces at most the one cylinder that
-    # straddles h, worth one cylinder of mass
-    slack = Fraction(1, len(digits) ** depth)
-    points = [Fraction(0)]
-    for i in range(1, depth + 1):
-        points = [p + d * Fraction(1, base**i) for p in points for d in digits]
-    points.sort()
-    total = len(points)
-    for _ in range(40):
-        h = Fraction(rng.randint(0, 3**6), 3**6)
-        lo, hi = digit_measure_cdf(base, digits, h, depth=depth)
-        empirical = Fraction(sum(1 for p in points if p <= h), total)
-        assert lo - slack <= empirical <= hi + slack
-
-
-def test_digit_measure_monotone():
-    grid = [Fraction(k, 27) for k in range(28)]
-    values = [digit_measure_cdf(3, (0, 2), h)[0] for h in grid]
-    assert values == sorted(values)
 
 
 # --------------------------------------------------------------------------

@@ -86,6 +86,15 @@ def test_rejects_bad_parameters():
         min_cover_cost([1], 0.5, -1)
 
 
+def test_refuses_cubes_whose_side_overflows_a_float():
+    # 2.0**1024 overflows; n = 1023 is the largest cube with a float side
+    assert min_cover_cost([1], 0.5, 1023).cost == 2.0**-511.5
+    with pytest.raises(DomainError, match="2.0\\*\\*1024 overflows"):
+        min_cover_cost([1], 0.5, 1024)
+    with pytest.raises(DomainError, match="2.0\\*\\*1030 overflows"):
+        estimate_discrete_hausdorff([0, 1], [0.5], range(1020, 1031))
+
+
 def test_matches_exhaustive_partition_search():
     rng = random.Random(1234)
     for trial in range(100):
