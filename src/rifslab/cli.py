@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 from . import __version__
@@ -25,6 +25,8 @@ from .dimension import (
     DimensionFit,
     _magnitudes,
     _renewal_radius,
+    _run_forked,
+    _workers,
     attractor_box_counts,
     density_profile,
     estimate_beurling_dimension,
@@ -65,11 +67,9 @@ def _f(x) -> str:
     return format(float(x), ".17g")
 
 
-def _write_csv(path, header, rows) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
+def _write_csv(path, header, lines) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join([",".join(header), *lines]) + "\n")
 
 
 def _fit_dict(fit: DimensionFit) -> dict:
@@ -219,7 +219,7 @@ def _frag_dims(ses: _Session, out_dir: str, args) -> dict:
         exponent = math.log(n) / math.log(hf) if n >= 1 and hf > 1 else math.nan
         rows.append((_f(hf), str(n), _f(exponent)))
     _write_csv(os.path.join(out_dir, "dims.csv"),
-               ["h", "N", "logN/logh"], rows)
+               ["h", "N", "logN/logh"], map(",".join, rows))
     window = _tail_window(len(grid))
     mass = estimate_mass_dimension(profile, window=window)
     beurling = estimate_beurling_dimension(sample, grid, window=window)
@@ -241,7 +241,7 @@ def _frag_dhd(ses: _Session, out_dir: str, args) -> dict:
     rows = [(_f(alpha), str(n), _f(cost), _f(partial))
             for alpha, n, cost, partial in report.rows]
     _write_csv(os.path.join(out_dir, "nu.csv"),
-               ["alpha", "n", "nu", "partial_sum"], rows)
+               ["alpha", "n", "nu", "partial_sum"], map(",".join, rows))
     return {
         "scale": scale,
         "dim_estimate": report.dim_estimate,
@@ -280,8 +280,11 @@ def _density_grid(cfg: RunConfig, sample, ratio, periods: int = 3,
     The grid is built on one lattice, D = lcm(L q, the fill's
     denominators) for the sample scale L and ratio p/q: a fill value x is
     x D, a jump m / L is m D / L, and its fold ratio * m / L is
-    p m D / (q L).
+    p m D / (q L).  Every entry g is at most top D, so its count
+    #{|a| <= floor(g L / D)} is one bisection of the sorted magnitudes.
     """
+    if not sample.complete:
+        raise DomainError("counting requires a complete sample")
     top = cfg.grid_base**cfg.grid_kmax
     if ratio is None:
         fills = cfg.h_grid()
@@ -294,20 +297,26 @@ def _density_grid(cfg: RunConfig, sample, ratio, periods: int = 3,
         q = ratio.denominator
     scale = sample.scale
     den = math.lcm(scale * q, *(x.denominator for x in fills))
+    step = den // scale
     grid = {x.numerator * (den // x.denominator) for x in fills}
     mags = _magnitudes(sample, top)
     # the jumps m / L in [lo, top] are the magnitudes from ceil(lo L) on
-    jumps = set(mags[bisect_left(mags, -sample.floor_scaled(-lo)):])
+    first = bisect_left(mags, -sample.floor_scaled(-lo))
+    jumps = set(mags[first:])
     if len(jumps) <= max_jumps:
-        grid.update(m * (den // scale) for m in jumps)
+        grid.update(map(step.__mul__, jumps))
         if ratio is not None:
             # the defect fold needs ratio*h on the grid for jumps one
             # period down
             fold_lo = -sample.floor_scaled(-top / ratio**2)
             fold_hi = sample.floor_scaled(top / ratio)
             fold = ratio.numerator * (den // (q * scale))
-            grid.update(m * fold for m in jumps if fold_lo <= m <= fold_hi)
-    return sample.profile(sorted(grid), den)
+            grid.update(map(fold.__mul__, mags[
+                max(first, bisect_left(mags, fold_lo)):
+                bisect_right(mags, fold_hi)]))
+    grid = sorted(grid)
+    return CountingProfile(grid, den, [bisect_right(mags, g // step)
+                                       for g in grid])
 
 
 def _density_ratio(cfg: RunConfig) -> Fraction | None:
@@ -326,7 +335,9 @@ def _frag_density(ses: _Session, out_dir: str, args) -> dict:
     ratio = _density_ratio(cfg)
     profile = _density_grid(cfg, sample, ratio)
     report = density_profile(profile, s, period_ratio=ratio)
-    rows = [(_f(h), _f(phase) if phase is not None else "nan", _f(value))
+    # one format per row; a missing phase prints as nan
+    rows = ["%.17g,%.17g,%.17g" % (h, math.nan if phase is None else phase,
+                                   value)
             for h, phase, value in report.samples]
     _write_csv(os.path.join(out_dir, "density.csv"),
                ["h", "phase", "N_over_hs"], rows)
@@ -422,7 +433,7 @@ def _frag_padic(ses: _Session, out_dir: str, args) -> dict:
     rows = [(str(k), str(n), _f(math.log(n) / (k * log_p)))
             for k, n in zip(box.ks, box.counts)]
     _write_csv(os.path.join(out_dir, "padic.csv"),
-               ["k", "N_k", "logN_k/(k log p)"], rows)
+               ["k", "N_k", "logN_k/(k log p)"], map(",".join, rows))
 
     frag = {
         "p": p,
@@ -465,21 +476,61 @@ _ANALYSES = (
 )
 
 
+_ABSORBED = (ConfigError, DomainError, BudgetExceededError)
+
+
 def _frag_report(ses: _Session, out_dir: str, args) -> dict:
+    """Every analysis into one report.json, each failure recorded in place.
+
+    This process first computes what the analyses share, the similarity
+    dimension and the orbit sample at the config's radius; an error there
+    is left for each fragment that needs them to record.  The analyses'
+    indices then go into one pipe, and W = min(_workers(), analyses)
+    copies of one loop drain it, one index at a time: this process runs
+    one copy and W - 1 forked children the others (`_run_forked`).  The
+    attractor walk and the cover-cost table may split again inside a
+    fragment worker, each into up to _workers() processes, so at most
+    W * _workers() processes are alive at once (4 on 2 CPUs).  Each
+    fragment writes only its own artifact, and report.json is assembled
+    here in _ANALYSES order: every file is the same bytes on any number
+    of CPUs.
+    """
     cfg = ses.cfg
     doc = {
         "version": __version__,
         "system": cfg.system.describe(),
         "seed": format_rational(cfg.seed),
     }
-    for name, builder in _ANALYSES:
-        if name == "padic" and cfg.padic is None:
-            doc[name] = {"skipped": "no padic block in config"}
-            continue
+    for shared in (ses.similarity, lambda: ses.orbit(cfg.radius)):
         try:
-            doc[name] = builder(ses, out_dir, args)
-        except (ConfigError, DomainError, BudgetExceededError) as exc:
-            doc[name] = {"error": str(exc)}
+            shared()
+        except _ABSORBED:
+            pass
+    jobs = [i for i, (name, _) in enumerate(_ANALYSES)
+            if name != "padic" or cfg.padic is not None]
+
+    def drain() -> dict:
+        done = {}
+        while index := os.read(queue, 1):
+            name, builder = _ANALYSES[index[0]]
+            try:
+                done[name] = builder(ses, out_dir, args)
+            except _ABSORBED as exc:
+                done[name] = {"error": str(exc)}
+        return done
+
+    fragments = {"padic": {"skipped": "no padic block in config"}}
+    queue, write_fd = os.pipe()
+    try:
+        with os.fdopen(write_fd, "wb") as fh:
+            # the long analyses (cover table, attractor, density, p-adic)
+            # come late in _ANALYSES: queued from the end, they start first
+            fh.write(bytes(reversed(jobs)))
+        for done in _run_forked([drain] * min(_workers(), len(jobs))):
+            fragments.update(done)
+    finally:
+        os.close(queue)
+    doc.update((name, fragments[name]) for name, _ in _ANALYSES)
     with open(os.path.join(out_dir, "report.json"), "w",
               encoding="utf-8") as fh:
         fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")

@@ -178,10 +178,10 @@ _MAX_WORKERS = 8
 
 
 def _workers() -> int:
-    """Processes a split box walk or cover-cost table may use: the CPUs
-    this process may run on, at most _MAX_WORKERS; 1 without os.fork, or
-    while this process runs other threads, since a forked child may then
-    block on a lock one of them held."""
+    """Processes a split box walk, cover-cost table or report may use:
+    the CPUs this process may run on, at most _MAX_WORKERS; 1 without
+    os.fork, or while this process runs other threads, since a forked
+    child may then block on a lock one of them held."""
     threading = sys.modules.get("threading")
     if not hasattr(os, "fork") or (threading is not None
                                    and threading.active_count() > 1):
@@ -195,6 +195,9 @@ def _workers() -> int:
 
 def _run_forked(tasks) -> list:
     """Results of the zero-argument callables tasks, in order.
+
+    Three callers split their work with it: the attractor box walk, the
+    cover-cost table and `report`'s fragment workers.
 
     The first runs in this process and every other one in a forked child,
     which pickles its result or its exception into a pipe and exits; once
@@ -333,6 +336,12 @@ def min_cover_cost(points, alpha: float, n: int) -> CoverCost:
         if not lo <= p < hi:
             raise DomainError(
                 f"point {p} outside the side-2^{n} cube centred at 0")
+    return _min_cover(pts, alpha, n)
+
+
+def _min_cover(pts: list[int], alpha: float, n: int) -> CoverCost:
+    """min_cover_cost of pts, which must be sorted distinct ints inside
+    the side-2**n cube, for alpha > 0 and a valid n; nothing is checked."""
     size = 2.0**n
     single = (1 / size) ** alpha  # w(1)
     if alpha > 1:
@@ -511,8 +520,10 @@ def estimate_discrete_hausdorff(points, alpha_grid, n_values,
 
 def _cover_costs(pts, jobs) -> list[float]:
     """The cover cost of each job (alpha, n, lo, hi): of pts[lo:hi] in
-    the side-2**n cube."""
-    return [min_cover_cost(pts[lo:hi], alpha, n).cost
+    the side-2**n cube.  The table checked alpha, n and the points, and
+    each slice is sorted, distinct and inside its cube, so the kernel
+    runs without min_cover_cost's checks."""
+    return [_min_cover(pts[lo:hi], alpha, n).cost
             for alpha, n, lo, hi in jobs]
 
 

@@ -1,3 +1,4 @@
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -39,3 +40,19 @@ def binary_padic_system():
 def renewal_system():
     """Mixed ratios 2 and 3; expansion logs have irrational ratio."""
     return make_system([(Fraction(2), Fraction(0)), (Fraction(3), Fraction(1))])
+
+
+@pytest.fixture
+def count_forks(monkeypatch):
+    """The pids of the children os.fork makes in this test, in order."""
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forks

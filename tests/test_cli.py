@@ -3,11 +3,14 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 import rifslab
+from rifslab import cli, dimension
 from rifslab.cli import main
+from test_dimension import assert_no_child_left
 
 LOG2_3 = math.log(2) / math.log(3)
 
@@ -414,7 +417,7 @@ def test_cube_overflow_is_a_precondition(tmp_path, capsys):
     assert "2.0**1030 overflows" in capsys.readouterr().err
 
 
-def test_report_absorbs_fragment_failure(tmp_path, capsys):
+def assert_report_absorbs_fragment_failure(tmp_path, capsys):
     # degenerate system: renewal must fail in place, everything else runs
     cfg = write_config(tmp_path, {
         "maps": [{"r": "2", "b": "0"}, {"r": "4", "b": "0"}],
@@ -426,6 +429,81 @@ def test_report_absorbs_fragment_failure(tmp_path, capsys):
     assert "degenerate" in frag["renewal"]["error"]
     assert frag["diagnosis"]["degenerate"] is True
     assert "error" not in frag["dims"]
+
+
+def test_report_absorbs_fragment_failure(tmp_path, capsys):
+    assert_report_absorbs_fragment_failure(tmp_path, capsys)
+
+
+# --------------------------------------------------------------------------
+# report across processes
+
+
+def cantor_padic_config(tmp_path):
+    return cantor_config(tmp_path, radius="2187",
+                         padic={"p": 3, "exponents": [1, 1],
+                                "signs": [1, 1]})
+
+
+def test_split_report_is_byte_identical(tmp_path, capsys, monkeypatch):
+    cfg = cantor_padic_config(tmp_path)
+    runs = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(cli, "_workers", lambda: workers)
+        runs.append(report_bytes(capsys, ["--config", cfg],
+                                 tmp_path / f"out{workers}"))
+    assert runs[0] == runs[1] == runs[2]
+    assert set(runs[0]) == {"report.json", "orbit.txt", "dims.csv", "nu.csv",
+                            "density.csv", "renewal.txt", "padic.csv"}
+    doc = json.loads(runs[0]["report.json"])
+    assert not [name for name, frag in doc.items()
+                if isinstance(frag, dict) and "error" in frag]
+    assert_no_child_left()
+
+
+def test_split_report_absorbs_fragment_failure(tmp_path, capsys,
+                                               monkeypatch):
+    monkeypatch.setattr(cli, "_workers", lambda: 2)
+    assert_report_absorbs_fragment_failure(tmp_path, capsys)
+    assert_no_child_left()
+
+
+def test_split_report_raises_a_workers_error(tmp_path, capsys,
+                                             monkeypatch):
+    parent = os.getpid()
+    ran = tmp_path / "ran_in_a_child"
+
+    def failing_in_children(ses, out_dir, args):
+        if os.getpid() != parent:
+            ran.touch()
+            raise ZeroDivisionError("fragment worker failed")
+        # hold this process's first fragment until a child has taken one
+        deadline = time.monotonic() + 60
+        while not ran.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return {}
+
+    monkeypatch.setattr(cli, "_ANALYSES", tuple(
+        (name, failing_in_children) for name, _ in cli._ANALYSES))
+    monkeypatch.setattr(cli, "_workers", lambda: 2)
+    out = tmp_path / "out"
+    with pytest.raises(ZeroDivisionError, match="fragment worker failed"):
+        main(["report", "--config", cantor_config(tmp_path),
+              "--out", str(out)])
+    assert not (out / "report.json").exists()
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_report_forks_one_worker_fewer_than_it_may_use(
+        tmp_path, capsys, monkeypatch, count_forks, workers):
+    # no inner splits: every fork is a fragment worker
+    monkeypatch.setattr(dimension, "_workers", lambda: 1)
+    monkeypatch.setattr(cli, "_workers", lambda: workers)
+    report_bytes(capsys, ["--config", cantor_padic_config(tmp_path)],
+                 tmp_path / "out")
+    assert len(count_forks) == workers - 1
+    assert_no_child_left()
 
 
 # --------------------------------------------------------------------------

@@ -391,22 +391,12 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_split_box_walk_reaps_its_children(renewal_system, monkeypatch):
-    forks = []
-    fork = os.fork
-
-    def counted_fork():
-        pid = fork()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counted_fork)
+def test_split_box_walk_reaps_its_children(renewal_system, count_forks):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with split_walk(4):
             box = attractor_box_counts(renewal_system, 8)
-    assert len(forks) == 3
+    assert len(count_forks) == 3
     assert box.counts == tuple(box_count_cut_set(renewal_system, k)
                                for k in box.ks)
     assert_no_child_left()

@@ -182,6 +182,22 @@ def test_matches_quadratic_dp(case):
         assert len(cc.optimal_partition) == blocks
 
 
+@given(_cover_cases())
+def test_table_kernel_matches_the_checked_cover(case):
+    points, alpha, n = case
+    assert (dimension._min_cover(sorted(set(points)), alpha, n)
+            == min_cover_cost(points, alpha, n))
+
+
+def test_checked_cover_refuses_what_the_kernel_assumes():
+    with pytest.raises(DomainError, match="alpha must be positive"):
+        min_cover_cost([0, 1], 0.0, 3)
+    with pytest.raises(DomainError, match="point 4 outside the side-2"):
+        min_cover_cost([-4, 0, 4], 0.5, 3)
+    with pytest.raises(DomainError, match="must be integers"):
+        min_cover_cost([Fraction(1, 2)], 0.5, 3)
+
+
 def test_orbit_costs_match_quadratic_dp(renewal_system):
     sample = enumerate_orbit(renewal_system, 5, 2**13)
     report = estimate_discrete_hausdorff(sample.points, [0.3, 1.0, 1.2],
@@ -271,36 +287,21 @@ def test_split_table_matches_serial_on_drawn_points(points, alphas, low,
     assert report.rows == serial_table(*args).rows
 
 
-def count_forks(monkeypatch):
-    forks = []
-    fork = os.fork
-
-    def counted_fork():
-        pid = fork()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counted_fork)
-    return forks
-
-
-def test_table_forks_only_past_the_threshold(monkeypatch):
+def test_table_forks_only_past_the_threshold(monkeypatch, count_forks):
     points = list(range(-200, 200, 3))
     expected = serial_table(points, GRID_ALPHAS, range(12))
-    forks = count_forks(monkeypatch)
     monkeypatch.setattr(dimension, "_workers", lambda: 3)
     # 10 alphas <= 1 of 12 cubes hold 5,720 DP points
     monkeypatch.setattr(dimension, "_SPLIT_COVER_POINTS", 5721)
     assert estimate_discrete_hausdorff(points, GRID_ALPHAS,
                                        range(12)) == expected
-    assert forks == []
+    assert count_forks == []
     monkeypatch.setattr(dimension, "_SPLIT_COVER_POINTS", 5720)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert estimate_discrete_hausdorff(points, GRID_ALPHAS,
                                            range(12)) == expected
-    assert len(forks) == 2
+    assert len(count_forks) == 2
     assert_no_child_left()
 
 
@@ -323,11 +324,11 @@ def test_split_table_raises_a_childs_error(monkeypatch):
     assert_no_child_left()
 
 
-def test_table_is_serial_on_one_cpu_or_without_fork(monkeypatch):
+def test_table_is_serial_on_one_cpu_or_without_fork(monkeypatch,
+                                                    count_forks):
     points = list(range(-300, 300, 7))
     expected = estimate_discrete_hausdorff(points, GRID_ALPHAS, range(12))
     monkeypatch.setattr(dimension, "_SPLIT_COVER_POINTS", 0)
-    forks = count_forks(monkeypatch)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     assert estimate_discrete_hausdorff(points, GRID_ALPHAS,
                                        range(12)) == expected
@@ -342,7 +343,7 @@ def test_table_is_serial_on_one_cpu_or_without_fork(monkeypatch):
     finally:
         release.set()
         waiting.join()
-    assert forks == []
+    assert count_forks == []
     monkeypatch.delattr(os, "fork")
     assert estimate_discrete_hausdorff(points, GRID_ALPHAS,
                                        range(12)) == expected
