@@ -488,12 +488,12 @@ def _frag_report(ses: _Session, out_dir: str, args) -> dict:
     indices then go into one pipe, and W = min(_workers(), analyses)
     copies of one loop drain it, one index at a time: this process runs
     one copy and W - 1 forked children the others (`_run_forked`).  The
-    attractor walk and the cover-cost table may split again inside a
-    fragment worker, each into up to _workers() processes, so at most
-    W * _workers() processes are alive at once (4 on 2 CPUs).  Each
-    fragment writes only its own artifact, and report.json is assembled
-    here in _ANALYSES order: every file is the same bytes on any number
-    of CPUs.
+    attractor walk may split again inside a fragment worker, into up to
+    _workers() processes, so at most W + _workers() - 1 processes are
+    alive at once (3 on 2 CPUs); the cover-cost table runs in its
+    worker.  Each fragment writes only its own artifact, and report.json
+    is assembled here in _ANALYSES order: every file is the same bytes on
+    any number of CPUs.
     """
     cfg = ses.cfg
     doc = {

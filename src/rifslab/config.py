@@ -32,6 +32,9 @@ _TOP_KEYS = {
 
 # the most cover-cost exponents an alpha grid may hold (the default has 12)
 _MAX_ALPHA_VALUES = 1000
+# the most cube exponents a nu range may hold: 2.0**n overflows from
+# n = 1024 on, so a longer range cannot be tabulated
+_MAX_NU_VALUES = 1024
 
 
 @dataclass(frozen=True)
@@ -207,6 +210,8 @@ def parse_config(doc: dict) -> RunConfig:
     _require(isinstance(nu_start, int) and isinstance(nu_stop, int)
              and 0 <= nu_start < nu_stop,
              "nu_range: needs integers 0 <= start < stop")
+    _require(nu_stop - nu_start < _MAX_NU_VALUES,
+             f"nu_range: holds more than {_MAX_NU_VALUES} exponents")
 
     cutoff = _rat(doc.get("cutoff", "10000"), "cutoff")
     _require(cutoff > 1, "cutoff: must exceed 1")

@@ -168,20 +168,17 @@ def estimate_beurling_dimension(sample: OrbitSample, h_grid,
 
 
 # A fork and a pickled result cost about 3 ms and a walk of 50,000 pushes
-# about 60 ms: smaller walks stay in one process.  A cover-cost table of
-# six cubes, timed serial and split in two on 2 CPUs, split faster from
-# about 3,500 points in its alpha <= 1 DPs on {3x, 3x + 2} and from 10,700
-# on {2x, 3x + 1}: smaller tables stay in one process.
+# about 60 ms: smaller walks stay in one process.  The cover-cost table
+# never forks: inside `report` it already runs beside the other analyses.
 _SPLIT_PUSHES = 50_000
-_SPLIT_COVER_POINTS = 10_000
 _MAX_WORKERS = 8
 
 
 def _workers() -> int:
-    """Processes a split box walk, cover-cost table or report may use:
-    the CPUs this process may run on, at most _MAX_WORKERS; 1 without
-    os.fork, or while this process runs other threads, since a forked
-    child may then block on a lock one of them held."""
+    """Processes a split box walk or report may use: the CPUs this
+    process may run on, at most _MAX_WORKERS; 1 without os.fork, or
+    while this process runs other threads, since a forked child may then
+    block on a lock one of them held."""
     threading = sys.modules.get("threading")
     if not hasattr(os, "fork") or (threading is not None
                                    and threading.active_count() > 1):
@@ -196,8 +193,8 @@ def _workers() -> int:
 def _run_forked(tasks) -> list:
     """Results of the zero-argument callables tasks, in order.
 
-    Three callers split their work with it: the attractor box walk, the
-    cover-cost table and `report`'s fragment workers.
+    Two callers split their work with it: the attractor box walk and
+    `report`'s fragment workers.
 
     The first runs in this process and every other one in a forked child,
     which pickles its result or its exception into a pipe and exits; once
@@ -336,12 +333,6 @@ def min_cover_cost(points, alpha: float, n: int) -> CoverCost:
         if not lo <= p < hi:
             raise DomainError(
                 f"point {p} outside the side-2^{n} cube centred at 0")
-    return _min_cover(pts, alpha, n)
-
-
-def _min_cover(pts: list[int], alpha: float, n: int) -> CoverCost:
-    """min_cover_cost of pts, which must be sorted distinct ints inside
-    the side-2**n cube, for alpha > 0 and a valid n; nothing is checked."""
     size = 2.0**n
     single = (1 / size) ** alpha  # w(1)
     if alpha > 1:
@@ -452,12 +443,8 @@ def estimate_discrete_hausdorff(points, alpha_grid, n_values,
     Needs at least 6 cube sizes so the stabilization window means
     something.  The empty set reports 0 for both estimates.
 
-    A table whose alpha <= 1 DPs hold 10,000 points or more is split
-    across the processes `_workers` allows: the (alpha, n) jobs, sorted
-    by (points, alpha), are dealt round robin, this process computes the
-    first share and forked children the others, and each returns only
-    its costs.  The partial sums are formed here, in (alpha, n) order, so
-    every row is the same float whatever the number of processes.
+    Each cube's points are sliced once, and every cost is that of
+    min_cover_cost, in this process: the table never forks.
     """
     n_values = sorted(set(int(n) for n in n_values))
     if len(n_values) < 6:
@@ -471,33 +458,16 @@ def estimate_discrete_hausdorff(points, alpha_grid, n_values,
         raise DomainError("alpha grid must be ascending")
     pts = _integer_points(points)
 
-    # each cube's slice pts[lo:hi], then one job per (alpha, n)
-    slices = [(n, *(bisect_left(pts, end) for end in _cube(n)))
-              for n in n_values]
-    jobs = [(alpha, n, lo, hi) for alpha in alpha_grid
-            for n, lo, hi in slices]
-    # only the alpha <= 1 DPs cost more than a pass over their points
-    dp_points = sum(hi - lo for alpha, _, lo, hi in jobs if alpha <= 1)
-    workers = _workers() if dp_points >= _SPLIT_COVER_POINTS else 1
-    # the cost per point grows with alpha up to about 0.8: dealt round
-    # robin in order of (points, alpha), each share gets a like mix
-    order = sorted(range(len(jobs)),
-                   key=lambda j: (jobs[j][3] - jobs[j][2], jobs[j][0]))
-    shares = [order[w::workers] for w in range(workers)]
-    costs = [0.0] * len(jobs)
-    for share, values in zip(shares, _run_forked([
-            partial(_cover_costs, pts, [jobs[j] for j in share])
-            for share in shares])):
-        for j, cost in zip(share, values):
-            costs[j] = cost
-
+    slices = [pts[bisect_left(pts, lo):bisect_left(pts, hi)]
+              for lo, hi in map(_cube, n_values)]
     rows = []
     tail = {}
-    for row, alpha in enumerate(alpha_grid):
-        alpha_costs = costs[row * len(n_values):(row + 1) * len(n_values)]
+    for alpha in alpha_grid:
+        costs = [min_cover_cost(inside, alpha, n).cost
+                 for inside, n in zip(slices, n_values)]
         rows += [(alpha, n, cost, running) for n, cost, running
-                 in zip(n_values, alpha_costs, accumulate(alpha_costs))]
-        tail[alpha] = alpha_costs[-stabilization_terms:]
+                 in zip(n_values, costs, accumulate(costs))]
+        tail[alpha] = costs[-stabilization_terms:]
 
     if not pts:
         return DiscreteHausdorffReport(0.0, 0.0, alpha_grid, tuple(n_values),
@@ -516,15 +486,6 @@ def estimate_discrete_hausdorff(points, alpha_grid, n_values,
             break
     return DiscreteHausdorffReport(dim_estimate, decay_estimate, alpha_grid,
                                    tuple(n_values), tuple(rows))
-
-
-def _cover_costs(pts, jobs) -> list[float]:
-    """The cover cost of each job (alpha, n, lo, hi): of pts[lo:hi] in
-    the side-2**n cube.  The table checked alpha, n and the points, and
-    each slice is sorted, distinct and inside its cube, so the kernel
-    runs without min_cover_cost's checks."""
-    return [_min_cover(pts[lo:hi], alpha, n).cost
-            for alpha, n, lo, hi in jobs]
 
 
 def integerize(points) -> tuple[list[int], int]:

@@ -55,20 +55,42 @@ def to_float(x) -> float:
     return float(x)
 
 
+# Miller-Rabin to the prime bases up to 41 decides primality exactly below
+# this bound (Sorenson and Webster, Math. Comp. 86, 2017)
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(p: int) -> bool:
+    """Whether p is prime, decided exactly for p below _PRIME_BOUND by
+    deterministic Miller-Rabin; a larger p is refused."""
+    if p >= _PRIME_BOUND:
+        raise DomainError(f"primality is decided only below {_PRIME_BOUND}")
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for b in _PRIME_BASES:
+        if p % b == 0:
+            return p == b
+    # p - 1 = d 2**r with d odd
+    r = ((p - 1) & (1 - p)).bit_length() - 1
+    d = (p - 1) >> r
+    for b in _PRIME_BASES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
 def check_prime(p: int) -> int:
-    if not isinstance(p, int) or not is_prime(p):
-        raise ConfigError(f"p must be a prime integer, got {p!r}")
+    if not isinstance(p, int) or p >= _PRIME_BOUND or not is_prime(p):
+        raise ConfigError(
+            f"p must be a prime integer below {_PRIME_BOUND}, got {p!r}")
     return p
 
 

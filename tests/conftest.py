@@ -56,3 +56,12 @@ def count_forks(monkeypatch):
 
     monkeypatch.setattr(os, "fork", counted_fork)
     return forks
+
+
+@pytest.fixture
+def assert_no_child_left():
+    """A check that every child this process forked has been reaped."""
+    def check():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    return check

@@ -10,7 +10,6 @@ import pytest
 import rifslab
 from rifslab import cli, dimension
 from rifslab.cli import main
-from test_dimension import assert_no_child_left
 
 LOG2_3 = math.log(2) / math.log(3)
 
@@ -445,7 +444,8 @@ def cantor_padic_config(tmp_path):
                                 "signs": [1, 1]})
 
 
-def test_split_report_is_byte_identical(tmp_path, capsys, monkeypatch):
+def test_split_report_is_byte_identical(tmp_path, capsys, monkeypatch,
+                                        assert_no_child_left):
     cfg = cantor_padic_config(tmp_path)
     runs = []
     for workers in (1, 2, 3):
@@ -462,14 +462,16 @@ def test_split_report_is_byte_identical(tmp_path, capsys, monkeypatch):
 
 
 def test_split_report_absorbs_fragment_failure(tmp_path, capsys,
-                                               monkeypatch):
+                                               monkeypatch,
+                                               assert_no_child_left):
     monkeypatch.setattr(cli, "_workers", lambda: 2)
     assert_report_absorbs_fragment_failure(tmp_path, capsys)
     assert_no_child_left()
 
 
 def test_split_report_raises_a_workers_error(tmp_path, capsys,
-                                             monkeypatch):
+                                             monkeypatch,
+                                             assert_no_child_left):
     parent = os.getpid()
     ran = tmp_path / "ran_in_a_child"
 
@@ -496,7 +498,8 @@ def test_split_report_raises_a_workers_error(tmp_path, capsys,
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_report_forks_one_worker_fewer_than_it_may_use(
-        tmp_path, capsys, monkeypatch, count_forks, workers):
+        tmp_path, capsys, monkeypatch, count_forks, workers,
+        assert_no_child_left):
     # no inner splits: every fork is a fragment worker
     monkeypatch.setattr(dimension, "_workers", lambda: 1)
     monkeypatch.setattr(cli, "_workers", lambda: workers)
@@ -541,6 +544,15 @@ def test_exit_2_unbounded_alpha_grid(tmp_path, capsys):
                  "--out", str(tmp_path / "out")])
     assert code == 2
     assert ("config error: alpha_grid: start, stop and step must be finite"
+            in capsys.readouterr().err)
+
+
+def test_exit_2_huge_nu_range(tmp_path, capsys):
+    # refused before any list of exponents is built
+    cfg = cantor_config(tmp_path, nu_range={"start": 0, "stop": 10**9})
+    code = main(["dhd", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert ("config error: nu_range: holds more than 1024 exponents"
             in capsys.readouterr().err)
 
 

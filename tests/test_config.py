@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from rifslab import ConfigError
-from rifslab.config import _MAX_ALPHA_VALUES, load_config, parse_config
+from rifslab.config import (_MAX_ALPHA_VALUES, _MAX_NU_VALUES, load_config,
+                            parse_config)
 
 
 def cantor_doc(**extra):
@@ -220,3 +221,22 @@ def test_alpha_grid_is_finite_and_bounded():
     widest = parse_config(cantor_doc(alpha_grid={
         "start": 0.001, "stop": 0.001 * _MAX_ALPHA_VALUES, "step": 0.001}))
     assert len(widest.alpha_values()) == _MAX_ALPHA_VALUES
+
+
+def test_nu_range_is_bounded():
+    # 2.0**n overflows from n = 1024 on: 0..1023 is the longest range
+    longest = parse_config(cantor_doc(nu_range={
+        "start": 0, "stop": _MAX_NU_VALUES - 1}))
+    assert len(longest.nu_levels()) == _MAX_NU_VALUES
+    for stop in (_MAX_NU_VALUES, 10**9):
+        with pytest.raises(ConfigError,
+                           match=f"nu_range: holds more than {_MAX_NU_VALUES}"):
+            parse_config(cantor_doc(nu_range={"start": 0, "stop": stop}))
+
+
+def test_padic_block_with_a_61_bit_prime():
+    p = 2**61 - 1
+    cfg = parse_config(cantor_doc(
+        maps=[{"r": str(p), "b": "0"}, {"r": str(p), "b": "1"}],
+        padic={"p": p, "exponents": [1, 1], "signs": [1, 1]}))
+    assert cfg.padic.p == p

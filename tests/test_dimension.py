@@ -386,12 +386,8 @@ def test_split_box_walk_pushes_the_serial_words(renewal_system):
             assert attractor_box_counts(renewal_system, 8).words_pushed == 2884
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def test_split_box_walk_reaps_its_children(renewal_system, count_forks):
+def test_split_box_walk_reaps_its_children(renewal_system, count_forks,
+                                           assert_no_child_left):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with split_walk(4):
@@ -402,7 +398,8 @@ def test_split_box_walk_reaps_its_children(renewal_system, count_forks):
     assert_no_child_left()
 
 
-def test_split_box_walk_raises_a_childs_error(renewal_system, monkeypatch):
+def test_split_box_walk_raises_a_childs_error(renewal_system, monkeypatch,
+                                              assert_no_child_left):
     parent = os.getpid()
     walk = dimension._box_walk
 
@@ -420,8 +417,8 @@ def test_split_box_walk_raises_a_childs_error(renewal_system, monkeypatch):
     assert_no_child_left()
 
 
-def test_box_walk_is_serial_on_one_cpu_or_without_fork(renewal_system,
-                                                       monkeypatch):
+def test_box_walk_is_serial_on_one_cpu_or_without_fork(
+        renewal_system, monkeypatch, assert_no_child_left):
     expected = attractor_box_counts(renewal_system, 8)
     monkeypatch.setattr(dimension, "_SPLIT_PUSHES", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})

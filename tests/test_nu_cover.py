@@ -1,8 +1,4 @@
-import contextlib
-import os
 import random
-import threading
-import warnings
 from fractions import Fraction
 
 import pytest
@@ -14,7 +10,6 @@ from rifslab import (DomainError, enumerate_orbit, estimate_discrete_hausdorff,
                      make_system, min_cover_cost)
 from _oracles import (arbitrary_cover_min, consecutive_cover_min,
                       quadratic_cover_min)
-from test_dimension import assert_no_child_left
 
 
 def test_empty_set_costs_nothing():
@@ -182,14 +177,7 @@ def test_matches_quadratic_dp(case):
         assert len(cc.optimal_partition) == blocks
 
 
-@given(_cover_cases())
-def test_table_kernel_matches_the_checked_cover(case):
-    points, alpha, n = case
-    assert (dimension._min_cover(sorted(set(points)), alpha, n)
-            == min_cover_cost(points, alpha, n))
-
-
-def test_checked_cover_refuses_what_the_kernel_assumes():
+def test_cover_cost_refuses_bad_alpha_points_and_fractions():
     with pytest.raises(DomainError, match="alpha must be positive"):
         min_cover_cost([0, 1], 0.0, 3)
     with pytest.raises(DomainError, match="point 4 outside the side-2"):
@@ -240,110 +228,17 @@ def test_orbit_costs_match_quadratic_dp_at_report_cubes(maps, seed, radius):
 
 
 # --------------------------------------------------------------------------
-# the cover-cost table across processes
+# the cover-cost table in one process
 
 
-@contextlib.contextmanager
-def split_table(workers):
-    """Split every cover-cost table across `workers` processes, however
-    small."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dimension, "_SPLIT_COVER_POINTS", 0)
-        mp.setattr(dimension, "_workers", lambda: workers)
-        yield
-
-
-def serial_table(*args):
-    with split_table(1):
-        return estimate_discrete_hausdorff(*args)
-
-
-@pytest.mark.parametrize("maps, seed", [
-    ([(2, 0), (3, 1)], 5),
-    ([(3, 0), (3, 2)], 0),
-])
-def test_split_table_matches_serial(maps, seed):
-    system = make_system([(Fraction(r), Fraction(b)) for r, b in maps])
-    points = enumerate_orbit(system, seed, 2**13).lattice
-    expected = serial_table(points, GRID_ALPHAS, range(15))
-    for workers in (2, 3):
-        with split_table(workers):
-            report = estimate_discrete_hausdorff(points, GRID_ALPHAS,
-                                                 range(15))
-        # float == row for row, partial sums and estimates included
-        assert report == expected
-
-
-@given(points=st.lists(st.integers(-600, 600), max_size=120),
-       alphas=st.lists(st.sampled_from(GRID_ALPHAS + [0.05, 0.75, 2.5]),
-                       min_size=1, max_size=6, unique=True),
-       low=st.integers(0, 6), cubes=st.integers(6, 9),
-       workers=st.integers(2, 3))
-def test_split_table_matches_serial_on_drawn_points(points, alphas, low,
-                                                    cubes, workers):
-    args = (points, sorted(alphas), range(low, low + cubes))
-    with split_table(workers):
-        report = estimate_discrete_hausdorff(*args)
-    assert report.rows == serial_table(*args).rows
-
-
-def test_table_forks_only_past_the_threshold(monkeypatch, count_forks):
-    points = list(range(-200, 200, 3))
-    expected = serial_table(points, GRID_ALPHAS, range(12))
+def test_table_forks_nothing(renewal_system, monkeypatch, count_forks):
+    points = enumerate_orbit(renewal_system, 5, 2**13).lattice
+    cubes = [[x for x in points if -2**n <= 2 * x < 2**n] for n in range(15)]
+    # the ten alphas <= 1 give DPs of 11,020 points in all
+    assert sum(map(len, cubes)) * 10 == 11_020
     monkeypatch.setattr(dimension, "_workers", lambda: 3)
-    # 10 alphas <= 1 of 12 cubes hold 5,720 DP points
-    monkeypatch.setattr(dimension, "_SPLIT_COVER_POINTS", 5721)
-    assert estimate_discrete_hausdorff(points, GRID_ALPHAS,
-                                       range(12)) == expected
+    report = estimate_discrete_hausdorff(points, GRID_ALPHAS, range(15))
     assert count_forks == []
-    monkeypatch.setattr(dimension, "_SPLIT_COVER_POINTS", 5720)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert estimate_discrete_hausdorff(points, GRID_ALPHAS,
-                                           range(12)) == expected
-    assert len(count_forks) == 2
-    assert_no_child_left()
-
-
-def test_split_table_raises_a_childs_error(monkeypatch):
-    parent = os.getpid()
-    costs = dimension._cover_costs
-
-    def failing_in_children(pts, jobs):
-        if os.getpid() != parent:
-            raise DomainError("cover table child failed")
-        return costs(pts, jobs)
-
-    monkeypatch.setattr(dimension, "_cover_costs", failing_in_children)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with split_table(3), pytest.raises(DomainError,
-                                           match="table child failed"):
-            estimate_discrete_hausdorff(range(-100, 100), GRID_ALPHAS,
-                                        range(9))
-    assert_no_child_left()
-
-
-def test_table_is_serial_on_one_cpu_or_without_fork(monkeypatch,
-                                                    count_forks):
-    points = list(range(-300, 300, 7))
-    expected = estimate_discrete_hausdorff(points, GRID_ALPHAS, range(12))
-    monkeypatch.setattr(dimension, "_SPLIT_COVER_POINTS", 0)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    assert estimate_discrete_hausdorff(points, GRID_ALPHAS,
-                                       range(12)) == expected
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    # a forked child of a threaded process may deadlock: no fork then
-    release = threading.Event()
-    waiting = threading.Thread(target=release.wait)
-    waiting.start()
-    try:
-        assert estimate_discrete_hausdorff(points, GRID_ALPHAS,
-                                           range(12)) == expected
-    finally:
-        release.set()
-        waiting.join()
-    assert count_forks == []
-    monkeypatch.delattr(os, "fork")
-    assert estimate_discrete_hausdorff(points, GRID_ALPHAS,
-                                       range(12)) == expected
+    assert len(report.rows) == 12 * 15
+    for alpha, n, cost, _ in report.rows:
+        assert cost == min_cover_cost(cubes[n], alpha, n).cost, (alpha, n)

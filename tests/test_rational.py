@@ -79,6 +79,29 @@ def test_check_prime_rejects_composites():
             check_prime(bad)
 
 
+def test_is_prime_matches_trial_division():
+    for n in range(10**4):
+        assert is_prime(n) == (n > 1 and all(n % d for d in range(2, n)
+                                            if d * d <= n)), n
+
+
+def test_check_prime_decides_large_p_at_once():
+    # trial division to the root of 2**61 - 1 takes minutes; 3215031751
+    # is a strong pseudoprime to the bases 2, 3, 5 and 7
+    assert check_prime(2**61 - 1) == 2**61 - 1
+    assert not is_prime(3215031751)
+    with pytest.raises(ConfigError):
+        check_prime(3215031751)
+
+
+def test_check_prime_refuses_p_past_the_exact_bound():
+    for p in (3_317_044_064_679_887_385_961_981, 2**89 - 1):
+        with pytest.raises(ConfigError, match="prime integer below"):
+            check_prime(p)
+        with pytest.raises(DomainError, match="decided only below"):
+            is_prime(p)
+
+
 @pytest.mark.parametrize("x,p,valuation,norm", [
     (Fraction(12), 2, 2, Fraction(1, 4)),
     (Fraction(12), 3, 1, Fraction(1, 3)),
