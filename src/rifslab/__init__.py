@@ -3,152 +3,69 @@
 Enumerates forward orbits exactly, fits the usual growth exponents
 (mass, Beurling, discrete Hausdorff, attractor box, p-adic box), and
 evaluates central densities and the renewal-style density constant.
+
+`import rifslab` loads no submodule.  Each exported name imports the
+module that defines it on first use (PEP 562), so `rifslab.load_config`
+loads config, errors, rational and systems, and none of the analysis
+modules.
 """
 
-from .config import RunConfig, load_config, parse_config
-from .dimension import (
-    BoxCounts,
-    CoverCost,
-    DensityReport,
-    DimensionFit,
-    DiscreteHausdorffReport,
-    RenewalEstimate,
-    SimilaritySolution,
-    attractor_box_counts,
-    density_profile,
-    dual_attractor_hull,
-    estimate_beurling_dimension,
-    estimate_box_dimension,
-    estimate_discrete_hausdorff,
-    estimate_mass_dimension,
-    integerize,
-    min_cover_cost,
-    renewal_constant,
-    solve_similarity_dimension,
-    window_density_sup,
-)
-from .errors import BudgetExceededError, ConfigError, DomainError
-from .orbit import (
-    CountingProfile,
-    OrbitSample,
-    OverlapMatrix,
-    counting_profile,
-    enumerate_orbit,
-    min_gap,
-    overlap_probe,
-    residual_points,
-    window_max_count,
-    write_orbit_dump,
-)
-from .padic import (
-    BallClustering,
-    MassBoxComparison,
-    PAdicAttractorSample,
-    PAdicBoxReport,
-    PAdicSystem,
-    attractor_sample,
-    ball_count,
-    ball_counts,
-    compare_mass_and_box,
-    make_padic_system,
-    mass_box_sandwich,
-    mass_versus_box,
-    padic_attractor_box,
-    padic_box_dimension,
-    padic_distance,
-)
-from .rational import (
-    PAdicValue,
-    check_prime,
-    format_rational,
-    is_prime,
-    make_rational,
-    padic_valuation,
-    parse_rational,
-    to_float,
-)
-from .systems import (
-    AffineMap,
-    Rifs,
-    affine_map,
-    common_fixed_point,
-    compose,
-    find_exact_overlaps,
-    fixed_point,
-    has_incongruent_offsets,
-    make_system,
-    min_word_separation,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AffineMap",
-    "BallClustering",
-    "BoxCounts",
-    "BudgetExceededError",
-    "ConfigError",
-    "CountingProfile",
-    "CoverCost",
-    "DensityReport",
-    "DimensionFit",
-    "DiscreteHausdorffReport",
-    "DomainError",
-    "MassBoxComparison",
-    "OrbitSample",
-    "OverlapMatrix",
-    "PAdicAttractorSample",
-    "PAdicBoxReport",
-    "PAdicSystem",
-    "PAdicValue",
-    "RenewalEstimate",
-    "Rifs",
-    "RunConfig",
-    "SimilaritySolution",
-    "affine_map",
-    "attractor_box_counts",
-    "attractor_sample",
-    "ball_count",
-    "ball_counts",
-    "check_prime",
-    "common_fixed_point",
-    "compare_mass_and_box",
-    "compose",
-    "counting_profile",
-    "density_profile",
-    "dual_attractor_hull",
-    "enumerate_orbit",
-    "estimate_beurling_dimension",
-    "estimate_box_dimension",
-    "estimate_discrete_hausdorff",
-    "estimate_mass_dimension",
-    "find_exact_overlaps",
-    "fixed_point",
-    "format_rational",
-    "has_incongruent_offsets",
-    "integerize",
-    "is_prime",
-    "load_config",
-    "make_padic_system",
-    "make_rational",
-    "make_system",
-    "mass_box_sandwich",
-    "mass_versus_box",
-    "min_cover_cost",
-    "min_gap",
-    "min_word_separation",
-    "overlap_probe",
-    "padic_attractor_box",
-    "padic_box_dimension",
-    "padic_distance",
-    "padic_valuation",
-    "parse_config",
-    "parse_rational",
-    "renewal_constant",
-    "residual_points",
-    "solve_similarity_dimension",
-    "to_float",
-    "window_density_sup",
-    "window_max_count",
-    "write_orbit_dump",
-]
+# module -> the names the package exports from it
+_EXPORTS = {
+    "config": ("RunConfig", "load_config", "parse_config"),
+    "dimension": (
+        "BoxCounts", "CoverCost", "DensityReport", "DimensionFit",
+        "DiscreteHausdorffReport", "RenewalEstimate", "SimilaritySolution",
+        "attractor_box_counts", "density_profile", "dual_attractor_hull",
+        "estimate_beurling_dimension", "estimate_box_dimension",
+        "estimate_discrete_hausdorff", "estimate_mass_dimension",
+        "integerize", "min_cover_cost", "renewal_constant",
+        "solve_similarity_dimension", "window_density_sup",
+    ),
+    "errors": ("BudgetExceededError", "ConfigError", "DomainError"),
+    "orbit": (
+        "CountingProfile", "OrbitSample", "OverlapMatrix", "counting_profile",
+        "enumerate_orbit", "min_gap", "overlap_probe", "residual_points",
+        "window_max_count", "write_orbit_dump",
+    ),
+    "padic": (
+        "BallClustering", "MassBoxComparison", "PAdicAttractorSample",
+        "PAdicBoxReport", "attractor_sample", "ball_count", "ball_counts",
+        "compare_mass_and_box", "mass_box_sandwich", "mass_versus_box",
+        "padic_attractor_box", "padic_box_dimension", "padic_distance",
+    ),
+    "rational": (
+        "PAdicValue", "check_prime", "format_rational", "is_prime",
+        "make_rational", "padic_valuation", "parse_rational", "to_float",
+    ),
+    "systems": (
+        "AffineMap", "PAdicSystem", "Rifs", "affine_map", "common_fixed_point",
+        "compose", "find_exact_overlaps", "fixed_point",
+        "has_incongruent_offsets", "make_padic_system", "make_system",
+        "min_word_separation",
+    ),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_OWNER)
+
+
+def __getattr__(name):
+    # Resolved on every access, never stored here: a name rebound in its
+    # module (a tracer's wrapper, and its removal) shows through at once.
+    # The modules of the table resolve too, so `rifslab.padic` needs no
+    # import of its own.
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _OWNER:
+        module = importlib.import_module(f"{__name__}.{_OWNER[name]}")
+        return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS, *__all__})

@@ -20,9 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConfigError
-from .padic import PAdicSystem
-from .rational import parse_rational
-from .systems import Rifs, make_system
+from .rational import check_prime, parse_rational
+from .systems import PAdicSystem, Rifs, make_system
 
 _TOP_KEYS = {
     "maps", "seed", "grid", "radius", "depths", "separation_max_n",
@@ -91,6 +90,11 @@ def _rat(value, field: str) -> Fraction:
         raise ConfigError(f"{field}: {exc}") from None
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: true and false are not, though bool subclasses int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _real(value, field: str) -> float:
     try:
         return float(value)
@@ -119,16 +123,20 @@ def _parse_padic(doc: dict, system: Rifs) -> PAdicSystem | None:
     for key in ("p", "exponents", "signs"):
         _require(key in block, f"padic.{key}: required")
     p = block["p"]
-    _require(isinstance(p, int), "padic.p: must be an integer")
+    _require(_is_int(p), "padic.p: must be an integer")
+    check_prime(p)  # before any power of p: 0**-1 divides by zero
     exponents, signs = block["exponents"], block["signs"]
     _require(isinstance(exponents, list) and isinstance(signs, list)
              and len(exponents) == len(signs) == system.m,
              "padic: exponents and signs must list one entry per map")
     terms = []
     for i, (m, e, sg) in enumerate(zip(system.maps, exponents, signs)):
-        _require(isinstance(e, int) and isinstance(sg, int),
+        _require(_is_int(e) and _is_int(sg),
                  f"padic entry {i}: exponent and sign must be integers")
-        _require(m.ratio == sg * Fraction(p) ** e,
+        # |ratio| = p**e needs e below the bit length of the numerator;
+        # checked first, so a huge e costs no power
+        _require(abs(e) < m.ratio.numerator.bit_length()
+                 and m.ratio == sg * Fraction(p) ** e,
                  f"padic entry {i}: sign {sg} * {p}^{e} does not equal "
                  f"the ratio of maps[{i}]")
         terms.append((sg, e, m.offset))
@@ -158,7 +166,7 @@ def parse_config(doc: dict) -> RunConfig:
     _require(base > 1, "grid.base: must exceed 1")
     kmin = grid.get("kmin", 1)
     kmax = grid.get("kmax", 12)
-    _require(isinstance(kmin, int) and isinstance(kmax, int)
+    _require(_is_int(kmin) and _is_int(kmax)
              and 0 <= kmin < kmax, "grid: needs integers 0 <= kmin < kmax")
 
     radius = (_rat(doc["radius"], "radius") if "radius" in doc
@@ -167,15 +175,15 @@ def parse_config(doc: dict) -> RunConfig:
 
     depths = doc.get("depths", [2, 4, 6, 8])
     _require(isinstance(depths, list) and depths
-             and all(isinstance(d, int) and d >= 1 for d in depths)
+             and all(_is_int(d) and d >= 1 for d in depths)
              and depths == sorted(depths),
              "depths: must be an ascending list of integers >= 1")
 
     separation_max_n = doc.get("separation_max_n", 8)
-    _require(isinstance(separation_max_n, int) and separation_max_n >= 1,
+    _require(_is_int(separation_max_n) and separation_max_n >= 1,
              "separation_max_n: must be an integer >= 1")
     overlap_scan_length = doc.get("overlap_scan_length", 6)
-    _require(isinstance(overlap_scan_length, int) and overlap_scan_length >= 1,
+    _require(_is_int(overlap_scan_length) and overlap_scan_length >= 1,
              "overlap_scan_length: must be an integer >= 1")
 
     tol = doc.get("tolerances", {})
@@ -207,7 +215,7 @@ def parse_config(doc: dict) -> RunConfig:
              "nu_range: must be an object with keys start, stop")
     nu_start = nu_range.get("start", 0)
     nu_stop = nu_range.get("stop", 18)
-    _require(isinstance(nu_start, int) and isinstance(nu_stop, int)
+    _require(_is_int(nu_start) and _is_int(nu_stop)
              and 0 <= nu_start < nu_stop,
              "nu_range: needs integers 0 <= start < stop")
     _require(nu_stop - nu_start < _MAX_NU_VALUES,
@@ -217,7 +225,7 @@ def parse_config(doc: dict) -> RunConfig:
     _require(cutoff > 1, "cutoff: must exceed 1")
 
     node_budget = doc.get("node_budget", 10_000_000)
-    _require(isinstance(node_budget, int) and node_budget >= 1,
+    _require(_is_int(node_budget) and node_budget >= 1,
              "node_budget: must be an integer >= 1")
 
     period = doc.get("density_period")

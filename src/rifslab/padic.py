@@ -18,11 +18,11 @@ from fractions import Fraction
 
 from .dimension import (DimensionFit, _loglog_fit, estimate_mass_dimension,
                         integerize)
-from .errors import BudgetExceededError, ConfigError, DomainError
+from .errors import BudgetExceededError, DomainError
 from .orbit import LatticePoints, OrbitSample, counting_profile, enumerate_orbit
 from .rational import (PAdicValue, _int_valuation, check_prime,
                        format_rational, padic_valuation)
-from .systems import Rifs, affine_map, fixed_point
+from .systems import PAdicSystem, fixed_point
 
 
 def padic_distance(x, y, p: int) -> PAdicValue:
@@ -117,44 +117,6 @@ def _ball_lattice(points, p: int, k: int):
     radius p**-k, since x - y = (a - b) / L."""
     ints, scale = integerize(points)
     return ints, p ** (k + padic_valuation(scale, p).valuation)
-
-
-@dataclass(frozen=True)
-class PAdicSystem:
-    """Expanding maps with ratios (-1)^sign_bit * p**exponent.
-
-    Archimedeanly this is an ordinary system (handled by the orbit
-    machinery); p-adically every map is a contraction by p**-exponent.
-    """
-
-    p: int
-    terms: tuple[tuple[int, int, Fraction], ...]  # (sign, exponent, offset)
-
-    def __post_init__(self):
-        check_prime(self.p)
-        if len(self.terms) < 2:
-            raise ConfigError("system needs at least 2 maps")
-        for i, (sign, exponent, _) in enumerate(self.terms):
-            if sign not in (1, -1):
-                raise ConfigError(f"terms[{i}]: sign must be +1 or -1")
-            if not isinstance(exponent, int) or exponent < 1:
-                raise ConfigError(f"terms[{i}]: exponent must be an integer >= 1")
-        self.archimedean()  # validates distinctness and expansion
-
-    def archimedean(self) -> Rifs:
-        return Rifs(tuple(
-            affine_map(Fraction(sign * self.p**exponent), offset)
-            for sign, exponent, offset in self.terms))
-
-    @property
-    def min_exponent(self) -> int:
-        return min(e for _, e, _ in self.terms)
-
-
-def make_padic_system(p: int, triples) -> PAdicSystem:
-    return PAdicSystem(p, tuple(
-        (int(sign), int(exponent), Fraction(offset))
-        for sign, exponent, offset in triples))
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,8 @@ coefficients and |r_i| > 1.  Words over the index alphabet compose maps;
 the inverse family contracts, and several diagnostics below (exact overlap
 scan, separation of inverse branches, residue test) probe whether distinct
 words can produce colliding values; the two scans walk words as int pairs.
+A `PAdicSystem` describes a system whose ratios are signed powers of one
+prime p, the form the p-adic statistics in `padic` work on.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetExceededError, ConfigError, DomainError
-from .rational import format_rational
+from .rational import check_prime, format_rational
 
 Word = tuple[int, ...]
 
@@ -106,6 +108,44 @@ class Rifs:
 def make_system(pairs) -> Rifs:
     """Build a system from (ratio, offset) pairs."""
     return Rifs(tuple(affine_map(r, b) for r, b in pairs))
+
+
+@dataclass(frozen=True)
+class PAdicSystem:
+    """Expanding maps with ratios (-1)^sign_bit * p**exponent.
+
+    Archimedeanly this is an ordinary system (handled by the orbit
+    machinery); p-adically every map is a contraction by p**-exponent.
+    """
+
+    p: int
+    terms: tuple[tuple[int, int, Fraction], ...]  # (sign, exponent, offset)
+
+    def __post_init__(self):
+        check_prime(self.p)
+        if len(self.terms) < 2:
+            raise ConfigError("system needs at least 2 maps")
+        for i, (sign, exponent, _) in enumerate(self.terms):
+            if sign not in (1, -1):
+                raise ConfigError(f"terms[{i}]: sign must be +1 or -1")
+            if not isinstance(exponent, int) or exponent < 1:
+                raise ConfigError(f"terms[{i}]: exponent must be an integer >= 1")
+        self.archimedean()  # validates distinctness and expansion
+
+    def archimedean(self) -> Rifs:
+        return Rifs(tuple(
+            affine_map(Fraction(sign * self.p**exponent), offset)
+            for sign, exponent, offset in self.terms))
+
+    @property
+    def min_exponent(self) -> int:
+        return min(e for _, e, _ in self.terms)
+
+
+def make_padic_system(p: int, triples) -> PAdicSystem:
+    return PAdicSystem(p, tuple(
+        (int(sign), int(exponent), Fraction(offset))
+        for sign, exponent, offset in triples))
 
 
 def check_word(system: Rifs, word: Word) -> None:

@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -106,11 +107,44 @@ def test_padic_block_cross_checked():
 
 
 def test_padic_block_must_match_maps():
-    doc = {"maps": [{"r": "3", "b": "0"}, {"r": "3", "b": "2"}],
-           "seed": "0",
-           "padic": {"p": 2, "exponents": [1, 1], "signs": [1, 1]}}
-    with pytest.raises(ConfigError, match="does not equal"):
-        parse_config(doc)
+    for block, message in (
+            ({"p": 2, "exponents": [1, 1], "signs": [1, 1]}, "does not equal"),
+            ({"p": 3, "exponents": [2, 1], "signs": [1, 1]}, "does not equal"),
+            ({"p": 3, "exponents": [-1, 1], "signs": [1, 1]},
+             "does not equal"),
+            ({"p": 3, "exponents": [1, 1], "signs": [-1, 1]},
+             "does not equal"),
+            ({"p": True, "exponents": [1, 1], "signs": [1, 1]},
+             "padic.p: must be an integer"),
+            ({"p": 3, "exponents": [True, 1], "signs": [1, 1]},
+             "padic entry 0: exponent and sign must be integers"),
+            ({"p": 3, "exponents": [1, 1], "signs": [True, 1]},
+             "padic entry 0: exponent and sign must be integers"),
+            ({"p": 4, "exponents": [1, 1], "signs": [1, 1]},
+             "p must be a prime"),
+            # checked before the power: 0**-1 would divide by zero
+            ({"p": 0, "exponents": [-1, 1], "signs": [1, 1]},
+             "p must be a prime")):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(cantor_doc(padic=block))
+
+
+def test_padic_exponent_is_bounded_before_the_power():
+    # 3**(10**7) took seconds to build before it was compared with the ratio
+    for e in (10**7, -10**7):
+        start = time.perf_counter()
+        with pytest.raises(ConfigError, match="padic entry 0: sign 1 \\* 3\\^"
+                           f"{e} does not equal the ratio of maps\\[0\\]"):
+            parse_config(cantor_doc(
+                padic={"p": 3, "exponents": [e, 1], "signs": [1, 1]}))
+        assert time.perf_counter() - start < 0.5
+    # a right exponent still passes, here with a 61-bit p and sign -1
+    p = 2**61 - 1
+    r = str(-p**3)
+    cfg = parse_config(cantor_doc(
+        maps=[{"r": r, "b": "0"}, {"r": r, "b": "1"}],
+        padic={"p": p, "exponents": [3, 3], "signs": [-1, -1]}))
+    assert cfg.padic.min_exponent == 3
 
 
 def test_padic_block_requires_all_keys():
@@ -177,7 +211,20 @@ def test_overrides_validate(tmp_path):
              "alpha_grid: needs 0 < start < stop"),
             ({"alpha_grid": {"start": "x", "stop": "1", "step": "0.1"}},
              "alpha_grid.start: must be a number"),
-            ({"out": ""}, "out: must be a path string")):
+            ({"out": ""}, "out: must be a path string"),
+            # JSON true and false are not integers, though bool subclasses int
+            ({"node_budget": True}, "node_budget: must be an integer >= 1"),
+            ({"grid": {"kmin": True}}, "grid: needs integers 0 <= kmin < kmax"),
+            ({"grid": {"kmax": True}}, "grid: needs integers 0 <= kmin < kmax"),
+            ({"depths": [True, 2]}, "depths: must be an ascending list"),
+            ({"separation_max_n": True},
+             "separation_max_n: must be an integer >= 1"),
+            ({"overlap_scan_length": True},
+             "overlap_scan_length: must be an integer >= 1"),
+            ({"nu_range": {"start": False, "stop": 4}},
+             "nu_range: needs integers 0 <= start < stop"),
+            ({"nu_range": {"stop": True}},
+             "nu_range: needs integers 0 <= start < stop")):
         with pytest.raises(ConfigError, match=message):
             load_patched(tmp_path, cantor_doc(), patch)
     assert load_patched(tmp_path, cantor_doc(), {}) == parse_config(
