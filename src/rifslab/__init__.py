@@ -40,11 +40,11 @@ _EXPORTS = {
     ),
     "rational": (
         "PAdicValue", "check_prime", "format_rational", "is_prime",
-        "make_rational", "padic_valuation", "parse_rational", "to_float",
+        "padic_valuation", "parse_rational",
     ),
     "systems": (
         "AffineMap", "PAdicSystem", "Rifs", "affine_map", "common_fixed_point",
-        "compose", "find_exact_overlaps", "fixed_point",
+        "find_exact_overlaps", "fixed_point",
         "has_incongruent_offsets", "make_padic_system", "make_system",
         "min_word_separation",
     ),

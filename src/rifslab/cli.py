@@ -18,6 +18,7 @@ import os
 import sys
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from functools import partial
 
 from . import __version__
 from .config import RunConfig, load_config
@@ -484,16 +485,17 @@ def _frag_report(ses: _Session, out_dir: str, args) -> dict:
 
     This process first computes what the analyses share, the similarity
     dimension and the orbit sample at the config's radius; an error there
-    is left for each fragment that needs them to record.  The analyses'
-    indices then go into one pipe, and W = min(_workers(), analyses)
-    copies of one loop drain it, one index at a time: this process runs
-    one copy and W - 1 forked children the others (`_run_forked`).  The
-    attractor walk may split again inside a fragment worker, into up to
-    _workers() processes, so at most W + _workers() - 1 processes are
+    is left for each fragment that needs them to record.  The analyses
+    then go to `_run_forked` as one task each, last first: the long ones
+    (cover table, attractor, density, p-adic) come late in _ANALYSES, so
+    they start first.  Up to _workers() processes, this one and forked
+    children, each take the next analysis whenever they are free.  The
+    attractor walk may split again inside an analysis, into up to
+    _workers() processes, so at most 2 * _workers() - 1 processes are
     alive at once (3 on 2 CPUs); the cover-cost table runs in its
-    worker.  Each fragment writes only its own artifact, and report.json
-    is assembled here in _ANALYSES order: every file is the same bytes on
-    any number of CPUs.
+    analysis's process.  Each fragment writes only its own artifact, and
+    report.json is assembled here in _ANALYSES order: every file is the
+    same bytes on any number of CPUs.
     """
     cfg = ses.cfg
     doc = {
@@ -506,30 +508,18 @@ def _frag_report(ses: _Session, out_dir: str, args) -> dict:
             shared()
         except _ABSORBED:
             pass
-    jobs = [i for i, (name, _) in enumerate(_ANALYSES)
-            if name != "padic" or cfg.padic is not None]
 
-    def drain() -> dict:
-        done = {}
-        while index := os.read(queue, 1):
-            name, builder = _ANALYSES[index[0]]
-            try:
-                done[name] = builder(ses, out_dir, args)
-            except _ABSORBED as exc:
-                done[name] = {"error": str(exc)}
-        return done
+    def run(builder) -> dict:
+        try:
+            return builder(ses, out_dir, args)
+        except _ABSORBED as exc:
+            return {"error": str(exc)}
 
+    jobs = {name: partial(run, builder)
+            for name, builder in reversed(_ANALYSES)
+            if name != "padic" or cfg.padic is not None}
     fragments = {"padic": {"skipped": "no padic block in config"}}
-    queue, write_fd = os.pipe()
-    try:
-        with os.fdopen(write_fd, "wb") as fh:
-            # the long analyses (cover table, attractor, density, p-adic)
-            # come late in _ANALYSES: queued from the end, they start first
-            fh.write(bytes(reversed(jobs)))
-        for done in _run_forked([drain] * min(_workers(), len(jobs))):
-            fragments.update(done)
-    finally:
-        os.close(queue)
+    fragments.update(zip(jobs, _run_forked(list(jobs.values()), _workers())))
     doc.update((name, fragments[name]) for name, _ in _ANALYSES)
     with open(os.path.join(out_dir, "report.json"), "w",
               encoding="utf-8") as fh:

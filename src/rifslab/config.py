@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .errors import ConfigError
 from .rational import check_prime, parse_rational
-from .systems import PAdicSystem, Rifs, make_system
+from .systems import PAdicSystem, Rifs, _is_int, make_system
 
 _TOP_KEYS = {
     "maps", "seed", "grid", "radius", "depths", "separation_max_n",
@@ -88,11 +88,6 @@ def _rat(value, field: str) -> Fraction:
         return parse_rational(value)
     except ConfigError as exc:
         raise ConfigError(f"{field}: {exc}") from None
-
-
-def _is_int(value) -> bool:
-    """A JSON integer: true and false are not, though bool subclasses int."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _real(value, field: str) -> float:

@@ -190,23 +190,42 @@ def _workers() -> int:
     return min(cpus, _MAX_WORKERS)
 
 
-def _run_forked(tasks) -> list:
+def _run_forked(tasks, workers: int) -> list:
     """Results of the zero-argument callables tasks, in order.
 
-    Two callers split their work with it: the attractor box walk and
-    `report`'s fragment workers.
+    Two callers split their work with it: the attractor box walk, one
+    task per subtree, and `report`, one task per analysis.
 
-    The first runs in this process and every other one in a forked child,
-    which pickles its result or its exception into a pipe and exits; once
-    a fork fails, the tasks left run here.  Every child is reaped before
-    this returns or raises, and the first exception of a child is
-    re-raised.
+    Up to `workers` processes, this one and forked children, take the
+    tasks from one queue in the order given, each the next one whenever
+    it is free.  The queue is a pipe filled before the first fork, one
+    byte per item of consecutive tasks and at most 256 items, so its
+    writer never blocks.  A child pickles the results of the tasks it
+    took, or its first exception, into a pipe of its own and exits; once
+    a fork fails, fewer processes drain the queue.  Every child is reaped
+    and every descriptor closed before this returns or raises, and the
+    first exception of a child is re-raised.
     """
+    if workers < 2 or len(tasks) < 2:
+        return [task() for task in tasks]
     import pickle
 
+    size = -(-len(tasks) // 256)  # tasks per item
+
+    def drain() -> list:
+        done = []
+        while item := os.read(queue, 1):
+            lo = item[0] * size
+            done += [(i, tasks[i]())
+                     for i in range(lo, min(lo + size, len(tasks)))]
+        return done
+
+    queue, write_fd = os.pipe()
     children = []
     try:
-        for task in tasks[1:]:
+        with os.fdopen(write_fd, "wb") as fh:
+            fh.write(bytes(range(-(-len(tasks) // size))))
+        for _ in range(min(workers, len(tasks)) - 1):
             read_fd, write_fd = os.pipe()
             try:
                 pid = os.fork()
@@ -218,7 +237,7 @@ def _run_forked(tasks) -> list:
                 try:
                     os.close(read_fd)
                     try:
-                        outcome = (True, task())
+                        outcome = (True, drain())
                     except BaseException as exc:
                         outcome = (False, exc)
                     data = pickle.dumps(outcome)
@@ -228,22 +247,22 @@ def _run_forked(tasks) -> list:
                     os._exit(0)
             os.close(write_fd)
             children.append((pid, read_fd))
-        mine = [task() for task in tasks[:1] + tasks[1 + len(children):]]
+        results = dict(drain())
     finally:
+        os.close(queue)
         received = []
         for pid, read_fd in children:
             with os.fdopen(read_fd, "rb") as pipe:
                 received.append(pipe.read())
             os.waitpid(pid, 0)
-    results = mine[:1]
     for data in received:
         if not data:
             raise RuntimeError("a forked child exited without a result")
         ok, value = pickle.loads(data)
         if not ok:
             raise value
-        results.append(value)
-    return results + mine[1:]
+        results.update(value)
+    return [results[i] for i in range(len(tasks))]
 
 
 # ---------------------------------------------------------------------------
@@ -570,16 +589,16 @@ def attractor_box_counts(system: Rifs, k_max: int, delta=None,
     no other thread runs).
     This process walks levels 1..k0, k0 the least level whose cut words
     each root a subtree of at most B / (8 * workers) leaves, but below
-    k_max.  The level-k0 cut words, in walk order, are cut into
-    contiguous chunks of equal total subtree bound.  The subtrees of the
-    first chunk are walked here and those of each other chunk in a forked
-    child, for the levels past k0, each chunk under a share of the budget
-    left in proportion to its bound.  A chunk sums each sweep level as
-    (count, first cell, end cell): a level's intervals arrive sorted
-    across chunks too, so consecutive chunks share at most the cell at
-    their border, and do exactly when the later one starts before the
-    earlier one ends.  Cell sets are united.  The counts and words_pushed
-    are those of the serial walk, whatever the number of processes.
+    k_max.  The subtrees of the level-k0 cut words are then one task
+    each, in walk order, on the queue of `_run_forked`: each process
+    walks the next one whenever it is free, for the levels past k0,
+    under a share of the budget left in proportion to its bound.  A
+    subtree sums each sweep level as (count, first cell, end cell): a
+    level's intervals arrive sorted across subtrees too, so consecutive
+    subtrees share at most the cell at their border, and do exactly when
+    the later one starts before the earlier one ends.  Cell sets are
+    united.  The counts and words_pushed are those of the serial walk,
+    whatever the number of processes.
     """
     if k_max < 1:
         raise DomainError("k_max must be >= 1")
@@ -643,23 +662,17 @@ def attractor_box_counts(system: Rifs, k_max: int, delta=None,
         # and its walk pushes at most m (B_w - 1) / (m - 1) words
         k0 = min(k_max - 1,
                  math.ceil(math.log(8 * workers) / (s * math.log(delta))))
-        # the level-k0 cut words, in walk order, root the chunks' subtrees
+        # the level-k0 cut words, in walk order, root the queued subtrees
         roots = []
         top = walk([root], levels[:k0 + 1] + levels[-1:], word_budget, roots)
         weights = [math.exp(log_bound - s * math.log(abs(p) / q)) - 1
                    for p, q, _, _ in roots]
-        ends = list(accumulate(weights))
-        total = ends[-1]
-        cuts = sorted({0, len(roots)}
-                      | {bisect_left(ends, total * i / workers) + 1
-                         for i in range(1, workers)})
         # budget shares in proportion to the push bounds: while the
-        # pre-check holds, no chunk exhausts its share
-        left = word_budget - top[1]
-        results = [top] + _run_forked([
-            partial(walk, roots[lo:hi], levels,
-                    int(left * math.fsum(weights[lo:hi]) / total))
-            for lo, hi in zip(cuts, cuts[1:]) if lo < hi])
+        # pre-check holds, no subtree exhausts its share
+        share = (word_budget - top[1]) / math.fsum(weights)
+        results = [top] + _run_forked(
+            [partial(walk, [r], levels, int(share * w))
+             for r, w in zip(roots, weights)], workers)
     return BoxCounts(delta=delta, hull=(u, v), ks=ks,
                      counts=tuple(_merge_box_pieces(
                          [pieces for pieces, _ in results], sweep)),

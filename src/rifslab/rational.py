@@ -3,8 +3,8 @@
 Every quantity that enters a set-membership, ordering or grid decision in
 this package is exact: exact rationals (``fractions.Fraction``), or
 integers on one lattice, as an orbit sample holds its points.  Floats
-appear only in estimator outputs, always through an explicitly lossy
-conversion such as :func:`to_float`.
+appear only in estimator outputs, each converted with ``float()`` at the
+last moment.
 """
 
 from __future__ import annotations
@@ -16,13 +16,6 @@ from fractions import Fraction
 from .errors import ConfigError, DomainError
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[+-]?\d+)?$")
-
-
-def make_rational(numerator: int, denominator: int = 1) -> Fraction:
-    """Return numerator/denominator in lowest terms with positive denominator."""
-    if denominator == 0:
-        raise DomainError("rational denominator must be nonzero")
-    return Fraction(numerator, denominator)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -48,11 +41,6 @@ def format_rational(x: Fraction) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
-
-
-def to_float(x) -> float:
-    """Round a rational to the nearest binary64 float.  Lossy by design."""
-    return float(x)
 
 
 # Miller-Rabin to the prime bases up to 41 decides primality exactly below

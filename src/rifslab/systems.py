@@ -44,9 +44,6 @@ class AffineMap:
         return f"{format_rational(self.ratio)}*x+{format_rational(self.offset)}"
 
 
-IDENTITY = AffineMap(Fraction(1), Fraction(0))
-
-
 def affine_map(ratio, offset) -> AffineMap:
     return AffineMap(Fraction(ratio), Fraction(offset))
 
@@ -110,9 +107,14 @@ def make_system(pairs) -> Rifs:
     return Rifs(tuple(affine_map(r, b) for r, b in pairs))
 
 
+def _is_int(value) -> bool:
+    """An int: true and false are not, though bool subclasses int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class PAdicSystem:
-    """Expanding maps with ratios (-1)^sign_bit * p**exponent.
+    """Expanding maps with ratios sign * p**exponent, sign +1 or -1.
 
     Archimedeanly this is an ordinary system (handled by the orbit
     machinery); p-adically every map is a contraction by p**-exponent.
@@ -126,9 +128,9 @@ class PAdicSystem:
         if len(self.terms) < 2:
             raise ConfigError("system needs at least 2 maps")
         for i, (sign, exponent, _) in enumerate(self.terms):
-            if sign not in (1, -1):
+            if not _is_int(sign) or sign not in (1, -1):
                 raise ConfigError(f"terms[{i}]: sign must be +1 or -1")
-            if not isinstance(exponent, int) or exponent < 1:
+            if not _is_int(exponent) or exponent < 1:
                 raise ConfigError(f"terms[{i}]: exponent must be an integer >= 1")
         self.archimedean()  # validates distinctness and expansion
 
@@ -143,28 +145,11 @@ class PAdicSystem:
 
 
 def make_padic_system(p: int, triples) -> PAdicSystem:
+    """Build a p-adic system from (sign, exponent, offset) triples; signs
+    and exponents must be ints, as `PAdicSystem` checks."""
     return PAdicSystem(p, tuple(
-        (int(sign), int(exponent), Fraction(offset))
+        (sign, exponent, Fraction(offset))
         for sign, exponent, offset in triples))
-
-
-def check_word(system: Rifs, word: Word) -> None:
-    for idx in word:
-        if not 1 <= idx <= system.m:
-            raise DomainError(f"word index {idx} outside 1..{system.m}")
-
-
-def compose(system: Rifs, word: Word) -> AffineMap:
-    """Compose f_{i1} o f_{i2} o ... o f_{in} for word (i1, ..., in).
-
-    Indices are 1-based.  The empty word gives the identity, which is the
-    one non-expanding map allowed out of this function.
-    """
-    check_word(system, word)
-    acc = IDENTITY
-    for idx in word:
-        acc = acc.after(system.maps[idx - 1])
-    return acc
 
 
 def common_fixed_point(system: Rifs) -> Fraction | None:

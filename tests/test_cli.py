@@ -262,7 +262,8 @@ def test_padic_counts_each_ball_level_once(tmp_path, capsys, monkeypatch):
 def test_padic_clusters_when_sandwich_refuses(tmp_path, capsys):
     # radius 64 holds the orbit 0..64 of {2x, 2x + 1}, but the sandwich
     # at k = 6 needs radius 128
-    doc = json.loads(open(binary_padic_config(tmp_path, kmax=6)).read())
+    with open(binary_padic_config(tmp_path, kmax=6)) as fh:
+        doc = json.load(fh)
     cfg = write_config(tmp_path, dict(doc, radius="64"), name="small.json")
     code, frag = run_json(capsys, ["padic", "--config", cfg, "--depth", "8",
                                    "--out", str(tmp_path / "out")])

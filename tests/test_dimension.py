@@ -3,9 +3,11 @@ import math
 import os
 import random
 import threading
+import time
 import tracemalloc
 import warnings
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -399,13 +401,18 @@ def test_split_box_walk_reaps_its_children(renewal_system, count_forks,
 
 
 def test_split_box_walk_raises_a_childs_error(renewal_system, monkeypatch,
-                                              assert_no_child_left):
+                                              tmp_path, assert_no_child_left):
     parent = os.getpid()
     walk = dimension._box_walk
+    ran = tmp_path / "ran_in_a_child"
 
     def over_budget_in_children(*args):
         if os.getpid() != parent:
+            ran.touch()
             raise BudgetExceededError("box counting walked more than 7 words")
+        if args[-1] is None:
+            # a queued subtree: hold it here until a child has taken one
+            wait_for(ran.exists)
         return walk(*args)
 
     monkeypatch.setattr(dimension, "_box_walk", over_budget_in_children)
@@ -414,6 +421,82 @@ def test_split_box_walk_raises_a_childs_error(renewal_system, monkeypatch,
         with split_walk(3), pytest.raises(BudgetExceededError,
                                           match="more than 7 words"):
             attractor_box_counts(renewal_system, 8)
+    assert_no_child_left()
+
+
+def wait_for(condition, seconds=60):
+    deadline = time.monotonic() + seconds
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.01)
+
+
+def open_descriptors():
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("no /proc/self/fd to count descriptors in")
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_forked_tasks_return_in_task_order(workers, count_forks,
+                                           assert_no_child_left):
+    before = open_descriptors()
+    results = dimension._run_forked(
+        [partial(pow, i, 2) for i in range(7)], workers)
+    assert results == [i * i for i in range(7)]
+    assert len(count_forks) == workers - 1
+    assert open_descriptors() == before
+    assert_no_child_left()
+
+
+def test_forked_tasks_go_to_whichever_process_is_free(tmp_path, count_forks,
+                                                      assert_no_child_left):
+    # the first task waits for every other one: it returns only if the
+    # other process takes them all from the queue
+    done = [tmp_path / str(i) for i in range(1, 6)]
+
+    def first():
+        wait_for(lambda: all(path.exists() for path in done))
+        return os.getpid()
+
+    def other(path):
+        path.touch()
+        return os.getpid()
+
+    pids = dimension._run_forked(
+        [first] + [partial(other, path) for path in done], 2)
+    assert len(count_forks) == 1
+    assert set(pids) == {os.getpid(), *count_forks}
+    assert pids[0] not in pids[1:]
+    assert len(set(pids[1:])) == 1
+    assert_no_child_left()
+
+
+def test_forked_tasks_past_the_queue_pipe_size(count_forks,
+                                               assert_no_child_left):
+    # far more tasks than one-byte queue items can name
+    tasks = [partial(int, i) for i in range(40_000)]
+    assert dimension._run_forked(tasks, 3) == list(range(40_000))
+    assert len(count_forks) == 2
+    assert_no_child_left()
+
+
+def test_forked_tasks_raise_a_childs_error(tmp_path, count_forks,
+                                           assert_no_child_left):
+    parent = os.getpid()
+    ran = tmp_path / "ran_in_a_child"
+
+    def failing_in_children():
+        if os.getpid() != parent:
+            ran.touch()
+            raise ZeroDivisionError("task failed in a child")
+        # hold this process's task until a child has taken one
+        wait_for(ran.exists)
+
+    before = open_descriptors()
+    with pytest.raises(ZeroDivisionError, match="failed in a child"):
+        dimension._run_forked([failing_in_children] * 4, 2)
+    assert len(count_forks) == 1
+    assert open_descriptors() == before
     assert_no_child_left()
 
 

@@ -10,6 +10,7 @@ from rifslab import (
     BudgetExceededError,
     ConfigError,
     DomainError,
+    PAdicSystem,
     attractor_sample,
     ball_count,
     ball_counts,
@@ -175,6 +176,13 @@ def test_padic_system_rejections():
         make_padic_system(2, [(2, 1, Fraction(0)), (1, 1, Fraction(1))])
     with pytest.raises(ConfigError, match="distinct"):
         make_padic_system(2, [(1, 1, Fraction(0)), (1, 1, Fraction(0))])
+    # a bool is no sign or exponent, and an exponent is not truncated
+    with pytest.raises(ConfigError, match="sign"):
+        PAdicSystem(3, ((True, True, Fraction(0)), (1, 1, Fraction(2))))
+    with pytest.raises(ConfigError, match="exponent"):
+        PAdicSystem(3, ((1, True, Fraction(0)), (1, 1, Fraction(2))))
+    with pytest.raises(ConfigError, match="exponent"):
+        make_padic_system(3, [(1, 1.7, 0), (1, 1, 2)])
 
 
 def test_padic_archimedean_bridge(binary_padic_system):

@@ -9,22 +9,9 @@ from rifslab import (
     check_prime,
     format_rational,
     is_prime,
-    make_rational,
     padic_valuation,
     parse_rational,
-    to_float,
 )
-
-
-def test_make_rational_normalizes():
-    assert make_rational(4, 6) == Fraction(2, 3)
-    assert make_rational(3, -6) == Fraction(-1, 2)
-    assert make_rational(7) == Fraction(7)
-
-
-def test_make_rational_rejects_zero_denominator():
-    with pytest.raises(DomainError):
-        make_rational(1, 0)
 
 
 @pytest.mark.parametrize("text,expected", [
@@ -59,11 +46,6 @@ def test_format_roundtrip():
 def test_format_integers_bare():
     assert format_rational(Fraction(6, 3)) == "2"
     assert format_rational(Fraction(-5, 10)) == "-1/2"
-
-
-def test_to_float():
-    assert to_float(Fraction(1, 2)) == 0.5
-    assert to_float(Fraction(1, 3)) == 1 / 3
 
 
 def test_is_prime_small_table():

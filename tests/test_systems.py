@@ -11,7 +11,6 @@ from rifslab import (
     DomainError,
     affine_map,
     common_fixed_point,
-    compose,
     find_exact_overlaps,
     fixed_point,
     has_incongruent_offsets,
@@ -83,18 +82,6 @@ def test_escape_radius():
     assert system.escape_radius == 1
     wide = make_system([(Fraction(2), Fraction(10)), (Fraction(3), Fraction(0))])
     assert wide.escape_radius == 10
-
-
-def test_compose_applies_left_to_right(cantor_system):
-    # word (1, 2) means f1 after f2
-    f = compose(cantor_system, (1, 2))
-    x = Fraction(5)
-    f1, f2 = cantor_system.maps
-    assert f(x) == f1(f2(x))
-    with pytest.raises(DomainError):
-        compose(cantor_system, (0,))
-    with pytest.raises(DomainError):
-        compose(cantor_system, (3,))
 
 
 def test_common_fixed_point_degenerate():
