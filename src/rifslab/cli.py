@@ -83,8 +83,11 @@ def _fit_dict(fit: DimensionFit) -> dict:
     }
 
 
-def _tail_window(length: int, width: int = 10) -> tuple[int, int]:
-    return (max(0, length - width), length)
+_TAIL_WIDTH = 10  # the last grid entries a fit or a density tail reads
+
+
+def _tail_window(length: int) -> tuple[int, int]:
+    return (max(0, length - _TAIL_WIDTH), length)
 
 
 class _Session:
@@ -132,17 +135,14 @@ def _frag_diagnose(ses: _Session, out_dir: str, args) -> dict:
     for n in range(1, cfg.separation_max_n + 1):
         sep = min_word_separation(cfg.system, n,
                                   word_budget=cfg.node_budget)
-        rate = None
-        if sep is not None and sep != 0:
-            rate = -math.log(float(sep)) / n
+        # no rate for an empty minimum (None) or an exact overlap (0)
+        rate = -math.log(float(sep)) / n if sep else None
         table.append({
             "n": n,
             "delta": format_rational(sep) if sep is not None else None,
             "rate": rate,
         })
-    witness = None
-    if overlaps:
-        witness = [list(overlaps[0][0]), list(overlaps[0][1])]
+    witness = [list(word) for word in overlaps[0]] if overlaps else None
     return {
         "degenerate": degenerate_at is not None,
         "degenerate_at": (format_rational(degenerate_at)
@@ -174,14 +174,11 @@ def _frag_orbit(ses: _Session, out_dir: str, args) -> dict:
     write_orbit_dump(sample, os.path.join(out_dir, "orbit.txt"))
     gap = min_gap(sample)
     depths = _probe_depths(cfg, args)
-    matrices = []
-    for m in overlap_probe(cfg.system, cfg.seed, depths, cfg.node_budget):
-        matrices.append({
-            "depth": m.depth,
-            "orbit_size": m.truncated_orbit_size,
-            "cells": [list(row) for row in m.cells],
-            "max_offdiagonal": m.max_offdiagonal,
-        })
+    matrices = [{"depth": m.depth, "orbit_size": m.truncated_orbit_size,
+                 "cells": [list(row) for row in m.cells],
+                 "max_offdiagonal": m.max_offdiagonal}
+                for m in overlap_probe(cfg.system, cfg.seed, depths,
+                                       cfg.node_budget)]
     frag = {
         "size": len(sample.lattice),
         "complete": sample.complete,
@@ -266,8 +263,10 @@ def _frag_attractor(ses: _Session, out_dir: str, args) -> dict:
     }
 
 
-def _density_grid(cfg: RunConfig, sample, ratio, periods: int = 3,
-                  fill: int = 40,
+_DENSITY_PERIODS, _DENSITY_FILL = 3, 40  # periods filled, steps in each
+
+
+def _density_grid(cfg: RunConfig, sample, ratio,
                   max_jumps: int = 200_000) -> CountingProfile:
     """Counting profile for the density report: a linear fill of each
     period plus every orbit jump in the span, so the tail extrema and the
@@ -292,9 +291,10 @@ def _density_grid(cfg: RunConfig, sample, ratio, periods: int = 3,
         lo = fills[_tail_window(len(fills))[0]]
         q = 1
     else:
-        fills = [top / ratio ** (t + 1) * (1 + i * (ratio - 1) / fill)
-                 for t in range(periods) for i in range(fill + 1)]
-        lo = top / ratio**periods
+        fills = [top / ratio ** (t + 1) * (1 + i * (ratio - 1) / _DENSITY_FILL)
+                 for t in range(_DENSITY_PERIODS)
+                 for i in range(_DENSITY_FILL + 1)]
+        lo = top / ratio**_DENSITY_PERIODS
         q = ratio.denominator
     scale = sample.scale
     den = math.lcm(scale * q, *(x.denominator for x in fills))
@@ -353,6 +353,24 @@ def _frag_density(ses: _Session, out_dir: str, args) -> dict:
     }
 
 
+# the keys of the renewal fragment that renewal.txt holds, in order
+_RENEWAL_TXT = ("value", "tail_bound", "cutoff", "tail_density_sup", "s",
+                "residual_points", "conditional", "probe_depths",
+                "overlaps_observed", "residue_criterion", "min_gap")
+
+
+def _txt(value) -> str:
+    """A fragment value as renewal.txt writes it: a float to 17 digits, a
+    list joined by commas, true, false and none in lower case."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return _f(value)
+    if isinstance(value, list):
+        return ",".join(map(str, value))
+    return "none" if value is None else str(value)
+
+
 def _frag_renewal(ses: _Session, out_dir: str, args) -> dict:
     cfg = ses.cfg
     system = cfg.system
@@ -367,8 +385,6 @@ def _frag_renewal(ses: _Session, out_dir: str, args) -> dict:
     gap = min_gap(sample)
     depths = _probe_depths(cfg, args)
     probe = overlap_probe(system, cfg.seed, depths, cfg.node_budget)
-    overlaps_observed = any(m.max_offdiagonal > 0 for m in probe)
-    residue = has_incongruent_offsets(system)
     frag = {
         "value": estimate.value,
         "tail_bound": estimate.tail_bound,
@@ -378,28 +394,16 @@ def _frag_renewal(ses: _Session, out_dir: str, args) -> dict:
         "residual_points": [format_rational(y) for y in residuals],
         "conditional": True,
         "probe_depths": list(depths),
-        "overlaps_observed": overlaps_observed,
-        "residue_criterion": residue,
+        "overlaps_observed": any(m.max_offdiagonal > 0 for m in probe),
+        "residue_criterion": has_incongruent_offsets(system),
         "min_gap": format_rational(gap) if gap is not None else None,
         "radius": format_rational(sample.radius),
         "file": "renewal.txt",
     }
-    lines = [
-        f"value = {_f(estimate.value)}",
-        f"tail_bound = {_f(estimate.tail_bound)}",
-        f"cutoff = {_f(estimate.cutoff)}",
-        f"tail_density_sup = {_f(estimate.tail_density_sup)}",
-        f"s = {_f(s)}",
-        "residual_points = " + ",".join(frag["residual_points"]),
-        "conditional = true",
-        "probe_depths = " + ",".join(str(d) for d in depths),
-        f"overlaps_observed = {'true' if overlaps_observed else 'false'}",
-        f"residue_criterion = {'true' if residue else 'false'}",
-        f"min_gap = {frag['min_gap'] if gap is not None else 'none'}",
-    ]
     with open(os.path.join(out_dir, "renewal.txt"), "w",
               encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("".join(f"{key} = {_txt(frag[key])}\n"
+                         for key in _RENEWAL_TXT))
     return frag
 
 
@@ -464,19 +468,6 @@ def _frag_padic(ses: _Session, out_dir: str, args) -> dict:
     return frag
 
 
-_ANALYSES = (
-    ("similarity", _frag_solve_s),
-    ("diagnosis", _frag_diagnose),
-    ("orbit", _frag_orbit),
-    ("dims", _frag_dims),
-    ("discrete_hausdorff", _frag_dhd),
-    ("attractor", _frag_attractor),
-    ("density", _frag_density),
-    ("renewal", _frag_renewal),
-    ("padic", _frag_padic),
-)
-
-
 _ABSORBED = (ConfigError, DomainError, BudgetExceededError)
 
 
@@ -527,31 +518,28 @@ def _frag_report(ses: _Session, out_dir: str, args) -> dict:
     return doc
 
 
-_DISPATCH = {
-    "solve-s": _frag_solve_s,
-    "diagnose": _frag_diagnose,
-    "orbit": _frag_orbit,
-    "dims": _frag_dims,
-    "dhd": _frag_dhd,
-    "attractor": _frag_attractor,
-    "density": _frag_density,
-    "renewal": _frag_renewal,
-    "padic": _frag_padic,
-    "report": _frag_report,
-}
+# (subcommand, key in report.json or None, builder, help), in report order
+_COMMANDS = (
+    ("solve-s", "similarity", _frag_solve_s, "solve the similarity dimension"),
+    ("diagnose", "diagnosis", _frag_diagnose,
+     "degeneracy, exact overlaps, separation table"),
+    ("orbit", "orbit", _frag_orbit, "enumerate the orbit and dump it"),
+    ("dims", "dims", _frag_dims, "mass and window-maximum dimension fits"),
+    ("dhd", "discrete_hausdorff", _frag_dhd,
+     "cover-cost table and discrete Hausdorff estimates"),
+    ("attractor", "attractor", _frag_attractor,
+     "dual attractor hull and box counts"),
+    ("density", "density", _frag_density,
+     "normalized counts, extrema, periodicity"),
+    ("renewal", "renewal", _frag_renewal,
+     "density constant with tail bound and evidence"),
+    ("padic", "padic", _frag_padic,
+     "ball clustering, p-adic box fit, mass-vs-box check"),
+    ("report", None, _frag_report, "run every analysis into one report.json"),
+)
 
-_HELP = {
-    "solve-s": "solve the similarity dimension",
-    "diagnose": "degeneracy, exact overlaps, separation table",
-    "orbit": "enumerate the orbit and dump it",
-    "dims": "mass and window-maximum dimension fits",
-    "dhd": "cover-cost table and discrete Hausdorff estimates",
-    "attractor": "dual attractor hull and box counts",
-    "density": "normalized counts, extrema, periodicity",
-    "renewal": "density constant with tail bound and evidence",
-    "padic": "ball clustering, p-adic box fit, mass-vs-box check",
-    "report": "run every analysis into one report.json",
-}
+# (key, builder) per analysis; _frag_report reads it at call time
+_ANALYSES = tuple((key, builder) for _, key, builder, _ in _COMMANDS if key)
 
 
 def _parse_alpha_grid(text: str) -> dict:
@@ -601,8 +589,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--cutoff", metavar="X",
                         help="override the renewal truncation (rational)")
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for name in _DISPATCH:
-        subparsers.add_parser(name, parents=[common], help=_HELP[name])
+    for name, _, _, text in _COMMANDS:
+        subparsers.add_parser(name, parents=[common], help=text)
     return parser
 
 
@@ -614,7 +602,8 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, _config_patch(args))
         session = _Session(cfg)
         os.makedirs(cfg.out_dir, exist_ok=True)
-        fragment = _DISPATCH[args.command](session, cfg.out_dir, args)
+        builder = {name: b for name, _, b, _ in _COMMANDS}[args.command]
+        fragment = builder(session, cfg.out_dir, args)
         print(json.dumps(fragment, indent=2, sort_keys=True))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

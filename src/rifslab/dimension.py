@@ -21,7 +21,7 @@ from itertools import accumulate, zip_longest
 from .errors import BudgetExceededError, ConfigError, DomainError
 from .orbit import (CountingProfile, LatticePoints, OrbitSample,
                     window_max_count)
-from .rational import format_rational
+from .rational import format_rational, on_lattice
 from .systems import Rifs, common_fixed_point, fixed_point
 
 
@@ -36,19 +36,27 @@ class SimilaritySolution:
     iterations: int
 
 
-def solve_similarity_dimension(ratios, tolerance: float = 1e-12,
-                               max_iterations: int = 200) -> SimilaritySolution:
+_MAX_BISECTIONS = 200
+
+
+def solve_similarity_dimension(ratios,
+                               tolerance: float = 1e-12) -> SimilaritySolution:
     """Solve sum |r_i|**(-s) = 1 by bisection.
 
     The left side is strictly decreasing in s, equals m >= 2 at s = 0 and
     tends to 0, so the root is unique.  Stops when the residual drops to
-    the tolerance or the iteration cap is reached.
+    the tolerance or after _MAX_BISECTIONS steps.  A ratio of magnitude
+    above 1 that binary64 rounds to 1 is refused as a DomainError.
     """
-    mags = [abs(float(r)) for r in ratios]
-    if len(mags) < 2:
+    ratios = list(ratios)
+    if len(ratios) < 2:
         raise ConfigError("need at least 2 ratios")
-    if any(r <= 1 for r in mags):
+    if any(abs(r) <= 1 for r in ratios):
         raise ConfigError("ratio magnitude must exceed 1")
+    mags = [abs(float(r)) for r in ratios]
+    if 1.0 in mags:
+        raise DomainError(f"ratio {ratios[mags.index(1.0)]} exceeds 1 in "
+                          "magnitude, but binary64 cannot tell it from 1")
 
     def excess(s: float) -> float:
         return math.fsum(r**-s for r in mags) - 1.0
@@ -62,7 +70,7 @@ def solve_similarity_dimension(ratios, tolerance: float = 1e-12,
     iterations = 0
     best = hi
     best_res = abs(excess(hi))
-    while iterations < max_iterations:
+    while iterations < _MAX_BISECTIONS:
         mid = 0.5 * (lo + hi)
         res = excess(mid)
         iterations += 1
@@ -167,9 +175,11 @@ def estimate_beurling_dimension(sample: OrbitSample, h_grid,
 # work across processes
 
 
-# A fork and a pickled result cost about 3 ms and a walk of 50,000 pushes
-# about 60 ms: smaller walks stay in one process.  The cover-cost table
-# never forks: inside `report` it already runs beside the other analyses.
+# Box walks of {2x, 3x+1}, 2-core VM, Python 3.11: a split adds 3.5 ms
+# (4.6 ms in a 39 MB heap) and breaks even alone between push bounds of
+# 11,500 and 27,000, but inside `report`, beside the other analyses, it
+# made reports with bounds of 16,000 and 27,000 5% slower.  The cover-cost
+# table never forks: inside `report` it runs beside the other analyses.
 _SPLIT_PUSHES = 50_000
 _MAX_WORKERS = 8
 
@@ -453,9 +463,11 @@ class DiscreteHausdorffReport:
         return [p for a, _, _, p in self.rows if a == alpha]
 
 
+_STABILIZATION_TERMS = 4  # the last costs each estimate reads
+
+
 def estimate_discrete_hausdorff(points, alpha_grid, n_values,
-                                tau: float = 0.05,
-                                stabilization_terms: int = 4) -> DiscreteHausdorffReport:
+                                tau: float = 0.05) -> DiscreteHausdorffReport:
     """Tabulate cover costs over growing cubes and read off the two
     finite-scale dimension estimates.
 
@@ -486,7 +498,7 @@ def estimate_discrete_hausdorff(points, alpha_grid, n_values,
                  for inside, n in zip(slices, n_values)]
         rows += [(alpha, n, cost, running) for n, cost, running
                  in zip(n_values, costs, accumulate(costs))]
-        tail[alpha] = costs[-stabilization_terms:]
+        tail[alpha] = costs[-_STABILIZATION_TERMS:]
 
     if not pts:
         return DiscreteHausdorffReport(0.0, 0.0, alpha_grid, tuple(n_values),
@@ -517,10 +529,8 @@ def integerize(points) -> tuple[list[int], int]:
     """
     if isinstance(points, LatticePoints):
         return points.lattice, points.scale
-    values = [p if isinstance(p, (int, Fraction)) else Fraction(p)
-              for p in points]
-    scale = math.lcm(*{v.denominator for v in values})
-    return sorted(v.numerator * (scale // v.denominator) for v in values), scale
+    ints, scale = on_lattice(points)
+    return sorted(ints), scale
 
 
 # ---------------------------------------------------------------------------
@@ -565,9 +575,10 @@ def attractor_box_counts(system: Rifs, k_max: int, delta=None,
     positive length are counted.
 
     The walk is exact and runs on integers.  With r_j = p_j / q_j, b_j the
-    offsets and L the lcm of their denominators, the inverse composition
-    of a word w is g_w(x) = (x + e / (Q L)) / (P / Q), held as the triple
-    (P, Q, e); appending map j gives (P p_j, Q q_j, p_j e - b_j L q_j Q).
+    offsets and L**-1 Z the lattice of the offsets and of u and v
+    (`Rifs.on_lattice`), the inverse composition of a word w is
+    g_w(x) = (x + e / (Q L)) / (P / Q), held as the triple (P, Q, e);
+    appending map j gives (P p_j, Q q_j, p_j e - b_j L q_j Q).
 
     One depth-first walk serves every level: a word adds its interval to
     each level whose cut set it belongs to, and is expanded while some
@@ -621,24 +632,19 @@ def attractor_box_counts(system: Rifs, k_max: int, delta=None,
     if u == v:
         return BoxCounts(delta=delta, hull=(u, v), ks=ks, counts=(1,) * k_max,
                          words_pushed=0)
-    offset_den = math.lcm(*(m.offset.denominator for m in system.maps))
-    gens = [(m.ratio.numerator, m.ratio.denominator,
-             int(m.offset * offset_den) * m.ratio.denominator)
-            for m in system.maps]
-    # u = nu / hull_den and v = nv / hull_den; the cell side is
-    # (nv - nu) / (hull_den * delta**k)
-    hull_den = math.lcm(u.denominator, v.denominator)
-    nu, nv = int(u * hull_den), int(v * hull_den)
-    ul, vl = nu * offset_den, nv * offset_den
-    span = offset_den * (nv - nu)
+    # on the lattice L**-1 Z of the offsets and the hull, u = ul / L,
+    # v = vl / L, and the cell side is (vl - ul) / (L delta**k)
+    _, maps, (ul, vl) = system.on_lattice(u, v)
+    gens = [(p, q, bl * q) for p, q, bl in maps]
+    span = vl - ul
     # level k at index k as (a_k, b_k, b_k * span), delta**k = a_k / b_k;
     # the entry past k_max cuts no word, so every scan of the levels ends
     levels = [None] + [(t.numerator, t.denominator, t.denominator * span)
                        for t in (delta**k for k in ks)] + [(1, 0, 0)]
 
-    # g_j([u, v]) scaled by offset_den * hull_den: the word (p_j, q_j, -bq)
-    images = [tuple(sorted((Fraction(ul * qj - bq * hull_den, pj),
-                            Fraction(vl * qj - bq * hull_den, pj))))
+    # g_j([u, v]) scaled by L: the word (p_j, q_j, -bq)
+    images = [tuple(sorted((Fraction(ul * qj - bq, pj),
+                            Fraction(vl * qj - bq, pj))))
               for pj, qj, bq in gens]
     order = sorted(range(len(gens)), key=images.__getitem__)
     sweep = all(images[i][1] <= images[j][0]
@@ -649,7 +655,7 @@ def attractor_box_counts(system: Rifs, k_max: int, delta=None,
 
     def walk(roots, levels, budget, frontier=None):
         return _box_walk(roots, levels, push_rising, push_falling, ul, vl,
-                         hull_den, sweep, budget, frontier)
+                         sweep, budget, frontier)
 
     root = (1, 1, 0, 1)  # the empty word, never a cut word
     workers = _workers() if pushes >= _SPLIT_PUSHES and k_max > 1 else 1
@@ -679,8 +685,8 @@ def attractor_box_counts(system: Rifs, k_max: int, delta=None,
                      words_pushed=sum(n for _, n in results))
 
 
-def _box_walk(roots, levels, push_rising, push_falling, ul, vl, hull_den,
-              sweep, budget, frontier=None):
+def _box_walk(roots, levels, push_rising, push_falling, ul, vl, sweep,
+              budget, frontier=None):
     """Walk the subtrees of roots, words held as (P, Q, e, first level not
     yet cut at), one after another, for the levels of levels (whose first
     and last entries are guards).
@@ -705,10 +711,9 @@ def _box_walk(roots, levels, push_rising, push_falling, ul, vl, hull_den,
         a_k, b_k, scale = levels[k]
         mag = abs(p)
         if mag * b_k >= a_k * q:
-            # g_w(u) / side = (ul q + e hull_den) a_k / (p scale)
-            ed = e * hull_den
-            lo = ul * q + ed
-            hi = vl * q + ed
+            # g_w(u) / side = (ul q + e) a_k / (p scale)
+            lo = ul * q + e
+            hi = vl * q + e
             if p < 0:
                 lo, hi = hi, lo
             while True:
@@ -977,13 +982,11 @@ def renewal_constant(system: Rifs, sample: OrbitSample, residuals, s: float,
 
     pts = sample.lattice
     scale = sample.scale
-    # for x = a / L and a map (p / q) x + n / d: r x = p a / (q L) and
-    # r x + b = (p d a + n q L) / (q L d)
-    maps = [(m.ratio.numerator, m.ratio.denominator * scale,
-             m.ratio.numerator * m.offset.denominator,
-             m.offset.numerator * m.ratio.denominator * scale,
-             m.ratio.denominator * scale * m.offset.denominator)
-            for m in system.maps]
+    # for x = a / L, offsets on D**-1 Z and a map (p / q) x + n / D:
+    # r x = p a / (q L) and r x + b = (p D a + n q L) / (q L D)
+    d, maps, _ = system.on_lattice()
+    maps = [(p, q * scale, p * d, n * q * scale, q * scale * d)
+            for p, q, n in maps]
 
     # the open interval (-1, 1) holds the lattice points -L < a < L
     near = pts[bisect_right(pts, -scale):bisect_left(pts, scale)]

@@ -40,7 +40,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import BudgetExceededError, DomainError
-from .rational import format_rational
+from .rational import format_rational, on_lattice
 from .systems import Rifs
 
 DEFAULT_NODE_BUDGET = 10_000_000
@@ -174,14 +174,10 @@ def enumerate_orbit(system: Rifs, seed, radius, *,
 
     # x is held as the int a = x * scale, and (p/q) x + b sends it to
     # p a / q + b * scale
-    scale = math.lcm(seed.denominator,
-                     *(m.offset.denominator for m in system.maps))
-    maps = [(m.ratio.numerator, m.ratio.denominator,
-             m.offset.numerator * (scale // m.offset.denominator))
-            for m in system.maps]
+    scale, maps, start = system.on_lattice(seed)
     cap = cap_num * scale // cap_den
     seen = set()
-    queue = deque([seed.numerator * (scale // seed.denominator)])
+    queue = deque(start)
     used = 0
     complete = True
     while queue:
@@ -243,9 +239,7 @@ def counting_profile(sample: OrbitSample, grid) -> CountingProfile:
         raise DomainError(
             f"grid value {format_rational(grid[-1])} exceeds verified radius "
             f"{format_rational(sample.radius)}")
-    scale = math.lcm(*(h.denominator for h in grid))
-    return sample.profile([h.numerator * (scale // h.denominator) for h in grid],
-                          scale)
+    return sample.profile(*on_lattice(grid))
 
 
 def window_max_count(sample: OrbitSample, h) -> tuple[int, Fraction | None]:
@@ -322,16 +316,12 @@ def overlap_probe(system: Rifs, seed, depths,
         if total > node_budget:
             raise BudgetExceededError(f"depth {depth} needs up to {total} "
                                       f"nodes, budget is {node_budget}")
-    seed = Fraction(seed)
     top = depths[-1]
-    scale = (math.lcm(seed.denominator,
-                      *(m.offset.denominator for m in system.maps))
-             * math.lcm(*(m.ratio.denominator for m in system.maps))
-             ** (top + 1))
-    maps = [(m.ratio.numerator, m.ratio.denominator,
-             m.offset.numerator * (scale // m.offset.denominator))
-            for m in system.maps]
-    fresh = [{seed.numerator * (scale // seed.denominator)}]
+    _, maps, (start,) = system.on_lattice(seed)
+    # multiply the lattice by Q**(top + 1)
+    g = on_lattice(m.ratio for m in system.maps)[1] ** (top + 1)
+    maps = [(p, q, shift * g) for p, q, shift in maps]
+    fresh = [{start * g}]
     orbit = set()
     images = [set() for _ in maps]
     out = []

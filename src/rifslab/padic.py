@@ -158,18 +158,14 @@ def attractor_sample(system: PAdicSystem, seed, depth: int | None = None,
         raise BudgetExceededError(
             f"depth {depth} needs {m**depth} words, budget is {node_budget}")
     seed = Fraction(seed)
-    p = system.p
-    scale = math.lcm(seed.denominator,
-                     *(b.denominator for _, _, b in system.terms))
-    maps = [(sign * p**exponent, b.numerator * (scale // b.denominator))
-            for sign, exponent, b in system.terms]
-    layer = {seed.numerator * (scale // seed.denominator)}
+    scale, maps, start = system.archimedean().on_lattice(seed)
+    layer = set(start)
     for _ in range(depth):
-        layer = {r * a + shift for r, shift in maps for a in layer}
+        layer = {r * a + shift for r, _, shift in maps for a in layer}
     return PAdicAttractorSample(
         system=system, seed=seed, depth=depth, lattice=sorted(layer),
-        scale=scale,
-        certified_k=depth * system.min_exponent - _int_valuation(scale, p))
+        scale=scale, certified_k=(depth * system.min_exponent
+                                  - _int_valuation(scale, system.p)))
 
 
 @dataclass(frozen=True)
@@ -194,6 +190,8 @@ def padic_box_dimension(points, p: int, k_values,
             f"level {k_values[-1]} exceeds the certified resolution "
             f"{certified_k} of this sample")
     counts = [ball_count(points, p, k).count for k in k_values]
+    if min(counts) < 1:
+        raise DomainError("p-adic box fit needs a nonempty sample")
     log_p = math.log(p)
     fit = _loglog_fit([k * log_p for k in k_values],
                       [math.log(c) for c in counts],

@@ -9,6 +9,7 @@ last moment.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,6 +34,16 @@ def parse_rational(text: str) -> Fraction:
             raise ConfigError(f"rational literal has zero denominator: {text!r}")
         return Fraction(int(num), int(den))
     return Fraction(int(text))
+
+
+def on_lattice(values) -> tuple[list[int], int]:
+    """Place rationals on one lattice L**-1 Z: returns each value x as the
+    int x * L, in order, and L, the least positive int that puts every
+    value there (the lcm of their reduced denominators, 1 for none)."""
+    values = [v if isinstance(v, (int, Fraction)) else Fraction(v)
+              for v in values]
+    scale = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
 def format_rational(x: Fraction) -> str:

@@ -12,12 +12,11 @@ prime p, the form the p-adic statistics in `padic` work on.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetExceededError, ConfigError, DomainError
-from .rational import check_prime, format_rational
+from .rational import check_prime, format_rational, on_lattice
 
 Word = tuple[int, ...]
 
@@ -95,6 +94,15 @@ class Rifs:
         enumeration.  Equals max|b| / (min|r| - 1)."""
         return self.max_offset_mag / (self.min_ratio_mag - 1)
 
+    def on_lattice(self, *points):
+        """The system and points on L**-1 Z, L the least positive int that
+        puts every offset and point there: returns L, each map r x + b as
+        (p, q, b L) for r = p / q, and each point x as the int x L.  The
+        map (p, q, b L) sends a = x L to p a / q + b L = (r x + b) L."""
+        ints, scale = on_lattice([*(m.offset for m in self.maps), *points])
+        return scale, [(m.ratio.numerator, m.ratio.denominator, b)
+                       for m, b in zip(self.maps, ints)], ints[self.m:]
+
     def dual_maps(self) -> tuple[AffineMap, ...]:
         return tuple(m.inverse() for m in self.maps)
 
@@ -171,11 +179,8 @@ def _word_layers(system: Rifs, top: int):
     itertools.product order: f_w(x) = A x / Q**top + C / (L Q**top), Q and L
     the lcms of the ratio and offset denominators.  Appending p x / q + s / L
     sends (A, C) to (A p / q, A s + C), an int for words of length <= top."""
-    q = math.lcm(*(m.ratio.denominator for m in system.maps))
-    lcm = math.lcm(*(m.offset.denominator for m in system.maps))
-    maps = [(m.ratio.numerator, m.ratio.denominator,
-             m.offset.numerator * (lcm // m.offset.denominator))
-            for m in system.maps]
+    _, q = on_lattice(m.ratio for m in system.maps)
+    _, maps, _ = system.on_lattice()
     layer = [(q**top, 0)]
     for _ in range(top):
         layer = [(a * p // d, a * shift + c)
@@ -234,9 +239,9 @@ def min_word_separation(system: Rifs, n: int,
     groups: dict[int, list[int]] = {}
     for a, c in layer:
         groups.setdefault(a, []).append(c)
-    lcm = math.lcm(*(m.offset.denominator for m in system.maps))
+    scale = system.on_lattice()[0]
     return min((Fraction(min(y - x for x, y in itertools.pairwise(sorted(cs))),
-                         lcm * abs(a))
+                         scale * abs(a))
                 for a, cs in groups.items() if len(cs) > 1), default=None)
 
 

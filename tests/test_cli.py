@@ -524,6 +524,17 @@ def test_exit_2_bad_config(tmp_path, capsys):
     assert "ratio magnitude must exceed 1" in err
 
 
+def test_exit_4_ratio_that_rounds_to_one(tmp_path, capsys):
+    ratio = "100000000000000000001/100000000000000000000"
+    cfg = write_config(tmp_path, {
+        "maps": [{"r": ratio, "b": "0"}, {"r": "3", "b": "2"}], "seed": "0"})
+    code = main(["solve-s", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("precondition violated:")
+    assert f"ratio {ratio}" in err and "binary64" in err
+
+
 def test_exit_2_missing_file(tmp_path, capsys):
     code = main(["solve-s", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "out")])

@@ -84,6 +84,13 @@ def test_similarity_rejects_weak_ratios():
         solve_similarity_dimension([])
 
 
+def test_similarity_refuses_a_ratio_binary64_rounds_to_one():
+    # |r| > 1 exactly, so the system is valid, but float(r) == 1.0
+    r = Fraction(10**20 + 1, 10**20)
+    with pytest.raises(DomainError, match="binary64 cannot tell it from 1"):
+        solve_similarity_dimension([r, Fraction(3)])
+
+
 # --------------------------------------------------------------------------
 # mass and window fits
 

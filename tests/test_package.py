@@ -1,7 +1,9 @@
-"""The package surface: lazy exports and what loading a config imports."""
+"""The package surface: lazy exports, what loading a config imports, and
+the README's quick start."""
 
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -89,3 +91,15 @@ def test_exports_follow_a_tracer_install_and_uninstall(monkeypatch):
     finally:
         tracer.uninstall()
     assert rifslab.ball_count is padic.ball_count is original
+
+
+def test_readme_quick_start_prints_log2_over_log3(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    values = [float(v) for v in capsys.readouterr().out.split()]
+    # the block's comment: both log 2 / log 3
+    assert len(values) == 2
+    for value in values:
+        assert abs(value - math.log(2) / math.log(3)) <= 1e-9

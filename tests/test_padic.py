@@ -293,6 +293,11 @@ def test_box_dimension_refuses_uncertified(binary_padic_system):
         padic_box_dimension(sample.points, 2, range(1, 4))
 
 
+def test_box_dimension_refuses_an_empty_sample():
+    with pytest.raises(DomainError, match="nonempty sample"):
+        padic_box_dimension([], 3, range(1, 6))
+
+
 # --------------------------------------------------------------------------
 # sandwich and the comparison report
 

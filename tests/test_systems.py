@@ -18,6 +18,7 @@ from rifslab import (
     min_word_separation,
 )
 from rifslab import systems
+from rifslab.rational import on_lattice
 from _oracles import overlaps_brute, separation_brute
 
 
@@ -218,3 +219,43 @@ def test_residue_criterion():
     # non-integer data never qualifies
     assert not has_incongruent_offsets(
         make_system([(Fraction(3), Fraction(1, 2)), (Fraction(3), Fraction(0))]))
+
+
+def _prime_factors(n):
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            yield p
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        yield n
+
+
+@given(maps=st.lists(
+    st.tuples(st.sampled_from(SCAN_RATIOS),
+              st.fractions(min_value=-4, max_value=4, max_denominator=12)),
+    min_size=2, max_size=3, unique=True),
+    points=st.lists(st.fractions(min_value=-9, max_value=9,
+                                 max_denominator=12), max_size=4))
+def test_system_on_its_lattice(maps, points):
+    system = make_system(maps)
+    scale, placed, ints = system.on_lattice(*points)
+    values = [m.offset for m in system.maps] + points
+    # scale puts every offset and point on scale**-1 Z, and no proper
+    # divisor of it does, so it is the least such int
+    assert all((x * scale).denominator == 1 for x in values)
+    for p in _prime_factors(scale):
+        assert any((x * scale / p).denominator != 1 for x in values)
+    assert all(type(a) is int for a in ints)
+    assert ints == [x * scale for x in points]
+    for m, (p, q, shift) in zip(system.maps, placed, strict=True):
+        assert type(shift) is int and shift == m.offset * scale
+        for x, a in zip(points, ints):
+            assert Fraction(p * a, q) + shift == m(x) * scale
+
+
+def test_on_lattice_of_no_values():
+    assert on_lattice([]) == ([], 1)
+    assert on_lattice([Fraction(1, 6), 2, Fraction(-3, 4)]) == ([2, 24, -9], 12)
