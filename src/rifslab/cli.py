@@ -16,32 +16,29 @@ import json
 import math
 import os
 import sys
-from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import partial
 
-from . import __version__
+from . import __version__, pool
 from .config import RunConfig, load_config
 from .dimension import (
     DimensionFit,
-    _magnitudes,
-    _renewal_radius,
-    _run_forked,
-    _workers,
     attractor_box_counts,
+    density_grid,
     density_profile,
+    density_ratio,
     estimate_beurling_dimension,
     estimate_box_dimension,
     estimate_discrete_hausdorff,
     estimate_mass_dimension,
     integerize,
     renewal_constant,
+    renewal_radius,
     solve_similarity_dimension,
+    tail_window,
 )
 from .errors import BudgetExceededError, ConfigError, DomainError
 from .orbit import (
-    CountingProfile,
-    _residual_radius,
     counting_profile,
     enumerate_orbit,
     min_gap,
@@ -81,13 +78,6 @@ def _fit_dict(fit: DimensionFit) -> dict:
         "window": [fit.window[0], fit.window[1]],
         "r_squared": fit.r_squared,
     }
-
-
-_TAIL_WIDTH = 10  # the last grid entries a fit or a density tail reads
-
-
-def _tail_window(length: int) -> tuple[int, int]:
-    return (max(0, length - _TAIL_WIDTH), length)
 
 
 class _Session:
@@ -143,6 +133,7 @@ def _frag_diagnose(ses: _Session, out_dir: str, args) -> dict:
             "rate": rate,
         })
     witness = [list(word) for word in overlaps[0]] if overlaps else None
+    evidence = _evidence(ses, args)
     return {
         "degenerate": degenerate_at is not None,
         "degenerate_at": (format_rational(degenerate_at)
@@ -152,33 +143,45 @@ def _frag_diagnose(ses: _Session, out_dir: str, args) -> dict:
             "scanned_to_length": scan_length,
             "count": len(overlaps),
             "first_witness": witness,
-            "conditional": True,
+            "conditional": evidence["conditional"],
         },
         "separation_table": table,
-        "residue_criterion": has_incongruent_offsets(cfg.system),
+        "residue_criterion": evidence["residue_criterion"],
     }
 
 
-def _probe_depths(cfg: RunConfig, args) -> tuple[int, ...]:
-    if not args.depth:
-        return cfg.probe_depths
-    kept = [d for d in cfg.probe_depths if d <= args.depth]
-    if not kept or kept[-1] != args.depth:
-        kept.append(args.depth)
-    return tuple(kept)
+def _evidence(ses: _Session, args, sample=None) -> dict:
+    """The non-overlap evidence printed beside readings that assume it:
+    the residue criterion and, for a sample, its least gap and the
+    overlap probe.  Both hold for the radius and depths probed only, so
+    every such reading is conditional.  --depth caps the config's probe
+    depths and is probed itself."""
+    cfg = ses.cfg
+    found = {"conditional": True,
+             "residue_criterion": has_incongruent_offsets(cfg.system)}
+    if sample is not None:
+        gap = min_gap(sample)
+        depths = [d for d in cfg.probe_depths
+                  if not args.depth or d <= args.depth]
+        if args.depth and depths[-1:] != [args.depth]:
+            depths.append(args.depth)
+        matrices = [{"depth": m.depth, "orbit_size": m.truncated_orbit_size,
+                     "cells": [list(row) for row in m.cells],
+                     "max_offdiagonal": m.max_offdiagonal}
+                    for m in overlap_probe(cfg.system, cfg.seed, depths,
+                                           cfg.node_budget)]
+        found.update(
+            min_gap=format_rational(gap) if gap is not None else None,
+            probe_depths=depths, matrices=matrices,
+            overlaps_observed=any(m["max_offdiagonal"] > 0 for m in matrices))
+    return found
 
 
 def _frag_orbit(ses: _Session, out_dir: str, args) -> dict:
     cfg = ses.cfg
     sample = ses.orbit(cfg.radius)
     write_orbit_dump(sample, os.path.join(out_dir, "orbit.txt"))
-    gap = min_gap(sample)
-    depths = _probe_depths(cfg, args)
-    matrices = [{"depth": m.depth, "orbit_size": m.truncated_orbit_size,
-                 "cells": [list(row) for row in m.cells],
-                 "max_offdiagonal": m.max_offdiagonal}
-                for m in overlap_probe(cfg.system, cfg.seed, depths,
-                                       cfg.node_budget)]
+    evidence = _evidence(ses, args, sample)
     frag = {
         "size": len(sample.lattice),
         "complete": sample.complete,
@@ -186,16 +189,15 @@ def _frag_orbit(ses: _Session, out_dir: str, args) -> dict:
         "node_budget_used": sample.node_budget_used,
         "dump": "orbit.txt",
         "min_gap": {
-            "value": format_rational(gap) if gap is not None else None,
-            "conditional": True,
+            "value": evidence["min_gap"],
+            "conditional": evidence["conditional"],
             "radius": format_rational(sample.radius),
         },
         "overlap_probe": {
-            "conditional": True,
-            "depths": list(depths),
-            "matrices": matrices,
-            "overlaps_observed": any(m["max_offdiagonal"] > 0
-                                     for m in matrices),
+            "conditional": evidence["conditional"],
+            "depths": evidence["probe_depths"],
+            "matrices": evidence["matrices"],
+            "overlaps_observed": evidence["overlaps_observed"],
         },
     }
     try:
@@ -218,7 +220,7 @@ def _frag_dims(ses: _Session, out_dir: str, args) -> dict:
         rows.append((_f(hf), str(n), _f(exponent)))
     _write_csv(os.path.join(out_dir, "dims.csv"),
                ["h", "N", "logN/logh"], map(",".join, rows))
-    window = _tail_window(len(grid))
+    window = tail_window(len(grid))
     mass = estimate_mass_dimension(profile, window=window)
     beurling = estimate_beurling_dimension(sample, grid, window=window)
     return {
@@ -254,7 +256,7 @@ def _frag_attractor(ses: _Session, out_dir: str, args) -> dict:
     cfg = ses.cfg
     box = attractor_box_counts(cfg.system, cfg.grid_kmax,
                                word_budget=cfg.node_budget)
-    fit = estimate_box_dimension(box, window=_tail_window(len(box.ks)))
+    fit = estimate_box_dimension(box, window=tail_window(len(box.ks)))
     return {
         "hull": [format_rational(box.hull[0]), format_rational(box.hull[1])],
         "delta": format_rational(box.delta),
@@ -263,78 +265,12 @@ def _frag_attractor(ses: _Session, out_dir: str, args) -> dict:
     }
 
 
-_DENSITY_PERIODS, _DENSITY_FILL = 3, 40  # periods filled, steps in each
-
-
-def _density_grid(cfg: RunConfig, sample, ratio,
-                  max_jumps: int = 200_000) -> CountingProfile:
-    """Counting profile for the density report: a linear fill of each
-    period plus every orbit jump in the span, so the tail extrema and the
-    periodicity defect are exact for the sample.
-
-    Orbits of nearly full density have as many jumps as integers in the
-    span; beyond max_jumps the grid keeps only the fill, whose sampled
-    extrema are then approximate but tight (the normalized count varies
-    little between adjacent integers of a dense orbit).
-
-    The grid is built on one lattice, D = lcm(L q, the fill's
-    denominators) for the sample scale L and ratio p/q: a fill value x is
-    x D, a jump m / L is m D / L, and its fold ratio * m / L is
-    p m D / (q L).  Every entry g is at most top D, so its count
-    #{|a| <= floor(g L / D)} is one bisection of the sorted magnitudes.
-    """
-    if not sample.complete:
-        raise DomainError("counting requires a complete sample")
-    top = cfg.grid_base**cfg.grid_kmax
-    if ratio is None:
-        fills = cfg.h_grid()
-        lo = fills[_tail_window(len(fills))[0]]
-        q = 1
-    else:
-        fills = [top / ratio ** (t + 1) * (1 + i * (ratio - 1) / _DENSITY_FILL)
-                 for t in range(_DENSITY_PERIODS)
-                 for i in range(_DENSITY_FILL + 1)]
-        lo = top / ratio**_DENSITY_PERIODS
-        q = ratio.denominator
-    scale = sample.scale
-    den = math.lcm(scale * q, *(x.denominator for x in fills))
-    step = den // scale
-    grid = {x.numerator * (den // x.denominator) for x in fills}
-    mags = _magnitudes(sample, top)
-    # the jumps m / L in [lo, top] are the magnitudes from ceil(lo L) on
-    first = bisect_left(mags, -sample.floor_scaled(-lo))
-    jumps = set(mags[first:])
-    if len(jumps) <= max_jumps:
-        grid.update(map(step.__mul__, jumps))
-        if ratio is not None:
-            # the defect fold needs ratio*h on the grid for jumps one
-            # period down
-            fold_lo = -sample.floor_scaled(-top / ratio**2)
-            fold_hi = sample.floor_scaled(top / ratio)
-            fold = ratio.numerator * (den // (q * scale))
-            grid.update(map(fold.__mul__, mags[
-                max(first, bisect_left(mags, fold_lo)):
-                bisect_right(mags, fold_hi)]))
-    grid = sorted(grid)
-    return CountingProfile(grid, den, [bisect_right(mags, g // step)
-                                       for g in grid])
-
-
-def _density_ratio(cfg: RunConfig) -> Fraction | None:
-    if cfg.density_period is not None:
-        return cfg.density_period
-    mags = {abs(m.ratio) for m in cfg.system.maps}
-    if len(mags) == 1:
-        return mags.pop()
-    return None
-
-
 def _frag_density(ses: _Session, out_dir: str, args) -> dict:
     cfg = ses.cfg
     s = ses.similarity().value
     sample = ses.orbit(cfg.radius)
-    ratio = _density_ratio(cfg)
-    profile = _density_grid(cfg, sample, ratio)
+    ratio = density_ratio(cfg.system, cfg.density_period)
+    profile = density_grid(cfg.h_grid(), sample, ratio)
     report = density_profile(profile, s, period_ratio=ratio)
     # one format per row; a missing phase prints as nan
     rows = ["%.17g,%.17g,%.17g" % (h, math.nan if phase is None else phase,
@@ -376,15 +312,11 @@ def _frag_renewal(ses: _Session, out_dir: str, args) -> dict:
     system = cfg.system
     s = ses.similarity().value
     cutoff = cfg.cutoff
-    # enlarge the radius until the truncated sums and the residual scan
-    # are decidable from the sample
-    sample = ses.orbit(max(cfg.radius, _renewal_radius(system, cutoff),
-                           _residual_radius(system, cfg.seed)))
+    sample = ses.orbit(max(cfg.radius, renewal_radius(system, cfg.seed,
+                                                      cutoff)))
     residuals = residual_points(sample)
     estimate = renewal_constant(system, sample, residuals, s, cutoff)
-    gap = min_gap(sample)
-    depths = _probe_depths(cfg, args)
-    probe = overlap_probe(system, cfg.seed, depths, cfg.node_budget)
+    evidence = _evidence(ses, args, sample)
     frag = {
         "value": estimate.value,
         "tail_bound": estimate.tail_bound,
@@ -392,14 +324,11 @@ def _frag_renewal(ses: _Session, out_dir: str, args) -> dict:
         "tail_density_sup": estimate.tail_density_sup,
         "s": s,
         "residual_points": [format_rational(y) for y in residuals],
-        "conditional": True,
-        "probe_depths": list(depths),
-        "overlaps_observed": any(m.max_offdiagonal > 0 for m in probe),
-        "residue_criterion": has_incongruent_offsets(system),
-        "min_gap": format_rational(gap) if gap is not None else None,
         "radius": format_rational(sample.radius),
         "file": "renewal.txt",
     }
+    frag.update((key, value) for key, value in evidence.items()
+                if key != "matrices")
     with open(os.path.join(out_dir, "renewal.txt"), "w",
               encoding="utf-8") as fh:
         fh.write("".join(f"{key} = {_txt(frag[key])}\n"
@@ -431,30 +360,25 @@ def _frag_padic(ses: _Session, out_dir: str, args) -> dict:
         clustering = ([[k, n] for k, n in zip(ks, ball_counts(sample, p, ks))]
                       if sample.complete else
                       {"error": "clustering requires a complete sample"})
-
-    att, box = padic_attractor_box(psys, cfg.seed, args.depth,
-                                   cfg.node_budget)
+    frag = {"p": p, "clustering": clustering, "sandwich": sandwich}
+    try:
+        att, box = padic_attractor_box(psys, cfg.seed, args.depth,
+                                       cfg.node_budget)
+    except DomainError as exc:
+        # an attractor too shallow to fit leaves the sandwich standing
+        frag["attractor"] = {"error": str(exc)}
+        frag["mass_vs_box"] = {"error": "no p-adic box fit to compare with"}
+        return frag
     log_p = math.log(p)
     rows = [(str(k), str(n), _f(math.log(n) / (k * log_p)))
             for k, n in zip(box.ks, box.counts)]
     _write_csv(os.path.join(out_dir, "padic.csv"),
                ["k", "N_k", "logN_k/(k log p)"], map(",".join, rows))
-
-    frag = {
-        "p": p,
-        "clustering": clustering,
-        "attractor": {
-            "depth": att.depth,
-            "size": len(att),
-            "certified_k": att.certified_k,
-        },
-        "box": {
-            "counts": [[k, n] for k, n in zip(box.ks, box.counts)],
-            "fit": _fit_dict(box.fit),
-        },
-        "csv": "padic.csv",
-        "sandwich": sandwich,
-    }
+    frag.update(attractor={"depth": att.depth, "size": len(att),
+                           "certified_k": att.certified_k},
+                box={"counts": [[k, n] for k, n in zip(box.ks, box.counts)],
+                     "fit": _fit_dict(box.fit)},
+                csv="padic.csv")
     try:
         check = mass_versus_box(psys, ses.orbit(Fraction(p) ** cfg.grid_kmax),
                                 box.fit)
@@ -477,16 +401,10 @@ def _frag_report(ses: _Session, out_dir: str, args) -> dict:
     This process first computes what the analyses share, the similarity
     dimension and the orbit sample at the config's radius; an error there
     is left for each fragment that needs them to record.  The analyses
-    then go to `_run_forked` as one task each, last first: the long ones
+    then go to `pool.run` as one task each, last first: the long ones
     (cover table, attractor, density, p-adic) come late in _ANALYSES, so
-    they start first.  Up to _workers() processes, this one and forked
-    children, each take the next analysis whenever they are free.  The
-    attractor walk may split again inside an analysis, into up to
-    _workers() processes, so at most 2 * _workers() - 1 processes are
-    alive at once (3 on 2 CPUs); the cover-cost table runs in its
-    analysis's process.  Each fragment writes only its own artifact, and
-    report.json is assembled here in _ANALYSES order: every file is the
-    same bytes on any number of CPUs.
+    they start first.  Each fragment writes only its own artifact, and
+    report.json is assembled here in _ANALYSES order.
     """
     cfg = ses.cfg
     doc = {
@@ -510,7 +428,7 @@ def _frag_report(ses: _Session, out_dir: str, args) -> dict:
             for name, builder in reversed(_ANALYSES)
             if name != "padic" or cfg.padic is not None}
     fragments = {"padic": {"skipped": "no padic block in config"}}
-    fragments.update(zip(jobs, _run_forked(list(jobs.values()), _workers())))
+    fragments.update(zip(jobs, pool.run(list(jobs.values()))))
     doc.update((name, fragments[name]) for name, _ in _ANALYSES)
     with open(os.path.join(out_dir, "report.json"), "w",
               encoding="utf-8") as fh:

@@ -10,7 +10,6 @@ around log-log fits.
 from __future__ import annotations
 
 import math
-import os
 import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -18,9 +17,10 @@ from fractions import Fraction
 from functools import partial
 from itertools import accumulate, zip_longest
 
+from . import pool
 from .errors import BudgetExceededError, ConfigError, DomainError
 from .orbit import (CountingProfile, LatticePoints, OrbitSample,
-                    window_max_count)
+                    residual_radius, window_max_count)
 from .rational import format_rational, on_lattice
 from .systems import Rifs, common_fixed_point, fixed_point
 
@@ -136,6 +136,14 @@ def _fit_window(entries, window):
     return chosen
 
 
+_TAIL_WIDTH = 10  # the last grid entries a fit or a density tail reads
+
+
+def tail_window(length: int) -> tuple[int, int]:
+    """The fit window of the last _TAIL_WIDTH of length entries."""
+    return (max(0, length - _TAIL_WIDTH), length)
+
+
 def estimate_mass_dimension(profile: CountingProfile,
                             window: tuple[int, int] | None = None) -> DimensionFit:
     """Least-squares slope of log N(h) against log h, with the pointwise
@@ -169,110 +177,6 @@ def estimate_beurling_dimension(sample: OrbitSample, h_grid,
     return _loglog_fit([math.log(float(h)) for h in chosen],
                        [math.log(n) for n in counts],
                        (float(chosen[0]), float(chosen[-1])))
-
-
-# ---------------------------------------------------------------------------
-# work across processes
-
-
-# Box walks of {2x, 3x+1}, 2-core VM, Python 3.11: a split adds 3.5 ms
-# (4.6 ms in a 39 MB heap) and breaks even alone between push bounds of
-# 11,500 and 27,000, but inside `report`, beside the other analyses, it
-# made reports with bounds of 16,000 and 27,000 5% slower.  The cover-cost
-# table never forks: inside `report` it runs beside the other analyses.
-_SPLIT_PUSHES = 50_000
-_MAX_WORKERS = 8
-
-
-def _workers() -> int:
-    """Processes a split box walk or report may use: the CPUs this
-    process may run on, at most _MAX_WORKERS; 1 without os.fork, or
-    while this process runs other threads, since a forked child may then
-    block on a lock one of them held."""
-    threading = sys.modules.get("threading")
-    if not hasattr(os, "fork") or (threading is not None
-                                   and threading.active_count() > 1):
-        return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cpus = os.cpu_count() or 1
-    return min(cpus, _MAX_WORKERS)
-
-
-def _run_forked(tasks, workers: int) -> list:
-    """Results of the zero-argument callables tasks, in order.
-
-    Two callers split their work with it: the attractor box walk, one
-    task per subtree, and `report`, one task per analysis.
-
-    Up to `workers` processes, this one and forked children, take the
-    tasks from one queue in the order given, each the next one whenever
-    it is free.  The queue is a pipe filled before the first fork, one
-    byte per item of consecutive tasks and at most 256 items, so its
-    writer never blocks.  A child pickles the results of the tasks it
-    took, or its first exception, into a pipe of its own and exits; once
-    a fork fails, fewer processes drain the queue.  Every child is reaped
-    and every descriptor closed before this returns or raises, and the
-    first exception of a child is re-raised.
-    """
-    if workers < 2 or len(tasks) < 2:
-        return [task() for task in tasks]
-    import pickle
-
-    size = -(-len(tasks) // 256)  # tasks per item
-
-    def drain() -> list:
-        done = []
-        while item := os.read(queue, 1):
-            lo = item[0] * size
-            done += [(i, tasks[i]())
-                     for i in range(lo, min(lo + size, len(tasks)))]
-        return done
-
-    queue, write_fd = os.pipe()
-    children = []
-    try:
-        with os.fdopen(write_fd, "wb") as fh:
-            fh.write(bytes(range(-(-len(tasks) // size))))
-        for _ in range(min(workers, len(tasks)) - 1):
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_fd)
-                os.close(write_fd)
-                break
-            if pid == 0:
-                try:
-                    os.close(read_fd)
-                    try:
-                        outcome = (True, drain())
-                    except BaseException as exc:
-                        outcome = (False, exc)
-                    data = pickle.dumps(outcome)
-                    with os.fdopen(write_fd, "wb") as pipe:
-                        pipe.write(data)
-                finally:
-                    os._exit(0)
-            os.close(write_fd)
-            children.append((pid, read_fd))
-        results = dict(drain())
-    finally:
-        os.close(queue)
-        received = []
-        for pid, read_fd in children:
-            with os.fdopen(read_fd, "rb") as pipe:
-                received.append(pipe.read())
-            os.waitpid(pid, 0)
-    for data in received:
-        if not data:
-            raise RuntimeError("a forked child exited without a result")
-        ok, value = pickle.loads(data)
-        if not ok:
-            raise value
-        results.update(value)
-    return [results[i] for i in range(len(tasks))]
 
 
 # ---------------------------------------------------------------------------
@@ -358,10 +262,10 @@ def min_cover_cost(points, alpha: float, n: int) -> CoverCost:
     _check_cube_exponent(n)
     lo, hi = _cube(n)
     pts = _integer_points(points)
-    for p in pts:
-        if not lo <= p < hi:
-            raise DomainError(
-                f"point {p} outside the side-2^{n} cube centred at 0")
+    if pts and not lo <= pts[0] <= pts[-1] < hi:
+        p = pts[0] if pts[0] < lo else pts[bisect_left(pts, hi)]
+        raise DomainError(
+            f"point {p} outside the side-2^{n} cube centred at 0")
     size = 2.0**n
     single = (1 / size) ** alpha  # w(1)
     if alpha > 1:
@@ -554,6 +458,15 @@ def dual_attractor_hull(system: Rifs) -> tuple[Fraction, Fraction]:
     return min(candidates), max(candidates)
 
 
+# Box walks of {2x, 3x+1}, 2-core VM, Python 3.11: a split adds 3.5 ms
+# (4.6 ms in a 39 MB heap) and breaks even alone between push bounds of
+# 11,500 and 27,000, but inside `report`, beside the other analyses, it
+# made reports with bounds of 16,000 and 27,000 5% slower.
+_SPLIT_PUSHES = 50_000
+# 8 subtrees per process at the pool's most, whatever the CPU count
+_SUBTREES = 8 * pool.MAX_WORKERS
+
+
 @dataclass(frozen=True)
 class BoxCounts:
     delta: Fraction
@@ -595,21 +508,18 @@ def attractor_box_counts(system: Rifs, k_max: int, delta=None,
     that bound is checked against word_budget before walking, and the
     pushes are counted against the same budget as the walk goes.
 
-    A walk that may push 50,000 words or more is split across the CPUs
-    this process may use (at most 8, only where os.fork exists and while
-    no other thread runs).
-    This process walks levels 1..k0, k0 the least level whose cut words
-    each root a subtree of at most B / (8 * workers) leaves, but below
-    k_max.  The subtrees of the level-k0 cut words are then one task
-    each, in walk order, on the queue of `_run_forked`: each process
-    walks the next one whenever it is free, for the levels past k0,
-    under a share of the budget left in proportion to its bound.  A
-    subtree sums each sweep level as (count, first cell, end cell): a
-    level's intervals arrive sorted across subtrees too, so consecutive
-    subtrees share at most the cell at their border, and do exactly when
-    the later one starts before the earlier one ends.  Cell sets are
-    united.  The counts and words_pushed are those of the serial walk,
-    whatever the number of processes.
+    A walk that may push _SPLIT_PUSHES words or more is split, the same
+    way on any number of CPUs.  This process walks levels 1..k0, k0 the
+    least level whose cut words each root a subtree of at most
+    B / _SUBTREES leaves, but below k_max.  The level-k0 subtrees then go
+    to `pool.run` as one task each, in walk order, each to walk the
+    levels past k0 under a share of the budget left in proportion to its
+    bound.  A subtree sums each sweep level as (count, first cell, end
+    cell): a level's intervals arrive sorted across subtrees too, so
+    consecutive subtrees share at most the cell at their border, and do
+    exactly when the later one starts before the earlier one ends.  Cell
+    sets are united.  The counts and words_pushed are those of the serial
+    walk.
     """
     if k_max < 1:
         raise DomainError("k_max must be >= 1")
@@ -658,16 +568,15 @@ def attractor_box_counts(system: Rifs, k_max: int, delta=None,
                          sweep, budget, frontier)
 
     root = (1, 1, 0, 1)  # the empty word, never a cut word
-    workers = _workers() if pushes >= _SPLIT_PUSHES and k_max > 1 else 1
-    if workers == 1:
+    if pushes < _SPLIT_PUSHES or k_max == 1:
         results = [walk([root], levels, word_budget)]
     else:
         # a level-k0 cut word expands by |P| / Q >= delta**k0, so its
         # subtree has at most B_w = (delta**k_max max|r| Q / |P|)**s
-        # leaves, which is B / (8 workers) or less unless k0 is capped,
+        # leaves, which is B / _SUBTREES or less unless k0 is capped,
         # and its walk pushes at most m (B_w - 1) / (m - 1) words
         k0 = min(k_max - 1,
-                 math.ceil(math.log(8 * workers) / (s * math.log(delta))))
+                 math.ceil(math.log(_SUBTREES) / (s * math.log(delta))))
         # the level-k0 cut words, in walk order, root the queued subtrees
         roots = []
         top = walk([root], levels[:k0 + 1] + levels[-1:], word_budget, roots)
@@ -676,9 +585,9 @@ def attractor_box_counts(system: Rifs, k_max: int, delta=None,
         # budget shares in proportion to the push bounds: while the
         # pre-check holds, no subtree exhausts its share
         share = (word_budget - top[1]) / math.fsum(weights)
-        results = [top] + _run_forked(
+        results = [top] + pool.run(
             [partial(walk, [r], levels, int(share * w))
-             for r, w in zip(roots, weights)], workers)
+             for r, w in zip(roots, weights)])
     return BoxCounts(delta=delta, hull=(u, v), ks=ks,
                      counts=tuple(_merge_box_pieces(
                          [pieces for pieces, _ in results], sweep)),
@@ -786,6 +695,9 @@ def estimate_box_dimension(box: BoxCounts,
 # density profiles
 
 
+_DENSITY_PERIODS, _DENSITY_FILL = 3, 40  # periods filled, steps in each
+
+
 @dataclass(frozen=True)
 class DensityReport:
     samples: tuple[tuple[float, float | None, float], ...]
@@ -797,7 +709,8 @@ class DensityReport:
 
 
 def density_profile(profile: CountingProfile, s: float, period_ratio=None,
-                    periods: int = 3, min_per_period: int = 32) -> DensityReport:
+                    periods: int = _DENSITY_PERIODS,
+                    min_per_period: int = 32) -> DensityReport:
     """Normalized counts N(h)/h**s with tail extrema and, for a declared
     multiplicative period, the mismatch between the last two periods.
 
@@ -805,8 +718,7 @@ def density_profile(profile: CountingProfile, s: float, period_ratio=None,
     normalized count is maximal at the left end and approaches
     N(h_i)/h_{i+1}**s at the right end; the tail extrema scan both
     families.  They are exact for the window exactly when the grid
-    contains every orbit point inside it, which is how the command line
-    builds density grids.
+    contains every orbit point inside it, as `density_grid` builds them.
 
     The scans run on the profile's lattice: h = g / D is the float g / D,
     the period, tail and fold bounds are found by bisecting for
@@ -820,8 +732,8 @@ def density_profile(profile: CountingProfile, s: float, period_ratio=None,
     values = [n / x ** s for n, x in zip(counts, floats)]
 
     if period_ratio is None:
-        start = max(0, len(grid) - 10)
-        tail_window = (floats[start], floats[-1])
+        start = tail_window(len(grid))[0]
+        window = (floats[start], floats[-1])
         samples = tuple((x, None, val) for x, val in zip(floats, values))
         periodic, defect = (), None
     else:
@@ -847,7 +759,7 @@ def density_profile(profile: CountingProfile, s: float, period_ratio=None,
         window_lo = h_max / ratio
         # g / D >= x exactly when g >= ceil(x D) = -floor(-x D)
         start = bisect_left(grid, -floor_scaled(-window_lo))
-        tail_window = (float(window_lo), float(h_max))
+        window = (float(window_lo), float(h_max))
 
         # ratio * h grows with h in [h_max / ratio**2, window_lo] and stays
         # <= h_max, so one pointer from window_lo up finds each on the grid
@@ -879,7 +791,7 @@ def density_profile(profile: CountingProfile, s: float, period_ratio=None,
     for n0, x1 in zip(counts[start:], floats[start + 1:]):
         inf_tail = min(inf_tail, n0 / x1 ** s)
     return DensityReport(samples=samples, sup_tail=sup_tail, inf_tail=inf_tail,
-                         tail_window=tail_window, periodic_profile=periodic,
+                         tail_window=window, periodic_profile=periodic,
                          defect=defect)
 
 
@@ -893,6 +805,70 @@ def _magnitudes(sample: OrbitSample, hi) -> list[int]:
     pts = sample.lattice
     top = sample.floor_scaled(hi)
     return sorted(map(abs, pts[bisect_left(pts, -top):bisect_right(pts, top)]))
+
+
+def density_ratio(system: Rifs, declared) -> Fraction | None:
+    """The multiplicative period of a density profile: the declared one,
+    else the magnitude every ratio shares, else None."""
+    if declared is not None:
+        return declared
+    mags = {abs(m.ratio) for m in system.maps}
+    return mags.pop() if len(mags) == 1 else None
+
+
+def density_grid(h_grid, sample: OrbitSample, ratio,
+                 max_jumps: int = 200_000) -> CountingProfile:
+    """Counting profile for `density_profile` up to the top of h_grid: a
+    linear fill of each period (h_grid's tail without one) plus every
+    orbit jump in the span, so the tail extrema and the periodicity
+    defect are exact for the sample.
+
+    Orbits of nearly full density have as many jumps as integers in the
+    span; beyond max_jumps the grid keeps only the fill, whose sampled
+    extrema are then approximate but tight (the normalized count varies
+    little between adjacent integers of a dense orbit).
+
+    The grid is built on one lattice, D = lcm(L q, the fill's
+    denominators) for the sample scale L and ratio p/q: a fill value x is
+    x D, a jump m / L is m D / L, and its fold ratio * m / L is
+    p m D / (q L).  Every entry g is at most top D, so its count
+    #{|a| <= floor(g L / D)} is one bisection of the sorted magnitudes.
+    """
+    if not sample.complete:
+        raise DomainError("counting requires a complete sample")
+    top = h_grid[-1]
+    if ratio is None:
+        fills = h_grid
+        lo = fills[tail_window(len(fills))[0]]
+        q = 1
+    else:
+        fills = [top / ratio ** (t + 1) * (1 + i * (ratio - 1) / _DENSITY_FILL)
+                 for t in range(_DENSITY_PERIODS)
+                 for i in range(_DENSITY_FILL + 1)]
+        lo = top / ratio**_DENSITY_PERIODS
+        q = ratio.denominator
+    scale = sample.scale
+    den = math.lcm(scale * q, *(x.denominator for x in fills))
+    step = den // scale
+    grid = {x.numerator * (den // x.denominator) for x in fills}
+    mags = _magnitudes(sample, top)
+    # the jumps m / L in [lo, top] are the magnitudes from ceil(lo L) on
+    first = bisect_left(mags, -sample.floor_scaled(-lo))
+    jumps = set(mags[first:])
+    if len(jumps) <= max_jumps:
+        grid.update(map(step.__mul__, jumps))
+        if ratio is not None:
+            # the defect fold needs ratio*h on the grid for jumps one
+            # period down
+            fold_lo = -sample.floor_scaled(-top / ratio**2)
+            fold_hi = sample.floor_scaled(top / ratio)
+            fold = ratio.numerator * (den // (q * scale))
+            grid.update(map(fold.__mul__, mags[
+                max(first, bisect_left(mags, fold_lo)):
+                bisect_right(mags, fold_hi)]))
+    grid = sorted(grid)
+    return CountingProfile(grid, den, [bisect_right(mags, g // step)
+                                       for g in grid])
 
 
 def window_density_sup(sample: OrbitSample, s: float, lo, hi) -> float:
@@ -936,10 +912,17 @@ class RenewalEstimate:
     tail_density_sup: float
 
 
-def _renewal_radius(system: Rifs, cutoff: Fraction) -> Fraction:
+def _sums_radius(system: Rifs, cutoff: Fraction) -> Fraction:
     """Smallest radius whose sample decides the renewal sums truncated at
     |x| <= cutoff: every image r*x + b of such an x lies inside it."""
     return system.max_ratio_mag * cutoff + system.max_offset_mag
+
+
+def renewal_radius(system: Rifs, seed, cutoff) -> Fraction:
+    """Smallest radius whose sample serves both `renewal_constant`, with
+    sums truncated at |x| <= cutoff, and `residual_points`."""
+    return max(_sums_radius(system, Fraction(cutoff)),
+               residual_radius(system, Fraction(seed)))
 
 
 def renewal_constant(system: Rifs, sample: OrbitSample, residuals, s: float,
@@ -965,7 +948,7 @@ def renewal_constant(system: Rifs, sample: OrbitSample, residuals, s: float,
     cutoff = Fraction(cutoff)
     if cutoff < 1:
         raise DomainError("cutoff must be >= 1")
-    required = _renewal_radius(system, cutoff)
+    required = _sums_radius(system, cutoff)
     if sample.radius < required:
         raise DomainError(
             f"renewal sums need radius >= {format_rational(required)}, "

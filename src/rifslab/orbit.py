@@ -339,7 +339,7 @@ def overlap_probe(system: Rifs, seed, depths,
     return out
 
 
-def _residual_radius(system: Rifs, seed: Fraction) -> Fraction:
+def residual_radius(system: Rifs, seed: Fraction) -> Fraction:
     """Smallest radius that holds every seed image f_i(seed) and all of
     its preimages f_j^{-1}(f_i(seed)), the points `residual_points`
     looks up."""
@@ -363,7 +363,7 @@ def residual_points(sample: OrbitSample) -> list[Fraction]:
         raise DomainError("residual scan requires a complete sample")
     system = sample.system
     candidates = sorted({m(sample.seed) for m in system.maps})
-    needed = _residual_radius(system, sample.seed)
+    needed = residual_radius(system, sample.seed)
     if needed > sample.radius:
         raise DomainError(
             f"residual scan needs radius >= {format_rational(needed)}, "

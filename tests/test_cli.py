@@ -8,7 +8,7 @@ import time
 import pytest
 
 import rifslab
-from rifslab import cli, dimension
+from rifslab import cli, pool
 from rifslab.cli import main
 
 LOG2_3 = math.log(2) / math.log(3)
@@ -296,6 +296,27 @@ def test_padic_refuses_clustering_on_partial_sample(tmp_path, capsys):
     assert frag["sandwich"] == {"error": "sandwich requires a complete sample"}
 
 
+def test_padic_shallow_attractor_keeps_sandwich_and_clustering(tmp_path,
+                                                               capsys):
+    # depth 3 certifies ball levels up to 3 only, too few for a box fit;
+    # the sandwich and the clustering do not read the attractor
+    cfg = binary_padic_config(tmp_path)
+    out = tmp_path / "out"
+    code, frag = run_json(capsys, ["padic", "--config", cfg, "--depth", "3",
+                                   "--out", str(out)])
+    assert code == 0
+    assert frag["attractor"] == {"error": "need at least 4 ball levels"}
+    assert frag["mass_vs_box"] == {
+        "error": "no p-adic box fit to compare with"}
+    assert "box" not in frag and not (out / "padic.csv").exists()
+    assert frag["sandwich"]["all_hold"] is True
+    assert frag["clustering"] == [[k, 2**k] for k in range(1, 13)]
+    code, doc = run_json(capsys, ["report", "--config", cfg, "--depth", "3",
+                                  "--out", str(tmp_path / "report")])
+    assert code == 0
+    assert doc["padic"] == frag
+
+
 def test_padic_attractor_over_budget_exits_3(tmp_path, capsys):
     # the default depth of a 2-map system walks 2**16 words
     cfg = binary_padic_config(tmp_path)
@@ -450,7 +471,7 @@ def test_split_report_is_byte_identical(tmp_path, capsys, monkeypatch,
     cfg = cantor_padic_config(tmp_path)
     runs = []
     for workers in (1, 2, 3):
-        monkeypatch.setattr(cli, "_workers", lambda: workers)
+        monkeypatch.setattr(pool, "workers", lambda: workers)
         runs.append(report_bytes(capsys, ["--config", cfg],
                                  tmp_path / f"out{workers}"))
     assert runs[0] == runs[1] == runs[2]
@@ -465,7 +486,7 @@ def test_split_report_is_byte_identical(tmp_path, capsys, monkeypatch,
 def test_split_report_absorbs_fragment_failure(tmp_path, capsys,
                                                monkeypatch,
                                                assert_no_child_left):
-    monkeypatch.setattr(cli, "_workers", lambda: 2)
+    monkeypatch.setattr(pool, "workers", lambda: 2)
     assert_report_absorbs_fragment_failure(tmp_path, capsys)
     assert_no_child_left()
 
@@ -488,7 +509,7 @@ def test_split_report_raises_a_workers_error(tmp_path, capsys,
 
     monkeypatch.setattr(cli, "_ANALYSES", tuple(
         (name, failing_in_children) for name, _ in cli._ANALYSES))
-    monkeypatch.setattr(cli, "_workers", lambda: 2)
+    monkeypatch.setattr(pool, "workers", lambda: 2)
     out = tmp_path / "out"
     with pytest.raises(ZeroDivisionError, match="fragment worker failed"):
         main(["report", "--config", cantor_config(tmp_path),
@@ -501,9 +522,9 @@ def test_split_report_raises_a_workers_error(tmp_path, capsys,
 def test_report_forks_one_worker_fewer_than_it_may_use(
         tmp_path, capsys, monkeypatch, count_forks, workers,
         assert_no_child_left):
-    # no inner splits: every fork is a fragment worker
-    monkeypatch.setattr(dimension, "_workers", lambda: 1)
-    monkeypatch.setattr(cli, "_workers", lambda: workers)
+    # the cantor walk's push bound is below the split's: every fork is a
+    # fragment worker
+    monkeypatch.setattr(pool, "workers", lambda: workers)
     report_bytes(capsys, ["--config", cantor_padic_config(tmp_path)],
                  tmp_path / "out")
     assert len(count_forks) == workers - 1

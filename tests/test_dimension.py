@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rifslab import dimension
+from rifslab import dimension, pool
 from rifslab import (
     BudgetExceededError,
     CountingProfile,
@@ -322,7 +322,7 @@ def split_walk(workers):
     """Split every box walk across `workers` processes, however small."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dimension, "_SPLIT_PUSHES", 0)
-        mp.setattr(dimension, "_workers", lambda: workers)
+        mp.setattr(pool, "workers", lambda: workers)
         yield
 
 
@@ -395,6 +395,23 @@ def test_split_box_walk_pushes_the_serial_words(renewal_system):
             assert attractor_box_counts(renewal_system, 8).words_pushed == 2884
 
 
+def test_split_box_walk_deals_the_same_subtrees_on_any_cpu_count(
+        renewal_system, monkeypatch):
+    dealt = []
+    run = pool.run
+
+    def counted(tasks):
+        dealt.append(len(tasks))
+        return run(tasks)
+
+    monkeypatch.setattr(pool, "run", counted)
+    for workers in (1, 2, 3):
+        with split_walk(workers):
+            attractor_box_counts(renewal_system, 8)
+    assert len(dealt) == 3 and dealt[0] > 3
+    assert dealt[0] == dealt[1] == dealt[2]
+
+
 def test_split_box_walk_reaps_its_children(renewal_system, count_forks,
                                            assert_no_child_left):
     with warnings.catch_warnings():
@@ -444,11 +461,11 @@ def open_descriptors():
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_forked_tasks_return_in_task_order(workers, count_forks,
+def test_forked_tasks_return_in_task_order(workers, count_forks, monkeypatch,
                                            assert_no_child_left):
+    monkeypatch.setattr(pool, "workers", lambda: workers)
     before = open_descriptors()
-    results = dimension._run_forked(
-        [partial(pow, i, 2) for i in range(7)], workers)
+    results = pool.run([partial(pow, i, 2) for i in range(7)])
     assert results == [i * i for i in range(7)]
     assert len(count_forks) == workers - 1
     assert open_descriptors() == before
@@ -456,6 +473,7 @@ def test_forked_tasks_return_in_task_order(workers, count_forks,
 
 
 def test_forked_tasks_go_to_whichever_process_is_free(tmp_path, count_forks,
+                                                      monkeypatch,
                                                       assert_no_child_left):
     # the first task waits for every other one: it returns only if the
     # other process takes them all from the queue
@@ -469,8 +487,8 @@ def test_forked_tasks_go_to_whichever_process_is_free(tmp_path, count_forks,
         path.touch()
         return os.getpid()
 
-    pids = dimension._run_forked(
-        [first] + [partial(other, path) for path in done], 2)
+    monkeypatch.setattr(pool, "workers", lambda: 2)
+    pids = pool.run([first] + [partial(other, path) for path in done])
     assert len(count_forks) == 1
     assert set(pids) == {os.getpid(), *count_forks}
     assert pids[0] not in pids[1:]
@@ -478,16 +496,17 @@ def test_forked_tasks_go_to_whichever_process_is_free(tmp_path, count_forks,
     assert_no_child_left()
 
 
-def test_forked_tasks_past_the_queue_pipe_size(count_forks,
+def test_forked_tasks_past_the_queue_pipe_size(count_forks, monkeypatch,
                                                assert_no_child_left):
     # far more tasks than one-byte queue items can name
     tasks = [partial(int, i) for i in range(40_000)]
-    assert dimension._run_forked(tasks, 3) == list(range(40_000))
+    monkeypatch.setattr(pool, "workers", lambda: 3)
+    assert pool.run(tasks) == list(range(40_000))
     assert len(count_forks) == 2
     assert_no_child_left()
 
 
-def test_forked_tasks_raise_a_childs_error(tmp_path, count_forks,
+def test_forked_tasks_raise_a_childs_error(tmp_path, count_forks, monkeypatch,
                                            assert_no_child_left):
     parent = os.getpid()
     ran = tmp_path / "ran_in_a_child"
@@ -499,9 +518,10 @@ def test_forked_tasks_raise_a_childs_error(tmp_path, count_forks,
         # hold this process's task until a child has taken one
         wait_for(ran.exists)
 
+    monkeypatch.setattr(pool, "workers", lambda: 2)
     before = open_descriptors()
     with pytest.raises(ZeroDivisionError, match="failed in a child"):
-        dimension._run_forked([failing_in_children] * 4, 2)
+        pool.run([failing_in_children] * 4)
     assert len(count_forks) == 1
     assert open_descriptors() == before
     assert_no_child_left()
@@ -512,10 +532,10 @@ def test_box_walk_is_serial_on_one_cpu_or_without_fork(
     expected = attractor_box_counts(renewal_system, 8)
     monkeypatch.setattr(dimension, "_SPLIT_PUSHES", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    assert dimension._workers() == 1
+    assert pool.workers() == 1
     assert attractor_box_counts(renewal_system, 8) == expected
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    assert dimension._workers() == 2
+    assert pool.workers() == 2
     # a forked child of a threaded process may deadlock: no fork then
     release = threading.Event()
     waiting = threading.Thread(target=release.wait)
@@ -523,14 +543,14 @@ def test_box_walk_is_serial_on_one_cpu_or_without_fork(
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert dimension._workers() == 1
+            assert pool.workers() == 1
             assert attractor_box_counts(renewal_system, 8) == expected
     finally:
         release.set()
         waiting.join()
     assert_no_child_left()
     monkeypatch.delattr(os, "fork")
-    assert dimension._workers() == 1
+    assert pool.workers() == 1
     assert attractor_box_counts(renewal_system, 8) == expected
 
 

@@ -32,8 +32,9 @@ from rifslab import (
     window_max_count,
     write_orbit_dump,
 )
-from rifslab.cli import _density_grid, _density_ratio, main
+from rifslab.cli import main
 from rifslab.config import parse_config
+from rifslab.dimension import density_grid, density_ratio
 from _oracles import (
     brute_orbit,
     count_within_points,
@@ -201,8 +202,8 @@ def test_density_grid_matches_fraction_oracle(ratio, other, signs, offsets,
     sample = enumerate_orbit(cfg.system, cfg.seed, cfg.radius,
                              node_budget=20_000)
     assume(sample.complete)
-    period = _density_ratio(cfg)
-    profile = _density_grid(cfg, sample, period, max_jumps=max_jumps)
+    period = density_ratio(cfg.system, cfg.density_period)
+    profile = density_grid(cfg.h_grid(), sample, period, max_jumps=max_jumps)
     assert all(a < b for a, b in zip(profile.lattice, profile.lattice[1:]))
     assert list(profile.entries) == fraction_density_entries(
         cfg, sample.points, period, max_jumps=max_jumps)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rifslab import dimension
+from rifslab import pool
 from rifslab import (DomainError, enumerate_orbit, estimate_discrete_hausdorff,
                      make_system, min_cover_cost)
 from _oracles import (arbitrary_cover_min, consecutive_cover_min,
@@ -236,7 +236,7 @@ def test_table_forks_nothing(renewal_system, monkeypatch, count_forks):
     cubes = [[x for x in points if -2**n <= 2 * x < 2**n] for n in range(15)]
     # the ten alphas <= 1 give DPs of 11,020 points in all
     assert sum(map(len, cubes)) * 10 == 11_020
-    monkeypatch.setattr(dimension, "_workers", lambda: 3)
+    monkeypatch.setattr(pool, "workers", lambda: 3)
     report = estimate_discrete_hausdorff(points, GRID_ALPHAS, range(15))
     assert count_forks == []
     assert len(report.rows) == 12 * 15

@@ -1,6 +1,7 @@
 """The package surface: lazy exports, what loading a config imports, and
 the README's quick start."""
 
+import ast
 import importlib
 import json
 import math
@@ -91,6 +92,17 @@ def test_exports_follow_a_tracer_install_and_uninstall(monkeypatch):
     finally:
         tracer.uninstall()
     assert rifslab.ball_count is padic.ball_count is original
+
+
+def test_cli_imports_no_private_name_of_another_module():
+    # each rule the cli reports lives in the module that computes it; a
+    # dunder such as __version__ is no private name
+    tree = ast.parse(Path(rifslab.__file__).with_name("cli.py").read_text())
+    private = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               for alias in node.names
+               if alias.name.startswith("_") and not alias.name.endswith("__")]
+    assert private == []
 
 
 def test_readme_quick_start_prints_log2_over_log3(capsys):
