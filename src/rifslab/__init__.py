@@ -33,8 +33,9 @@ _EXPORTS = {
         "window_max_count", "write_orbit_dump",
     ),
     "padic": (
-        "BallClustering", "MassBoxComparison", "PAdicAttractorSample",
-        "PAdicBoxReport", "attractor_sample", "ball_count", "ball_counts",
+        "BallClustering", "MassBoxComparison", "PAdicAttractor",
+        "PAdicAttractorSample", "PAdicBoxReport", "attractor_ball_counts",
+        "attractor_sample", "ball_count", "ball_counts",
         "compare_mass_and_box", "mass_box_sandwich", "mass_versus_box",
         "padic_attractor_box", "padic_box_dimension", "padic_distance",
     ),
@@ -44,7 +45,7 @@ _EXPORTS = {
     ),
     "systems": (
         "AffineMap", "PAdicSystem", "Rifs", "affine_map", "common_fixed_point",
-        "find_exact_overlaps", "fixed_point",
+        "disjoint_lattice_images", "find_exact_overlaps", "fixed_point",
         "has_incongruent_offsets", "make_padic_system", "make_system",
         "min_word_separation",
     ),

@@ -374,7 +374,7 @@ def _frag_padic(ses: _Session, out_dir: str, args) -> dict:
             for k, n in zip(box.ks, box.counts)]
     _write_csv(os.path.join(out_dir, "padic.csv"),
                ["k", "N_k", "logN_k/(k log p)"], map(",".join, rows))
-    frag.update(attractor={"depth": att.depth, "size": len(att),
+    frag.update(attractor={"depth": att.depth, "size": att.size,
                            "certified_k": att.certified_k},
                 box={"counts": [[k, n] for k, n in zip(box.ks, box.counts)],
                      "fit": _fit_dict(box.fit)},

@@ -3,9 +3,12 @@
 The same expanding systems, with ratios restricted to signed prime
 powers, contract p-adically: a map with ratio (-1)^a * p^e moves points
 closer together by p^-e in the p-adic metric while spreading them
-archimedeanly.  This module clusters orbit and attractor samples into
-p-adic balls and fits the resulting box counts, mirroring what the
-archimedean counting profile does for window counts.
+archimedeanly.  This module clusters orbit samples into p-adic balls,
+counts the balls that meet the p-adic attractor exactly from a recursion
+on its residues, and fits the resulting box counts, mirroring what the
+archimedean counting profile does for window counts.  The sampled
+attractor (the values of the words of one length) and its per-level ball
+counts stay as the reference the exact counts are checked against.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .errors import BudgetExceededError, DomainError
 from .orbit import LatticePoints, OrbitSample, counting_profile, enumerate_orbit
 from .rational import (PAdicValue, _int_valuation, check_prime,
                        format_rational, padic_valuation)
-from .systems import PAdicSystem, fixed_point
+from .systems import PAdicSystem, disjoint_lattice_images, fixed_point
 
 
 def padic_distance(x, y, p: int) -> PAdicValue:
@@ -147,6 +150,21 @@ def attractor_sample(system: PAdicSystem, seed, depth: int | None = None,
     beyond it.  The default depth is the largest n with m**n <= 2**16
     words, m the number of maps.
     """
+    depth = _attractor_depth(system, depth, node_budget)
+    seed = Fraction(seed)
+    scale, maps, start = system.archimedean().on_lattice(seed)
+    layer = set(start)
+    for _ in range(depth):
+        layer = {r * a + shift for r, _, shift in maps for a in layer}
+    return PAdicAttractorSample(
+        system=system, seed=seed, depth=depth, lattice=sorted(layer),
+        scale=scale, certified_k=_certified_k(system, scale, depth))
+
+
+def _attractor_depth(system: PAdicSystem, depth: int | None,
+                     node_budget: int) -> int:
+    """The depth of `attractor_sample`, refused when its m**depth words
+    exceed the budget."""
     m = len(system.terms)
     if depth is None:
         depth = 1
@@ -157,15 +175,53 @@ def attractor_sample(system: PAdicSystem, seed, depth: int | None = None,
     if m**depth > node_budget:
         raise BudgetExceededError(
             f"depth {depth} needs {m**depth} words, budget is {node_budget}")
-    seed = Fraction(seed)
-    scale, maps, start = system.archimedean().on_lattice(seed)
-    layer = set(start)
-    for _ in range(depth):
-        layer = {r * a + shift for r, _, shift in maps for a in layer}
-    return PAdicAttractorSample(
-        system=system, seed=seed, depth=depth, lattice=sorted(layer),
-        scale=scale, certified_k=(depth * system.min_exponent
-                                  - _int_valuation(scale, system.p)))
+    return depth
+
+
+def _certified_k(system: PAdicSystem, scale: int, depth: int) -> int:
+    """The last ball level at which the depth-n word values on the lattice
+    of scale L meet the balls the attractor meets."""
+    return depth * system.min_exponent - _int_valuation(scale, system.p)
+
+
+def attractor_ball_counts(system: PAdicSystem, ks, *,
+                          node_budget: int = 10_000_000) -> list[int]:
+    """Numbers N_k of p-adic balls of radius p**-k that meet the attractor
+    A, the union of the f_i(A), for each k in ks, in the order given.
+
+    On the lattice of `Rifs.on_lattice`, L the lcm of the offset
+    denominators, x -> L x sends A into the p-adic integers and each map
+    to a -> r_i a + b_i L, r_i = +-p**e_i; modulo p**K that image depends
+    on a modulo p**(K - e_i) only.  So the residues R_K of L A modulo p**K
+    are R_0 = {0} and R_K = the union over i of
+    {(r_i a + b_i L) mod p**K : a in R_(K - e_i)}, with R_j = {0} for
+    j <= 0, and N_k = |R_(k + v)|, v = v_p(L), as in `ball_count`.  Exact;
+    the sum of the |R_K| walked is budgeted.
+    """
+    ks = [int(k) for k in ks]
+    p = system.p
+    _check_ball_levels(p, ks)
+    if not ks:
+        return []
+    scale, maps, _ = system.archimedean().on_lattice()
+    shift = _int_valuation(scale, p)
+    steps = [(r, e, b) for (r, _, b), (_, e, _) in zip(maps, system.terms)]
+    # window[-e] is R_(K - e) for the level K under construction
+    window = [{0}] * max(e for _, e, _ in steps)
+    sizes = [1]
+    used = 0
+    for level in range(1, max(ks) + shift + 1):
+        modulus = p**level
+        residues = {(r * a + b) % modulus
+                    for r, e, b in steps for a in window[-e]}
+        used += len(residues)
+        if used > node_budget:
+            raise BudgetExceededError(
+                f"ball level {level - shift} needs {used} residues, "
+                f"budget is {node_budget}")
+        window = window[1:] + [residues]
+        sizes.append(len(residues))
+    return [sizes[k + shift] for k in ks]
 
 
 @dataclass(frozen=True)
@@ -180,6 +236,14 @@ def padic_box_dimension(points, p: int, k_values,
                         certified_k: int | None = None) -> PAdicBoxReport:
     """Slope of log N_k against k log p for p-adic ball counts N_k of
     points, a list of rationals or a sample on the integer lattice."""
+    k_values = _box_levels(k_values, certified_k)
+    return _box_fit(p, k_values,
+                    [ball_count(points, p, k).count for k in k_values])
+
+
+def _box_levels(k_values, certified_k: int | None) -> list[int]:
+    """The distinct levels of a box fit, sorted, checked to be at least 4,
+    from 1 on and within certified_k."""
     k_values = sorted(set(int(k) for k in k_values))
     if len(k_values) < 4:
         raise DomainError("need at least 4 ball levels")
@@ -189,7 +253,11 @@ def padic_box_dimension(points, p: int, k_values,
         raise DomainError(
             f"level {k_values[-1]} exceeds the certified resolution "
             f"{certified_k} of this sample")
-    counts = [ball_count(points, p, k).count for k in k_values]
+    return k_values
+
+
+def _box_fit(p: int, k_values: list[int], counts: list[int]) -> PAdicBoxReport:
+    """The box fit of the ball counts N_k at the checked levels k_values."""
     if min(counts) < 1:
         raise DomainError("p-adic box fit needs a nonempty sample")
     log_p = math.log(p)
@@ -267,16 +335,45 @@ class MassBoxComparison:
         return abs(self.mass_fit.slope - self.box_fit.slope)
 
 
+@dataclass(frozen=True)
+class PAdicAttractor:
+    """What `attractor_sample` would hold: its depth, its number of
+    distinct word values and its certified ball level."""
+
+    depth: int
+    size: int
+    certified_k: int
+
+
+def _fit_levels(certified_k: int) -> range:
+    """The ball levels of an attractor's box fit: 2..min(certified_k, 12)."""
+    return range(2, min(certified_k, 12) + 1)
+
+
 def padic_attractor_box(system: PAdicSystem, seed, depth: int | None = None,
                         node_budget: int = 10_000_000
-                        ) -> tuple[PAdicAttractorSample, PAdicBoxReport]:
-    """The attractor sample of `attractor_sample` and its box fit at the
-    levels 2..min(certified_k, 12)."""
-    att = attractor_sample(system, seed, depth, node_budget)
-    box = padic_box_dimension(att, system.p,
-                              range(2, min(att.certified_k, 12) + 1),
-                              certified_k=att.certified_k)
-    return att, box
+                        ) -> tuple[PAdicAttractor, PAdicBoxReport]:
+    """The depth, size and certified_k of `attractor_sample`, and the box
+    fit of the attractor at the levels 2..min(certified_k, 12), counted by
+    `attractor_ball_counts`: at those levels the sample meets the same
+    balls, so the fit is the one `padic_box_dimension` takes of it.
+
+    The sample is built only to count its distinct values, and not at all
+    when `disjoint_lattice_images` holds: then its m**depth words give
+    m**depth distinct values.
+    """
+    seed = Fraction(seed)
+    depth = _attractor_depth(system, depth, node_budget)
+    rifs = system.archimedean()
+    certified_k = _certified_k(system, rifs.on_lattice(seed)[0], depth)
+    ks = _box_levels(_fit_levels(certified_k), certified_k)
+    if disjoint_lattice_images(rifs, seed):
+        size = rifs.m**depth
+    else:
+        size = len(attractor_sample(system, seed, depth, node_budget))
+    counts = attractor_ball_counts(system, ks, node_budget=node_budget)
+    return (PAdicAttractor(depth=depth, size=size, certified_k=certified_k),
+            _box_fit(system.p, ks, counts))
 
 
 def _require_fixed_seed(system: PAdicSystem, seed: Fraction) -> None:
@@ -313,12 +410,16 @@ def compare_mass_and_box(system: PAdicSystem, seed, *,
                          mass_kmax: int = 12, depth: int | None = None,
                          node_budget: int = 10_000_000) -> MassBoxComparison:
     """`mass_versus_box` for the orbit of a fixed-point seed within
-    p**mass_kmax, against the box fit of `padic_attractor_box`.  A seed
-    that no map fixes is rejected before anything is enumerated."""
+    p**mass_kmax, against the box fit that `padic_box_dimension` takes of
+    `attractor_sample` at the levels of `padic_attractor_box`: the sampled
+    reference for its exact counts.  A seed that no map fixes is rejected
+    before anything is enumerated."""
     seed = Fraction(seed)
     _require_fixed_seed(system, seed)
     sample = enumerate_orbit(system.archimedean(), seed,
                              Fraction(system.p) ** mass_kmax,
                              node_budget=node_budget)
-    _, box = padic_attractor_box(system, seed, depth, node_budget)
+    att = attractor_sample(system, seed, depth, node_budget)
+    box = padic_box_dimension(att, system.p, _fit_levels(att.certified_k),
+                              certified_k=att.certified_k)
     return mass_versus_box(system, sample, box.fit)

@@ -12,6 +12,7 @@ prime p, the form the p-adic statistics in `padic` work on.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -262,3 +263,21 @@ def has_incongruent_offsets(system: Rifs) -> bool:
     mod = abs(r.numerator)
     residues = {m.offset.numerator % mod for m in system.maps}
     return len(residues) == len(system.maps)
+
+
+def disjoint_lattice_images(system: Rifs, *points) -> bool:
+    """True when every ratio is an integer and gcd(r_i, r_j) does not
+    divide L (b_j - b_i) for any i != j, L the scale of
+    `Rifs.on_lattice(*points)`.
+
+    On that lattice r_i a + b_i L = r_j c + b_j L needs gcd(r_i, r_j) to
+    divide L (b_j - b_i), so the images of lattice points under distinct
+    maps never meet, and the words of one length send a lattice point to
+    pairwise distinct values.  `has_incongruent_offsets` is the case of
+    one ratio and L = 1.
+    """
+    _, maps, _ = system.on_lattice(*points)
+    if any(q != 1 for _, q, _ in maps):
+        return False
+    return all((c - b) % math.gcd(r, s) != 0
+               for (r, _, b), (s, _, c) in itertools.combinations(maps, 2))

@@ -224,14 +224,19 @@ def count_padic_calls(monkeypatch, names):
 def test_padic_csv_and_sandwich(tmp_path, capsys, monkeypatch):
     cfg = binary_padic_config(tmp_path)
     out = tmp_path / "out"
-    calls = count_padic_calls(monkeypatch,
-                              ("attractor_sample", "padic_box_dimension"))
+    calls = count_padic_calls(monkeypatch, ("attractor_ball_counts",
+                                            "attractor_sample",
+                                            "padic_box_dimension"))
     code, frag = run_json(capsys, ["padic", "--config", cfg,
                                    "--out", str(out)])
     assert code == 0
-    # one attractor sample and one box fit serve both the fragment's box
-    # and the mass-vs-box check
-    assert calls == {"attractor_sample": 1, "padic_box_dimension": 1}
+    # one exact count serves both the fragment's box and the mass-vs-box
+    # check; {2x, 2x + 1} has disjoint lattice images, so its 2**16 words
+    # are counted without being built
+    assert calls == {"attractor_ball_counts": 1, "attractor_sample": 0,
+                     "padic_box_dimension": 0}
+    assert frag["attractor"] == {"depth": 16, "size": 2**16,
+                                 "certified_k": 16}
     assert frag["mass_vs_box"]["box"] == frag["box"]["fit"]
     assert frag["clustering"] == [[k, 2**k] for k in range(1, 13)]
     assert frag["box"]["fit"]["slope"] == pytest.approx(1.0, abs=1e-12)
@@ -248,13 +253,13 @@ def test_padic_csv_and_sandwich(tmp_path, capsys, monkeypatch):
 
 def test_padic_counts_each_ball_level_once(tmp_path, capsys, monkeypatch):
     # clustering reads the sandwich's ball counts at k = 1..12, counted in
-    # one pass; the box fit counts the attractor sample at k = 2..12
+    # one pass; the box fit reads the residue recursion, no sample
     cfg = binary_padic_config(tmp_path)
     calls = count_padic_calls(monkeypatch, ("ball_count", "ball_counts"))
     code, frag = run_json(capsys, ["padic", "--config", cfg,
                                    "--out", str(tmp_path / "out")])
     assert code == 0
-    assert calls == {"ball_count": 11, "ball_counts": 1}
+    assert calls == {"ball_count": 0, "ball_counts": 1}
     assert frag["clustering"] == [[r["k"], r["balls"]]
                                   for r in frag["sandwich"]["rows"]]
 
@@ -325,6 +330,17 @@ def test_padic_attractor_over_budget_exits_3(tmp_path, capsys):
     assert code == 3
     assert "budget exhausted: depth 16 needs 65536 words" in (
         capsys.readouterr().err)
+
+
+def test_padic_residues_over_budget_exits_3(tmp_path, capsys):
+    # depth 8 walks 256 words, within the budget, but the residue sets of
+    # levels 1..8 hold 2 + 4 + ... + 256 = 510 residues
+    cfg = binary_padic_config(tmp_path)
+    code = main(["padic", "--config", cfg, "--budget", "300", "--depth", "8",
+                 "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert ("budget exhausted: ball level 8 needs 510 residues, "
+            "budget is 300") in capsys.readouterr().err
 
 
 def test_padic_requires_block(tmp_path, capsys):

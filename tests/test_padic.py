@@ -11,12 +11,15 @@ from rifslab import (
     ConfigError,
     DomainError,
     PAdicSystem,
+    attractor_ball_counts,
     attractor_sample,
     ball_count,
     ball_counts,
     compare_mass_and_box,
+    disjoint_lattice_images,
     make_padic_system,
     mass_box_sandwich,
+    padic_attractor_box,
     padic_box_dimension,
     padic_distance,
     padic_valuation,
@@ -234,10 +237,11 @@ def test_attractor_certified_k_counts_offset_denominators():
 
 
 @st.composite
-def _small_padic_systems(draw):
+def _small_padic_systems(draw, min_words=1, max_words=64):
     """(system, seed, depth): p in {2, 3, 5}, two or three maps with signs
     +-1 and exponents 1..2, offsets and seed with denominators p**0..p**2
-    times a part coprime to p, and at most 64 words."""
+    times a part coprime to p, and at most max_words words, at least
+    min_words where the depth is above 1."""
     p = draw(st.sampled_from([2, 3, 5]))
     rationals = st.builds(
         lambda n, e, c: Fraction(n, p**e * c), st.integers(-20, 20),
@@ -250,7 +254,12 @@ def _small_padic_systems(draw):
     terms = draw(st.lists(
         st.tuples(st.sampled_from([1, -1]), st.integers(1, 2), rationals),
         min_size=2, max_size=3, unique_by=map_key))
-    depth = draw(st.integers(1, 6 if len(terms) == 2 else 3))
+    low = top = 1
+    while len(terms) ** (top + 1) <= max_words:
+        top += 1
+    while len(terms) ** low < min_words and low < top:
+        low += 1
+    depth = draw(st.integers(low, top))
     return make_padic_system(p, terms), draw(rationals), depth
 
 
@@ -274,6 +283,101 @@ def test_certified_levels_match_a_deeper_sample(case):
     for k in range(max(att.certified_k + 1, 0)):
         assert (ball_count(att, system.p, k).count
                 == ball_count(deeper, system.p, k).count)
+
+
+@given(_small_padic_systems())
+def test_exact_ball_counts_match_the_sample(case):
+    # at every certified level the sample meets the balls the attractor
+    # meets, and the residue recursion counts those
+    system, seed, depth = case
+    att = attractor_sample(system, seed, depth)
+    ks = range(att.certified_k + 1)
+    assert (attractor_ball_counts(system, ks)
+            == ball_counts(att, system.p, ks))
+
+
+def _sampled_attractor_box(system, seed, depth):
+    """The record and fit padic_attractor_box gave when it read them off
+    attractor_sample and padic_box_dimension, or the error it raised."""
+    try:
+        att = attractor_sample(system, seed, depth)
+        box = padic_box_dimension(att, system.p,
+                                  range(2, min(att.certified_k, 12) + 1),
+                                  certified_k=att.certified_k)
+    except DomainError as exc:
+        return str(exc)
+    return (att.depth, len(att), att.certified_k), box
+
+
+@given(_small_padic_systems(min_words=2**6, max_words=3**8))
+def test_attractor_box_matches_the_sampled_path(case):
+    system, seed, depth = case
+    try:
+        att, box = padic_attractor_box(system, seed, depth)
+    except DomainError as exc:
+        got = str(exc)
+    else:
+        got = (att.depth, att.size, att.certified_k), box
+    # the ball counts and every float of the fit are equal, not close
+    assert got == _sampled_attractor_box(system, seed, depth)
+
+
+@given(_small_padic_systems())
+def test_disjoint_lattice_images_give_distinct_words(case):
+    system, seed, depth = case
+    if disjoint_lattice_images(system.archimedean(), seed):
+        assert len(attractor_sample(system, seed, depth)) == (
+            len(system.terms)**depth)
+
+
+def _fibonacci(n):
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+def test_overlapping_ball_counts_are_fibonacci():
+    # {3x, 3x + 1, 3x + 3} fails the certificate, since 3 divides 3 - 0:
+    # N_k = F(2k + 1), an oracle independent of the sample
+    system = make_padic_system(3, [(1, 1, 0), (1, 1, 1), (1, 1, 3)])
+    assert not disjoint_lattice_images(system.archimedean(), 0)
+    ks = range(1, 13)
+    assert attractor_ball_counts(system, ks) == [_fibonacci(2 * k + 1)
+                                                 for k in ks]
+    att, box = padic_attractor_box(system, 0)
+    assert (att.depth, att.size, att.certified_k) == (10, 17711, 10)
+    assert box.counts == tuple(_fibonacci(2 * k + 1) for k in range(2, 11))
+
+
+def test_exact_ball_counts_with_p_in_an_offset_denominator():
+    # offsets 0 and 1/2 sit on L = 2, so v_2(L) = 1 shifts the residue
+    # levels by one: the balls at level k are the residues modulo 2**(k+1)
+    system = make_padic_system(2, [(1, 1, 0), (1, 1, Fraction(1, 2))])
+    assert attractor_ball_counts(system, [7, 0, 3]) == [256, 2, 16]
+
+
+def test_exact_ball_counts_budget(binary_padic_system):
+    # |R_1| + ... + |R_8| = 2 + 4 + ... + 256 = 510 residues
+    assert attractor_ball_counts(binary_padic_system, [8],
+                                 node_budget=510) == [256]
+    with pytest.raises(BudgetExceededError,
+                       match="ball level 8 needs 510 residues, budget is 509"):
+        attractor_ball_counts(binary_padic_system, [8], node_budget=509)
+    with pytest.raises(DomainError, match=">= 0"):
+        attractor_ball_counts(binary_padic_system, [-1])
+    assert attractor_ball_counts(binary_padic_system, []) == []
+
+
+def test_attractor_box_builds_no_certified_sample(binary_padic_system,
+                                                  monkeypatch):
+    def no_sample(*args, **kwargs):
+        raise AssertionError("built the sample of a certified system")
+
+    monkeypatch.setattr(padic, "attractor_sample", no_sample)
+    att, box = padic_attractor_box(binary_padic_system, 0)
+    assert (att.depth, att.size, att.certified_k) == (16, 2**16, 16)
+    assert box.counts == tuple(2**k for k in range(2, 13))
 
 
 def test_box_dimension_binary(binary_padic_system):

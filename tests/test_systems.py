@@ -11,6 +11,7 @@ from rifslab import (
     DomainError,
     affine_map,
     common_fixed_point,
+    disjoint_lattice_images,
     find_exact_overlaps,
     fixed_point,
     has_incongruent_offsets,
@@ -219,6 +220,47 @@ def test_residue_criterion():
     # non-integer data never qualifies
     assert not has_incongruent_offsets(
         make_system([(Fraction(3), Fraction(1, 2)), (Fraction(3), Fraction(0))]))
+
+
+def test_disjoint_lattice_images_table():
+    # cantor: gcd(3, 3) = 3 does not divide 2
+    assert disjoint_lattice_images(
+        make_system([(3, 0), (3, 2)]), 0)
+    # gcd(2, 4) = 2 does not divide 1; mixed ratios qualify
+    assert disjoint_lattice_images(make_system([(2, 0), (4, 1)]), 0)
+    # gcd(2, 3) = 1 divides everything
+    assert not disjoint_lattice_images(make_system([(2, 0), (3, 1)]), 5)
+    # 3 divides 3 - 0: {3x, 3x + 1, 3x + 3} overlaps
+    assert not disjoint_lattice_images(
+        make_system([(3, 0), (3, 1), (3, 3)]), 0)
+    # the seed 1/2 puts the offsets on L = 2: 3 divides 2 (3 - 0) = 6 but
+    # not 2 (2 - 0) = 4
+    assert not disjoint_lattice_images(
+        make_system([(3, 0), (3, 3)]), Fraction(1, 2))
+    assert disjoint_lattice_images(
+        make_system([(3, 0), (3, 2)]), Fraction(1, 2))
+    # a non-integer ratio never qualifies
+    assert not disjoint_lattice_images(
+        make_system([(Fraction(5, 2), 0), (Fraction(5, 2), 1)]), 0)
+
+
+@given(maps=st.lists(
+    st.tuples(st.sampled_from([-3, -2, 2, 3, 4, 6]),
+              st.fractions(min_value=-4, max_value=4, max_denominator=3)),
+    min_size=2, max_size=3, unique=True),
+    seed=st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    length=st.integers(min_value=1, max_value=4))
+def test_disjoint_lattice_images_keeps_words_apart(maps, seed, length):
+    # where the certificate holds, the words of one length send the seed to
+    # pairwise distinct values; it implies the one-ratio residue criterion
+    system = make_system(maps)
+    if has_incongruent_offsets(system):
+        assert disjoint_lattice_images(system)
+    if disjoint_lattice_images(system, seed):
+        values = [seed]
+        for _ in range(length):
+            values = [m(x) for m in system.maps for x in values]
+        assert len(set(values)) == system.m**length
 
 
 def _prime_factors(n):
