@@ -231,6 +231,9 @@ def test_attractor_certified_k_counts_offset_denominators():
     # one level further the depth-8 sample undercounts
     assert ball_count(shallow, 2, 8).count == 256
     assert ball_count(deep, 2, 8).count == 512
+    # the residue recursion shifts its levels by v_2(L) = 1 and counts the
+    # attractor itself at every level
+    assert attractor_ball_counts(system, [7, 8, 0]) == [256, 512, 2]
     with pytest.raises(DomainError, match="certified resolution"):
         padic_box_dimension(shallow, 2, range(5, 9),
                             certified_k=shallow.certified_k)
@@ -350,13 +353,6 @@ def test_overlapping_ball_counts_are_fibonacci():
     assert box.counts == tuple(_fibonacci(2 * k + 1) for k in range(2, 11))
 
 
-def test_exact_ball_counts_with_p_in_an_offset_denominator():
-    # offsets 0 and 1/2 sit on L = 2, so v_2(L) = 1 shifts the residue
-    # levels by one: the balls at level k are the residues modulo 2**(k+1)
-    system = make_padic_system(2, [(1, 1, 0), (1, 1, Fraction(1, 2))])
-    assert attractor_ball_counts(system, [7, 0, 3]) == [256, 2, 16]
-
-
 def test_exact_ball_counts_budget(binary_padic_system):
     # |R_1| + ... + |R_8| = 2 + 4 + ... + 256 = 510 residues
     assert attractor_ball_counts(binary_padic_system, [8],
@@ -367,17 +363,6 @@ def test_exact_ball_counts_budget(binary_padic_system):
     with pytest.raises(DomainError, match=">= 0"):
         attractor_ball_counts(binary_padic_system, [-1])
     assert attractor_ball_counts(binary_padic_system, []) == []
-
-
-def test_attractor_box_builds_no_certified_sample(binary_padic_system,
-                                                  monkeypatch):
-    def no_sample(*args, **kwargs):
-        raise AssertionError("built the sample of a certified system")
-
-    monkeypatch.setattr(padic, "attractor_sample", no_sample)
-    att, box = padic_attractor_box(binary_padic_system, 0)
-    assert (att.depth, att.size, att.certified_k) == (16, 2**16, 16)
-    assert box.counts == tuple(2**k for k in range(2, 13))
 
 
 def test_box_dimension_binary(binary_padic_system):
