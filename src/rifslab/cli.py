@@ -81,14 +81,15 @@ def _fit_dict(fit: DimensionFit) -> dict:
 
 
 class _Session:
-    """One config plus caches shared between the fragments of a run.
-
-    Orbit samples are cached per radius, so `report` enumerates each
-    radius once and reuses the sample across its analyses.
+    """One config, its --depth override (None when not given) and the
+    caches shared by the fragments of a run, each a builder(session) ->
+    dict writing into the config's output directory.  Orbit samples are
+    cached per radius, so `report` enumerates each radius once.
     """
 
-    def __init__(self, cfg: RunConfig):
+    def __init__(self, cfg: RunConfig, depth: int | None = None):
         self.cfg = cfg
+        self.depth = depth
         self._samples: dict[Fraction, object] = {}
         self._similarity = None
 
@@ -108,15 +109,15 @@ class _Session:
         return self._similarity
 
 
-def _frag_solve_s(ses: _Session, out_dir: str, args) -> dict:
+def _frag_solve_s(ses: _Session) -> dict:
     sol = ses.similarity()
     return {"s": sol.value, "residual": sol.residual,
             "iterations": sol.iterations}
 
 
-def _frag_diagnose(ses: _Session, out_dir: str, args) -> dict:
+def _frag_diagnose(ses: _Session) -> dict:
     cfg = ses.cfg
-    scan_length = args.depth if args.depth else cfg.overlap_scan_length
+    scan_length = ses.depth or cfg.overlap_scan_length
     degenerate_at = common_fixed_point(cfg.system)
     sol = ses.similarity()
     overlaps = find_exact_overlaps(cfg.system, scan_length,
@@ -133,7 +134,7 @@ def _frag_diagnose(ses: _Session, out_dir: str, args) -> dict:
             "rate": rate,
         })
     witness = [list(word) for word in overlaps[0]] if overlaps else None
-    evidence = _evidence(ses, args)
+    evidence = _evidence(ses)
     return {
         "degenerate": degenerate_at is not None,
         "degenerate_at": (format_rational(degenerate_at)
@@ -150,21 +151,20 @@ def _frag_diagnose(ses: _Session, out_dir: str, args) -> dict:
     }
 
 
-def _evidence(ses: _Session, args, sample=None) -> dict:
+def _evidence(ses: _Session, sample=None) -> dict:
     """The non-overlap evidence printed beside readings that assume it:
     the residue criterion and, for a sample, its least gap and the
     overlap probe.  Both hold for the radius and depths probed only, so
-    every such reading is conditional.  --depth caps the config's probe
-    depths and is probed itself."""
-    cfg = ses.cfg
+    every such reading is conditional.  The session's --depth caps the
+    config's probe depths and is probed itself."""
+    cfg, depth = ses.cfg, ses.depth
     found = {"conditional": True,
              "residue_criterion": has_incongruent_offsets(cfg.system)}
     if sample is not None:
         gap = min_gap(sample)
-        depths = [d for d in cfg.probe_depths
-                  if not args.depth or d <= args.depth]
-        if args.depth and depths[-1:] != [args.depth]:
-            depths.append(args.depth)
+        depths = [d for d in cfg.probe_depths if not depth or d <= depth]
+        if depth and depths[-1:] != [depth]:
+            depths.append(depth)
         matrices = [{"depth": m.depth, "orbit_size": m.truncated_orbit_size,
                      "cells": [list(row) for row in m.cells],
                      "max_offdiagonal": m.max_offdiagonal}
@@ -177,11 +177,11 @@ def _evidence(ses: _Session, args, sample=None) -> dict:
     return found
 
 
-def _frag_orbit(ses: _Session, out_dir: str, args) -> dict:
+def _frag_orbit(ses: _Session) -> dict:
     cfg = ses.cfg
     sample = ses.orbit(cfg.radius)
-    write_orbit_dump(sample, os.path.join(out_dir, "orbit.txt"))
-    evidence = _evidence(ses, args, sample)
+    write_orbit_dump(sample, os.path.join(cfg.out_dir, "orbit.txt"))
+    evidence = _evidence(ses, sample)
     frag = {
         "size": len(sample.lattice),
         "complete": sample.complete,
@@ -208,7 +208,7 @@ def _frag_orbit(ses: _Session, out_dir: str, args) -> dict:
     return frag
 
 
-def _frag_dims(ses: _Session, out_dir: str, args) -> dict:
+def _frag_dims(ses: _Session) -> dict:
     cfg = ses.cfg
     sample = ses.orbit(cfg.radius)
     grid = cfg.h_grid()
@@ -218,7 +218,7 @@ def _frag_dims(ses: _Session, out_dir: str, args) -> dict:
         hf = float(h)
         exponent = math.log(n) / math.log(hf) if n >= 1 and hf > 1 else math.nan
         rows.append((_f(hf), str(n), _f(exponent)))
-    _write_csv(os.path.join(out_dir, "dims.csv"),
+    _write_csv(os.path.join(cfg.out_dir, "dims.csv"),
                ["h", "N", "logN/logh"], map(",".join, rows))
     window = tail_window(len(grid))
     mass = estimate_mass_dimension(profile, window=window)
@@ -232,7 +232,7 @@ def _frag_dims(ses: _Session, out_dir: str, args) -> dict:
     }
 
 
-def _frag_dhd(ses: _Session, out_dir: str, args) -> dict:
+def _frag_dhd(ses: _Session) -> dict:
     cfg = ses.cfg
     sample = ses.orbit(cfg.radius)
     points, scale = integerize(sample)
@@ -240,7 +240,7 @@ def _frag_dhd(ses: _Session, out_dir: str, args) -> dict:
                                          cfg.nu_levels(), tau=cfg.tau)
     rows = [(_f(alpha), str(n), _f(cost), _f(partial))
             for alpha, n, cost, partial in report.rows]
-    _write_csv(os.path.join(out_dir, "nu.csv"),
+    _write_csv(os.path.join(cfg.out_dir, "nu.csv"),
                ["alpha", "n", "nu", "partial_sum"], map(",".join, rows))
     return {
         "scale": scale,
@@ -252,7 +252,7 @@ def _frag_dhd(ses: _Session, out_dir: str, args) -> dict:
     }
 
 
-def _frag_attractor(ses: _Session, out_dir: str, args) -> dict:
+def _frag_attractor(ses: _Session) -> dict:
     cfg = ses.cfg
     box = attractor_box_counts(cfg.system, cfg.grid_kmax,
                                word_budget=cfg.node_budget)
@@ -265,7 +265,7 @@ def _frag_attractor(ses: _Session, out_dir: str, args) -> dict:
     }
 
 
-def _frag_density(ses: _Session, out_dir: str, args) -> dict:
+def _frag_density(ses: _Session) -> dict:
     cfg = ses.cfg
     s = ses.similarity().value
     sample = ses.orbit(cfg.radius)
@@ -276,7 +276,7 @@ def _frag_density(ses: _Session, out_dir: str, args) -> dict:
     rows = ["%.17g,%.17g,%.17g" % (h, math.nan if phase is None else phase,
                                    value)
             for h, phase, value in report.samples]
-    _write_csv(os.path.join(out_dir, "density.csv"),
+    _write_csv(os.path.join(cfg.out_dir, "density.csv"),
                ["h", "phase", "N_over_hs"], rows)
     return {
         "s": s,
@@ -307,7 +307,7 @@ def _txt(value) -> str:
     return "none" if value is None else str(value)
 
 
-def _frag_renewal(ses: _Session, out_dir: str, args) -> dict:
+def _frag_renewal(ses: _Session) -> dict:
     cfg = ses.cfg
     system = cfg.system
     s = ses.similarity().value
@@ -316,7 +316,7 @@ def _frag_renewal(ses: _Session, out_dir: str, args) -> dict:
                                                       cutoff)))
     residuals = residual_points(sample)
     estimate = renewal_constant(system, sample, residuals, s, cutoff)
-    evidence = _evidence(ses, args, sample)
+    evidence = _evidence(ses, sample)
     frag = {
         "value": estimate.value,
         "tail_bound": estimate.tail_bound,
@@ -329,14 +329,14 @@ def _frag_renewal(ses: _Session, out_dir: str, args) -> dict:
     }
     frag.update((key, value) for key, value in evidence.items()
                 if key != "matrices")
-    with open(os.path.join(out_dir, "renewal.txt"), "w",
+    with open(os.path.join(cfg.out_dir, "renewal.txt"), "w",
               encoding="utf-8") as fh:
         fh.write("".join(f"{key} = {_txt(frag[key])}\n"
                          for key in _RENEWAL_TXT))
     return frag
 
 
-def _frag_padic(ses: _Session, out_dir: str, args) -> dict:
+def _frag_padic(ses: _Session) -> dict:
     cfg = ses.cfg
     if cfg.padic is None:
         raise ConfigError("padic: block required for this command")
@@ -362,7 +362,7 @@ def _frag_padic(ses: _Session, out_dir: str, args) -> dict:
                       {"error": "clustering requires a complete sample"})
     frag = {"p": p, "clustering": clustering, "sandwich": sandwich}
     try:
-        att, box = padic_attractor_box(psys, cfg.seed, args.depth,
+        att, box = padic_attractor_box(psys, cfg.seed, ses.depth,
                                        cfg.node_budget)
     except DomainError as exc:
         # an attractor too shallow to fit leaves the sandwich standing
@@ -372,7 +372,7 @@ def _frag_padic(ses: _Session, out_dir: str, args) -> dict:
     log_p = math.log(p)
     rows = [(str(k), str(n), _f(math.log(n) / (k * log_p)))
             for k, n in zip(box.ks, box.counts)]
-    _write_csv(os.path.join(out_dir, "padic.csv"),
+    _write_csv(os.path.join(cfg.out_dir, "padic.csv"),
                ["k", "N_k", "logN_k/(k log p)"], map(",".join, rows))
     frag.update(attractor={"depth": att.depth, "size": att.size,
                            "certified_k": att.certified_k},
@@ -395,7 +395,7 @@ def _frag_padic(ses: _Session, out_dir: str, args) -> dict:
 _ABSORBED = (ConfigError, DomainError, BudgetExceededError)
 
 
-def _frag_report(ses: _Session, out_dir: str, args) -> dict:
+def _frag_report(ses: _Session) -> dict:
     """Every analysis into one report.json, each failure recorded in place.
 
     This process first computes what the analyses share, the similarity
@@ -420,7 +420,7 @@ def _frag_report(ses: _Session, out_dir: str, args) -> dict:
 
     def run(builder) -> dict:
         try:
-            return builder(ses, out_dir, args)
+            return builder(ses)
         except _ABSORBED as exc:
             return {"error": str(exc)}
 
@@ -430,7 +430,7 @@ def _frag_report(ses: _Session, out_dir: str, args) -> dict:
     fragments = {"padic": {"skipped": "no padic block in config"}}
     fragments.update(zip(jobs, pool.run(list(jobs.values()))))
     doc.update((name, fragments[name]) for name, _ in _ANALYSES)
-    with open(os.path.join(out_dir, "report.json"), "w",
+    with open(os.path.join(cfg.out_dir, "report.json"), "w",
               encoding="utf-8") as fh:
         fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return doc
@@ -518,10 +518,9 @@ def main(argv=None) -> int:
         if args.depth is not None and args.depth < 1:
             raise ConfigError("--depth: must be >= 1")
         cfg = load_config(args.config, _config_patch(args))
-        session = _Session(cfg)
         os.makedirs(cfg.out_dir, exist_ok=True)
         builder = {name: b for name, _, b, _ in _COMMANDS}[args.command]
-        fragment = builder(session, cfg.out_dir, args)
+        fragment = builder(_Session(cfg, args.depth))
         print(json.dumps(fragment, indent=2, sort_keys=True))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -700,11 +700,14 @@ _DENSITY_PERIODS, _DENSITY_FILL = 3, 40  # periods filled, steps in each
 
 @dataclass(frozen=True)
 class DensityReport:
+    """samples holds (h, phase, N(h)/h**s) per profile entry, phase the
+    place log h / log ratio mod 1 of h in the declared period, None without
+    one; sup_tail, inf_tail and defect read the entries in tail_window."""
+
     samples: tuple[tuple[float, float | None, float], ...]
     sup_tail: float
     inf_tail: float
     tail_window: tuple[float, float]
-    periodic_profile: tuple[tuple[float, float], ...]
     defect: float | None
 
 
@@ -735,7 +738,7 @@ def density_profile(profile: CountingProfile, s: float, period_ratio=None,
         start = tail_window(len(grid))[0]
         window = (floats[start], floats[-1])
         samples = tuple((x, None, val) for x, val in zip(floats, values))
-        periodic, defect = (), None
+        defect = None
     else:
         ratio = Fraction(period_ratio)
         if ratio <= 1:
@@ -783,7 +786,6 @@ def density_profile(profile: CountingProfile, s: float, period_ratio=None,
 
         samples = tuple((x, math.log(x) / log_r % 1.0, val)
                         for x, val in zip(floats, values))
-        periodic = tuple((ph, val) for _, ph, val in samples[start:])
 
     tail = values[start:]
     sup_tail = max(tail)
@@ -791,8 +793,7 @@ def density_profile(profile: CountingProfile, s: float, period_ratio=None,
     for n0, x1 in zip(counts[start:], floats[start + 1:]):
         inf_tail = min(inf_tail, n0 / x1 ** s)
     return DensityReport(samples=samples, sup_tail=sup_tail, inf_tail=inf_tail,
-                         tail_window=window, periodic_profile=periodic,
-                         defect=defect)
+                         tail_window=window, defect=defect)
 
 
 def _magnitudes(sample: OrbitSample, hi) -> list[int]:

@@ -98,19 +98,6 @@ class OrbitSample(LatticePoints):
         top = self.floor_scaled(h)
         return bisect_right(self.lattice, top) - bisect_left(self.lattice, -top)
 
-    def profile(self, grid: list[int], scale: int) -> CountingProfile:
-        """Counts N(g / D) for the strictly increasing positive ints g of
-        grid, D = scale, on a complete sample.  A lattice point a lies in
-        [-g / D, g / D] exactly when |a| <= floor(g L / D)."""
-        if not self.complete:
-            raise DomainError("counting requires a complete sample")
-        pts = self.lattice
-        counts = []
-        for g in grid:
-            top = g * self.scale // scale
-            counts.append(bisect_right(pts, top) - bisect_left(pts, -top))
-        return CountingProfile(grid, scale, counts)
-
     def __contains__(self, x) -> bool:
         x = Fraction(x)
         a, rem = divmod(x.numerator * self.scale, x.denominator)
@@ -225,7 +212,8 @@ def counting_profile(sample: OrbitSample, grid) -> CountingProfile:
 
     Requires a complete sample and every h within the verified radius.
     The grid goes onto the lattice of the lcm D of its denominators once,
-    and `OrbitSample.profile` counts it there.
+    as ints g with h = g / D, and a sample point a / L lies in [-h, h]
+    exactly when |a| <= floor(g L / D).
     """
     grid = [h if isinstance(h, Fraction) else Fraction(h) for h in grid]
     if not grid:
@@ -239,7 +227,15 @@ def counting_profile(sample: OrbitSample, grid) -> CountingProfile:
         raise DomainError(
             f"grid value {format_rational(grid[-1])} exceeds verified radius "
             f"{format_rational(sample.radius)}")
-    return sample.profile(*on_lattice(grid))
+    if not sample.complete:
+        raise DomainError("counting requires a complete sample")
+    grid, scale = on_lattice(grid)
+    pts = sample.lattice
+    counts = []
+    for g in grid:
+        top = g * sample.scale // scale
+        counts.append(bisect_right(pts, top) - bisect_left(pts, -top))
+    return CountingProfile(grid, scale, counts)
 
 
 def window_max_count(sample: OrbitSample, h) -> tuple[int, Fraction | None]:

@@ -289,7 +289,8 @@ def mass_box_sandwich(system: PAdicSystem, sample: OrbitSample,
     the ball count from below.  Every orbit point is p-adically within
     p**-k of a word value of bounded archimedean size, giving the upper
     window [-(|seed| + max|b|/(p-1)) * p**(k+d), +same] with
-    d = max exponent + the largest valuation among seed and offsets.
+    d = max exponent + v_p(L), L the lcm of the denominators of the seed
+    and the offsets: every orbit point lies in L**-1 Z_p.
     Requires the sample to cover the upper window.
     """
     if not sample.complete:
@@ -299,11 +300,10 @@ def mass_box_sandwich(system: PAdicSystem, sample: OrbitSample,
     # the reduced denominator of a / L is L / gcd(a, L)
     denom_max = max((scale // math.gcd(a, scale) for a in lattice), default=1)
     c_lower = Fraction(1, 2 * denom_max * denom_max)
-    vals = [padic_valuation(x, p).valuation
-            for x in [sample.seed] + [b for _, _, b in system.terms] if x != 0]
-    big_n = max((v for v in vals), default=0)
-    shift = big_n + max(e for _, e, _ in system.terms)
-    c_upper = abs(sample.seed) + system.archimedean().max_offset_mag / (p - 1)
+    rifs = system.archimedean()
+    shift = (max(e for _, e, _ in system.terms)
+             + _int_valuation(rifs.on_lattice(sample.seed)[0], p))
+    c_upper = abs(sample.seed) + rifs.max_offset_mag / (p - 1)
     ks = sorted(set(int(k) for k in k_values))
     upper_edges = [c_upper * p ** (k + shift) for k in ks]
     for k, upper_edge in zip(ks, upper_edges):

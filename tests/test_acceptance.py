@@ -72,8 +72,9 @@ def density_fragment(tmp_path, digits, kmax):
         "maps": [{"r": "3", "b": str(d)} for d in digits],
         "seed": "0",
         "grid": {"base": "3", "kmax": kmax},
+        "out": str(tmp_path),
     })
-    return _frag_density(_Session(cfg), str(tmp_path), None)
+    return _frag_density(_Session(cfg))
 
 
 @pytest.fixture(scope="module")

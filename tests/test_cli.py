@@ -513,7 +513,7 @@ def test_split_report_raises_a_workers_error(tmp_path, capsys,
     parent = os.getpid()
     ran = tmp_path / "ran_in_a_child"
 
-    def failing_in_children(ses, out_dir, args):
+    def failing_in_children(ses):
         if os.getpid() != parent:
             ran.touch()
             raise ZeroDivisionError("fragment worker failed")

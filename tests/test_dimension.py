@@ -566,7 +566,6 @@ def test_density_tail_extrema_no_period(cantor_system):
     # N(3^k)/3^{ks} = 1 at every grid point
     assert report.sup_tail == pytest.approx(1.0, abs=1e-12)
     assert report.defect is None
-    assert report.periodic_profile == ()
     # between 3^k and 3^{k+1} the normalized count dips to 2^k/3^{(k+1)s}
     assert report.inf_tail == pytest.approx(0.5, abs=1e-12)
 
@@ -592,7 +591,7 @@ def test_density_periodic_fold(cantor_system):
     assert report.sup_tail == pytest.approx(1.0, abs=1e-3)
     assert report.sup_tail >= 1.0
     assert report.inf_tail == pytest.approx(2**-LOG2_3, rel=5e-3)
-    assert all(0.0 <= phase < 1.0 for phase, _ in report.periodic_profile)
+    assert all(0.0 <= phase < 1.0 for _, phase, _ in report.samples)
 
 
 def test_density_profile_rejects_sparse_grid(cantor_system):

@@ -3,6 +3,7 @@ the README's quick start."""
 
 import ast
 import importlib
+import inspect
 import json
 import math
 import os
@@ -103,6 +104,15 @@ def test_cli_imports_no_private_name_of_another_module():
                for alias in node.names
                if alias.name.startswith("_") and not alias.name.endswith("__")]
     assert private == []
+
+
+def test_every_builder_takes_the_session_only():
+    # a fragment reads its settings, --depth included, and its output
+    # directory from the session alone
+    from rifslab import cli
+    shapes = {name: list(inspect.signature(builder).parameters)
+              for name, _, builder, _ in cli._COMMANDS}
+    assert shapes == {name: ["ses"] for name in shapes}
 
 
 def test_readme_quick_start_prints_log2_over_log3(capsys):

@@ -412,6 +412,45 @@ def test_sandwich_requires_radius(binary_padic_system):
         mass_box_sandwich(binary_padic_system, orbit, range(2, 9))
 
 
+@pytest.mark.parametrize("p, terms, seed, radius_exponent, kmax", [
+    (3, [(-1, 1, 0), (1, 1, Fraction(2, 3))], 0, 10, 9),
+    (5, [(1, 2, Fraction(2, 5)), (-1, 2, Fraction(1, 25))], Fraction(-1, 60),
+     9, 5),
+])
+def test_sandwich_upper_window_counts_p_in_denominators(p, terms, seed,
+                                                        radius_exponent,
+                                                        kmax):
+    # p in a denominator of L widens the upper window by v_p(L): at k = 1
+    # both systems meet 4 balls, which the window of 8 points brackets
+    from rifslab import enumerate_orbit
+    system = make_padic_system(p, terms)
+    orbit = enumerate_orbit(system.archimedean(), seed,
+                            Fraction(p) ** radius_exponent)
+    rows = mass_box_sandwich(system, orbit, range(1, kmax + 1))
+    assert [r.k for r in rows] == list(range(1, kmax + 1))
+    assert all(row.holds for row in rows)
+    assert (rows[0].balls, rows[0].upper) == (4, 8)
+
+
+@given(_small_padic_systems())
+def test_sandwich_rows_hold(case):
+    # seeds and offsets with p in a denominator or dividing a numerator;
+    # every row the radius admits must bracket the ball count
+    from rifslab import enumerate_orbit
+    system, seed, _ = case
+    orbit = enumerate_orbit(system.archimedean(), seed,
+                            Fraction(system.p) ** 8, node_budget=30_000)
+    if not orbit.complete:
+        return
+    for k in range(1, 12):
+        try:
+            row, = mass_box_sandwich(system, orbit, [k])
+        except DomainError as exc:
+            assert "needs radius" in str(exc)
+            break
+        assert row.holds, (system, seed, row)
+
+
 def test_compare_mass_and_box(binary_padic_system):
     report = compare_mass_and_box(binary_padic_system, Fraction(0),
                                   node_budget=10**6)
