@@ -46,8 +46,7 @@ _EXPORTS = {
     "systems": (
         "AffineMap", "PAdicSystem", "Rifs", "affine_map", "common_fixed_point",
         "disjoint_lattice_images", "find_exact_overlaps", "fixed_point",
-        "has_incongruent_offsets", "make_padic_system", "make_system",
-        "min_word_separation",
+        "make_padic_system", "make_system", "min_word_separation",
     ),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -55,8 +55,8 @@ from .padic import (
 from .rational import format_rational
 from .systems import (
     common_fixed_point,
+    disjoint_lattice_images,
     find_exact_overlaps,
-    has_incongruent_offsets,
     min_word_separation,
 )
 
@@ -154,12 +154,17 @@ def _frag_diagnose(ses: _Session) -> dict:
 def _evidence(ses: _Session, sample=None) -> dict:
     """The non-overlap evidence printed beside readings that assume it:
     the residue criterion and, for a sample, its least gap and the
-    overlap probe.  Both hold for the radius and depths probed only, so
-    every such reading is conditional.  The session's --depth caps the
-    config's probe depths and is probed itself."""
+    overlap probe.  The criterion is `disjoint_lattice_images` on the
+    lattice (1/L)Z of the seed and the offsets: every ratio is an
+    integer and gcd(r_i, r_j) divides no L (b_j - b_i), which proves the
+    images of the orbit under distinct maps disjoint.  The gap and the
+    probe hold for the radius and depths probed only, so every such
+    reading is conditional.  The session's --depth caps the config's
+    probe depths and is probed itself."""
     cfg, depth = ses.cfg, ses.depth
     found = {"conditional": True,
-             "residue_criterion": has_incongruent_offsets(cfg.system)}
+             "residue_criterion": disjoint_lattice_images(cfg.system,
+                                                          cfg.seed)}
     if sample is not None:
         gap = min_gap(sample)
         depths = [d for d in cfg.probe_depths if not depth or d <= depth]

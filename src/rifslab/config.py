@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ConfigError
+from .errors import DEFAULT_NODE_BUDGET, ConfigError
 from .rational import check_prime, parse_rational
 from .systems import PAdicSystem, Rifs, _is_int, make_system
 
@@ -219,7 +219,7 @@ def parse_config(doc: dict) -> RunConfig:
     cutoff = _rat(doc.get("cutoff", "10000"), "cutoff")
     _require(cutoff > 1, "cutoff: must exceed 1")
 
-    node_budget = doc.get("node_budget", 10_000_000)
+    node_budget = doc.get("node_budget", DEFAULT_NODE_BUDGET)
     _require(_is_int(node_budget) and node_budget >= 1,
              "node_budget: must be an integer >= 1")
 

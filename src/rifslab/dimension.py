@@ -18,7 +18,8 @@ from functools import partial
 from itertools import accumulate, zip_longest
 
 from . import pool
-from .errors import BudgetExceededError, ConfigError, DomainError
+from .errors import (DEFAULT_NODE_BUDGET, BudgetExceededError, ConfigError,
+                     DomainError)
 from .orbit import (CountingProfile, LatticePoints, OrbitSample,
                     residual_radius, window_max_count)
 from .rational import format_rational, on_lattice
@@ -477,7 +478,7 @@ class BoxCounts:
 
 
 def attractor_box_counts(system: Rifs, k_max: int, delta=None,
-                         word_budget: int = 10_000_000) -> BoxCounts:
+                         word_budget: int = DEFAULT_NODE_BUDGET) -> BoxCounts:
     """Grid-cell counts of the inverse-family attractor at scales
     delta**-k, for k = 1..k_max.
 
@@ -695,7 +696,8 @@ def estimate_box_dimension(box: BoxCounts,
 # density profiles
 
 
-_DENSITY_PERIODS, _DENSITY_FILL = 3, 40  # periods filled, steps in each
+# periods filled, steps in each, and the least grid values in each
+_DENSITY_PERIODS, _DENSITY_FILL, _DENSITY_MIN_PER_PERIOD = 3, 40, 32
 
 
 @dataclass(frozen=True)
@@ -713,7 +715,8 @@ class DensityReport:
 
 def density_profile(profile: CountingProfile, s: float, period_ratio=None,
                     periods: int = _DENSITY_PERIODS,
-                    min_per_period: int = 32) -> DensityReport:
+                    min_per_period: int = _DENSITY_MIN_PER_PERIOD
+                    ) -> DensityReport:
     """Normalized counts N(h)/h**s with tail extrema and, for a declared
     multiplicative period, the mismatch between the last two periods.
 

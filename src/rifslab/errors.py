@@ -18,3 +18,7 @@ class DomainError(ValueError):
 
 class BudgetExceededError(RuntimeError):
     """A computation was stopped by its node budget."""
+
+
+# the budget of every budgeted walk and scan that is not given one
+DEFAULT_NODE_BUDGET = 10_000_000

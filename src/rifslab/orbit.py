@@ -39,11 +39,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import BudgetExceededError, DomainError
+from .errors import DEFAULT_NODE_BUDGET, BudgetExceededError, DomainError
 from .rational import format_rational, on_lattice
 from .systems import Rifs
-
-DEFAULT_NODE_BUDGET = 10_000_000
 
 
 class LatticePoints:

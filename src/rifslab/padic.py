@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .dimension import (DimensionFit, _loglog_fit, estimate_mass_dimension,
                         integerize)
-from .errors import BudgetExceededError, DomainError
+from .errors import DEFAULT_NODE_BUDGET, BudgetExceededError, DomainError
 from .orbit import LatticePoints, OrbitSample, counting_profile, enumerate_orbit
 from .rational import (PAdicValue, _int_valuation, check_prime,
                        format_rational, padic_valuation)
@@ -136,7 +136,8 @@ class PAdicAttractorSample(LatticePoints):
 
 
 def attractor_sample(system: PAdicSystem, seed, depth: int | None = None,
-                     node_budget: int = 10_000_000) -> PAdicAttractorSample:
+                     node_budget: int = DEFAULT_NODE_BUDGET
+                     ) -> PAdicAttractorSample:
     """All values of words of exactly the given length, deduplicated.
 
     With L the lcm of the denominators of the seed and the offsets, the
@@ -185,7 +186,7 @@ def _certified_k(system: PAdicSystem, scale: int, depth: int) -> int:
 
 
 def attractor_ball_counts(system: PAdicSystem, ks, *,
-                          node_budget: int = 10_000_000) -> list[int]:
+                          node_budget: int = DEFAULT_NODE_BUDGET) -> list[int]:
     """Numbers N_k of p-adic balls of radius p**-k that meet the attractor
     A, the union of the f_i(A), for each k in ks, in the order given.
 
@@ -351,7 +352,7 @@ def _fit_levels(certified_k: int) -> range:
 
 
 def padic_attractor_box(system: PAdicSystem, seed, depth: int | None = None,
-                        node_budget: int = 10_000_000
+                        node_budget: int = DEFAULT_NODE_BUDGET
                         ) -> tuple[PAdicAttractor, PAdicBoxReport]:
     """The depth, size and certified_k of `attractor_sample`, and the box
     fit of the attractor at the levels 2..min(certified_k, 12), counted by
@@ -408,7 +409,8 @@ def mass_versus_box(system: PAdicSystem, sample: OrbitSample,
 
 def compare_mass_and_box(system: PAdicSystem, seed, *,
                          mass_kmax: int = 12, depth: int | None = None,
-                         node_budget: int = 10_000_000) -> MassBoxComparison:
+                         node_budget: int = DEFAULT_NODE_BUDGET
+                         ) -> MassBoxComparison:
     """`mass_versus_box` for the orbit of a fixed-point seed within
     p**mass_kmax, against the box fit that `padic_box_dimension` takes of
     `attractor_sample` at the levels of `padic_attractor_box`: the sampled

@@ -3,8 +3,9 @@
 A system is a finite family f_i(x) = r_i * x + b_i with rational
 coefficients and |r_i| > 1.  Words over the index alphabet compose maps;
 the inverse family contracts, and several diagnostics below (exact overlap
-scan, separation of inverse branches, residue test) probe whether distinct
-words can produce colliding values; the two scans walk words as int pairs.
+scan, separation of inverse branches, lattice-image certificate) probe
+whether distinct words can produce colliding values; the two scans walk
+words as int pairs.
 A `PAdicSystem` describes a system whose ratios are signed powers of one
 prime p, the form the p-adic statistics in `padic` work on.
 """
@@ -16,7 +17,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BudgetExceededError, ConfigError, DomainError
+from .errors import (DEFAULT_NODE_BUDGET, BudgetExceededError, ConfigError,
+                     DomainError)
 from .rational import check_prime, format_rational, on_lattice
 
 Word = tuple[int, ...]
@@ -190,7 +192,8 @@ def _word_layers(system: Rifs, top: int):
 
 
 def find_exact_overlaps(system: Rifs, max_word_length: int,
-                        word_budget: int = 2_000_000) -> list[tuple[Word, Word]]:
+                        word_budget: int = DEFAULT_NODE_BUDGET
+                        ) -> list[tuple[Word, Word]]:
     """All pairs of distinct words of length <= max_word_length composing to
     the same affine map, deduplicated up to swapping the pair.
 
@@ -216,7 +219,8 @@ def find_exact_overlaps(system: Rifs, max_word_length: int,
 
 
 def min_word_separation(system: Rifs, n: int,
-                        word_budget: int = 2_000_000) -> Fraction | None:
+                        word_budget: int = DEFAULT_NODE_BUDGET
+                        ) -> Fraction | None:
     """Minimal distance between inverse branches of equal contraction at
     level n.
 
@@ -246,25 +250,6 @@ def min_word_separation(system: Rifs, n: int,
                 for a, cs in groups.items() if len(cs) > 1), default=None)
 
 
-def has_incongruent_offsets(system: Rifs) -> bool:
-    """True when all maps share one integer ratio and the integer offsets
-    are pairwise incongruent modulo that ratio.
-
-    Systems of this form keep distinct words separated at every level, so
-    each point of any orbit has finitely many producing words.
-    """
-    r = system.maps[0].ratio
-    if any(m.ratio != r for m in system.maps):
-        return False
-    if r.denominator != 1:
-        return False
-    if any(m.offset.denominator != 1 for m in system.maps):
-        return False
-    mod = abs(r.numerator)
-    residues = {m.offset.numerator % mod for m in system.maps}
-    return len(residues) == len(system.maps)
-
-
 def disjoint_lattice_images(system: Rifs, *points) -> bool:
     """True when every ratio is an integer and gcd(r_i, r_j) does not
     divide L (b_j - b_i) for any i != j, L the scale of
@@ -273,8 +258,7 @@ def disjoint_lattice_images(system: Rifs, *points) -> bool:
     On that lattice r_i a + b_i L = r_j c + b_j L needs gcd(r_i, r_j) to
     divide L (b_j - b_i), so the images of lattice points under distinct
     maps never meet, and the words of one length send a lattice point to
-    pairwise distinct values.  `has_incongruent_offsets` is the case of
-    one ratio and L = 1.
+    pairwise distinct values.
     """
     _, maps, _ = system.on_lattice(*points)
     if any(q != 1 for _, q, _ in maps):

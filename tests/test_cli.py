@@ -203,6 +203,32 @@ def test_renewal_file(tmp_path, capsys):
     assert "conditional = true" in text
 
 
+@pytest.mark.parametrize("maps, seed, disjoint", [
+    # the seed -2/3 puts the orbit on L = 3, where 3 divides 3 (1 - 0):
+    # -2 = f1(-2/3) = f2(f2(-2/3))
+    ([("3", "0"), ("3", "1")], "-2/3", False),
+    # mixed integer ratios: gcd(2, 4) = 2 does not divide 1
+    ([("2", "0"), ("4", "1")], "3", True),
+    # the offset 1/2 puts the orbit on L = 2, where 3 does not divide 1
+    ([("3", "0"), ("3", "1/2")], "0", True),
+], ids=["seed-off-lattice", "mixed-ratios", "half-offset"])
+def test_residue_criterion_reads_the_seed_lattice(tmp_path, capsys, maps,
+                                                  seed, disjoint):
+    cfg = write_config(tmp_path, {
+        "maps": [{"r": r, "b": b} for r, b in maps], "seed": seed})
+    out = tmp_path / "out"
+    code, diag = run_json(capsys, ["diagnose", "--config", cfg,
+                                   "--out", str(out)])
+    assert code == 0 and diag["residue_criterion"] is disjoint
+    code, renewal = run_json(capsys, ["renewal", "--config", cfg,
+                                      "--out", str(out)])
+    assert code == 0 and renewal["residue_criterion"] is disjoint
+    # disjoint images admit no observed overlap; the first system's is real
+    assert renewal["overlaps_observed"] is not disjoint
+    text = (out / "renewal.txt").read_text().splitlines()
+    assert f"residue_criterion = {str(disjoint).lower()}" in text
+
+
 def count_padic_calls(monkeypatch, names):
     """Count the calls of the named rifslab.padic functions, made from
     padic itself or from the cli, which imports them by name; returns the

@@ -14,7 +14,6 @@ from rifslab import (
     disjoint_lattice_images,
     find_exact_overlaps,
     fixed_point,
-    has_incongruent_offsets,
     make_system,
     min_word_separation,
 )
@@ -205,27 +204,11 @@ def test_separation_scan_budget(monkeypatch):
         min_word_separation(system, 4, word_budget=80)
 
 
-def test_residue_criterion():
-    assert has_incongruent_offsets(
-        make_system([(Fraction(3), Fraction(0)), (Fraction(3), Fraction(2))]))
-    assert has_incongruent_offsets(
-        make_system([(Fraction(2), Fraction(0)), (Fraction(2), Fraction(1))]))
-    # 1 and 4 collide mod 3
-    assert not has_incongruent_offsets(
-        make_system([(Fraction(3), Fraction(0)), (Fraction(3), Fraction(1)),
-                     (Fraction(3), Fraction(4))]))
-    # mixed ratios never qualify
-    assert not has_incongruent_offsets(
-        make_system([(Fraction(2), Fraction(0)), (Fraction(3), Fraction(1))]))
-    # non-integer data never qualifies
-    assert not has_incongruent_offsets(
-        make_system([(Fraction(3), Fraction(1, 2)), (Fraction(3), Fraction(0))]))
-
-
 def test_disjoint_lattice_images_table():
     # cantor: gcd(3, 3) = 3 does not divide 2
     assert disjoint_lattice_images(
         make_system([(3, 0), (3, 2)]), 0)
+    assert disjoint_lattice_images(make_system([(2, 0), (2, 1)]), 0)
     # gcd(2, 4) = 2 does not divide 1; mixed ratios qualify
     assert disjoint_lattice_images(make_system([(2, 0), (4, 1)]), 0)
     # gcd(2, 3) = 1 divides everything
@@ -233,12 +216,18 @@ def test_disjoint_lattice_images_table():
     # 3 divides 3 - 0: {3x, 3x + 1, 3x + 3} overlaps
     assert not disjoint_lattice_images(
         make_system([(3, 0), (3, 1), (3, 3)]), 0)
+    # 1 and 4 collide mod 3
+    assert not disjoint_lattice_images(
+        make_system([(3, 0), (3, 1), (3, 4)]), 0)
     # the seed 1/2 puts the offsets on L = 2: 3 divides 2 (3 - 0) = 6 but
     # not 2 (2 - 0) = 4
     assert not disjoint_lattice_images(
         make_system([(3, 0), (3, 3)]), Fraction(1, 2))
     assert disjoint_lattice_images(
         make_system([(3, 0), (3, 2)]), Fraction(1, 2))
+    # the offset 1/2 puts the seed 0 on L = 2, where 3 does not divide 1
+    assert disjoint_lattice_images(
+        make_system([(3, Fraction(1, 2)), (3, 0)]), 0)
     # a non-integer ratio never qualifies
     assert not disjoint_lattice_images(
         make_system([(Fraction(5, 2), 0), (Fraction(5, 2), 1)]), 0)
@@ -252,10 +241,8 @@ def test_disjoint_lattice_images_table():
     length=st.integers(min_value=1, max_value=4))
 def test_disjoint_lattice_images_keeps_words_apart(maps, seed, length):
     # where the certificate holds, the words of one length send the seed to
-    # pairwise distinct values; it implies the one-ratio residue criterion
+    # pairwise distinct values
     system = make_system(maps)
-    if has_incongruent_offsets(system):
-        assert disjoint_lattice_images(system)
     if disjoint_lattice_images(system, seed):
         values = [seed]
         for _ in range(length):

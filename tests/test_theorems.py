@@ -19,11 +19,15 @@ from fractions import Fraction
 import pytest
 
 from rifslab import common_fixed_point, disjoint_lattice_images, make_system
-from rifslab.cli import _Session, _frag_attractor, _frag_dhd, _frag_dims
+from rifslab.cli import (_Session, _frag_attractor, _frag_dhd, _frag_dims,
+                         _frag_padic)
 from rifslab.config import parse_config
 
 CORPUS_SEED, CORPUS_SIZE = 0, 12
 RATIOS, OFFSETS, SEEDS = (2, -2, 3, -3, 4), range(-4, 5), range(-3, 4)
+# |r| = p**e for each ratio magnitude; the lattice-image certificate keeps
+# 2 and 3 apart, since gcd(2, 3) = 1 divides every offset difference
+PRIME_POWERS = {2: (2, 1), 3: (3, 1), 4: (2, 2)}
 # the grid base is the config's default, the least ratio magnitude
 KMAX = 14
 
@@ -57,6 +61,11 @@ def corpus(tmp_path_factory):
             "maps": [{"r": str(r), "b": str(b)} for r, b in pairs],
             "seed": str(seed),
             "grid": {"kmax": KMAX},
+            "padic": {
+                "p": PRIME_POWERS[abs(pairs[0][0])][0],
+                "exponents": [PRIME_POWERS[abs(r)][1] for r, _ in pairs],
+                "signs": [1 if r > 0 else -1 for r, _ in pairs],
+            },
             "out": str(out),
         })))
     return sessions
@@ -81,6 +90,15 @@ def test_attractor_box_fit_reads_s(corpus):
     errors = [_frag_attractor(ses)["fit"]["slope"] - ses.similarity().value
               for ses in corpus]
     assert scored("attractor box fit - s", corpus, errors,
+                  lambda e: abs(e) <= 0.01) == []
+
+
+def test_padic_box_fit_reads_s(corpus):
+    # the paper's mass equals p-adic box dimension: the exact ball counts
+    # of the p-adic attractor
+    errors = [_frag_padic(ses)["box"]["fit"]["slope"] - ses.similarity().value
+              for ses in corpus]
+    assert scored("p-adic box fit - s", corpus, errors,
                   lambda e: abs(e) <= 0.01) == []
 
 
