@@ -204,11 +204,29 @@ def test_separation_scan_budget(monkeypatch):
         min_word_separation(system, 4, word_budget=80)
 
 
+def test_residue_criterion():
+    # the residue criterion that diagnose and renewal report is the
+    # lattice-image certificate at the seed 0
+    assert disjoint_lattice_images(
+        make_system([(Fraction(3), Fraction(0)), (Fraction(3), Fraction(2))]), 0)
+    assert disjoint_lattice_images(
+        make_system([(Fraction(2), Fraction(0)), (Fraction(2), Fraction(1))]), 0)
+    # 1 and 4 collide mod 3
+    assert not disjoint_lattice_images(
+        make_system([(Fraction(3), Fraction(0)), (Fraction(3), Fraction(1)),
+                     (Fraction(3), Fraction(4))]), 0)
+    # gcd(2, 3) = 1 divides 1 - 0
+    assert not disjoint_lattice_images(
+        make_system([(Fraction(2), Fraction(0)), (Fraction(3), Fraction(1))]), 0)
+    # the offset 1/2 puts the seed 0 on L = 2, where 3 does not divide 1
+    assert disjoint_lattice_images(
+        make_system([(Fraction(3), Fraction(1, 2)), (Fraction(3), Fraction(0))]), 0)
+
+
 def test_disjoint_lattice_images_table():
     # cantor: gcd(3, 3) = 3 does not divide 2
     assert disjoint_lattice_images(
         make_system([(3, 0), (3, 2)]), 0)
-    assert disjoint_lattice_images(make_system([(2, 0), (2, 1)]), 0)
     # gcd(2, 4) = 2 does not divide 1; mixed ratios qualify
     assert disjoint_lattice_images(make_system([(2, 0), (4, 1)]), 0)
     # gcd(2, 3) = 1 divides everything
@@ -216,18 +234,12 @@ def test_disjoint_lattice_images_table():
     # 3 divides 3 - 0: {3x, 3x + 1, 3x + 3} overlaps
     assert not disjoint_lattice_images(
         make_system([(3, 0), (3, 1), (3, 3)]), 0)
-    # 1 and 4 collide mod 3
-    assert not disjoint_lattice_images(
-        make_system([(3, 0), (3, 1), (3, 4)]), 0)
     # the seed 1/2 puts the offsets on L = 2: 3 divides 2 (3 - 0) = 6 but
     # not 2 (2 - 0) = 4
     assert not disjoint_lattice_images(
         make_system([(3, 0), (3, 3)]), Fraction(1, 2))
     assert disjoint_lattice_images(
         make_system([(3, 0), (3, 2)]), Fraction(1, 2))
-    # the offset 1/2 puts the seed 0 on L = 2, where 3 does not divide 1
-    assert disjoint_lattice_images(
-        make_system([(3, Fraction(1, 2)), (3, 0)]), 0)
     # a non-integer ratio never qualifies
     assert not disjoint_lattice_images(
         make_system([(Fraction(5, 2), 0), (Fraction(5, 2), 1)]), 0)
