@@ -18,6 +18,7 @@ import os
 import sys
 from fractions import Fraction
 from functools import partial
+from itertools import repeat
 
 from . import __version__, pool
 from .config import RunConfig, load_config
@@ -66,8 +67,11 @@ def _f(x) -> str:
 
 
 def _write_csv(path, header, lines) -> None:
+    """The header row and then each line, written as they come."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join([",".join(header), *lines]) + "\n")
+        fh.write(",".join(header) + "\n")
+        for line in lines:
+            fh.write(line + "\n")
 
 
 def _fit_dict(fit: DimensionFit) -> dict:
@@ -277,10 +281,10 @@ def _frag_density(ses: _Session) -> dict:
     ratio = density_ratio(cfg.system, cfg.density_period)
     profile = density_grid(cfg.h_grid(), sample, ratio)
     report = density_profile(profile, s, period_ratio=ratio)
-    # one format per row; a missing phase prints as nan
-    rows = ["%.17g,%.17g,%.17g" % (h, math.nan if phase is None else phase,
-                                   value)
-            for h, phase, value in report.samples]
+    # one format per row, made as it is written; no period prints nan
+    phases = repeat(math.nan) if report.phases is None else report.phases
+    rows = ("%.17g,%.17g,%.17g" % row
+            for row in zip(report.hs, phases, report.values))
     _write_csv(os.path.join(cfg.out_dir, "density.csv"),
                ["h", "phase", "N_over_hs"], rows)
     return {
@@ -407,9 +411,10 @@ def _frag_report(ses: _Session) -> dict:
     dimension and the orbit sample at the config's radius; an error there
     is left for each fragment that needs them to record.  The analyses
     then go to `pool.run` as one task each, last first: the long ones
-    (cover table, attractor, density, p-adic) come late in _ANALYSES, so
-    they start first.  Each fragment writes only its own artifact, and
-    report.json is assembled here in _ANALYSES order.
+    (cover table, attractor, density) come late in _ANALYSES, so they
+    start first.  The p-adic fragment, last of all, is short since its
+    ball counts are exact.  Each fragment writes only its own artifact,
+    and report.json is assembled here in _ANALYSES order.
     """
     cfg = ses.cfg
     doc = {

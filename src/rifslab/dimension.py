@@ -10,12 +10,13 @@ around log-log fits.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate, zip_longest
+from itertools import accumulate, islice, zip_longest
 
 from . import pool
 from .errors import (DEFAULT_NODE_BUDGET, BudgetExceededError, ConfigError,
@@ -200,9 +201,14 @@ def _cube(n: int) -> tuple[int, int]:
 
 def _integer_points(points) -> list[int]:
     """The distinct points, sorted; points that are not all integers are
-    refused rather than truncated."""
+    refused rather than truncated.  A strictly increasing list of ints,
+    such as a sample's lattice, is returned as it is, not copied, and
+    must not be mutated."""
     if isinstance(points, (list, tuple)) and all(type(p) is int
                                                  for p in points):
+        if isinstance(points, list) and all(
+                map(operator.lt, points, islice(points, 1, None))):
+            return points
         return sorted(set(points))
     ints, scale = integerize(points)
     if scale != 1:
@@ -702,11 +708,14 @@ _DENSITY_PERIODS, _DENSITY_FILL, _DENSITY_MIN_PER_PERIOD = 3, 40, 32
 
 @dataclass(frozen=True)
 class DensityReport:
-    """samples holds (h, phase, N(h)/h**s) per profile entry, phase the
-    place log h / log ratio mod 1 of h in the declared period, None without
-    one; sup_tail, inf_tail and defect read the entries in tail_window."""
+    """The columns hs, phases and values hold h, its place
+    log h / log ratio mod 1 in the declared period and N(h)/h**s per
+    profile entry; phases is None without a period.  sup_tail, inf_tail
+    and defect read the entries in tail_window."""
 
-    samples: tuple[tuple[float, float | None, float], ...]
+    hs: list[float]
+    phases: list[float] | None
+    values: list[float]
     sup_tail: float
     inf_tail: float
     tail_window: tuple[float, float]
@@ -740,7 +749,7 @@ def density_profile(profile: CountingProfile, s: float, period_ratio=None,
     if period_ratio is None:
         start = tail_window(len(grid))[0]
         window = (floats[start], floats[-1])
-        samples = tuple((x, None, val) for x, val in zip(floats, values))
+        phases = None
         defect = None
     else:
         ratio = Fraction(period_ratio)
@@ -787,15 +796,15 @@ def density_profile(profile: CountingProfile, s: float, period_ratio=None,
                 "periodicity defect needs a period-matched grid: only "
                 f"{matched} values h with ratio*h also on the grid")
 
-        samples = tuple((x, math.log(x) / log_r % 1.0, val)
-                        for x, val in zip(floats, values))
+        phases = [math.log(x) / log_r % 1.0 for x in floats]
 
     tail = values[start:]
     sup_tail = max(tail)
     inf_tail = min(tail)
     for n0, x1 in zip(counts[start:], floats[start + 1:]):
         inf_tail = min(inf_tail, n0 / x1 ** s)
-    return DensityReport(samples=samples, sup_tail=sup_tail, inf_tail=inf_tail,
+    return DensityReport(hs=floats, phases=phases, values=values,
+                         sup_tail=sup_tail, inf_tail=inf_tail,
                          tail_window=window, defect=defect)
 
 

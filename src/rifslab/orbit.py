@@ -10,10 +10,17 @@ when the node budget runs out.
 One breadth-first walk on Python ints serves every system.  A point x
 is held as a = x * S, with S first the lcm of the denominators of the
 seed and the offsets.  The images of depth n lie on (S Q**n)**-1 Z, Q the
-lcm of the ratio denominators, so when a map (p/q) x + b sends a to
-p a / q + b S and that is not an int, the walk multiplies S, and every
-int it holds, by q / gcd(p a, q).  Integer ratios never refine S, and
-each refinement at least doubles it.
+lcm of the ratio denominators.  A map (p/q) x + b sends a to
+p a / q + b S.  The walk first prunes an image beyond the bound, by an
+exact test of p a against a range per map.  An image it keeps that is
+not an int refines the walk: S, and every int the walk holds, is
+multiplied by g = q / gcd(p a, q) times the power of g's primes that the
+earlier refinements took.  A prime of exponent k in g that the
+refinements have raised by e so far is thus raised by 2e + k in all,
+less than twice what the image needs.  So a prime whose exponent the
+points raise by n refines about log2(n) times, and the final gcd with
+the points still returns the least scale.  Integer ratios never refine
+S.
 
 The sample is stored once, on one integer lattice: point i is
 lattice[i] / L, with L the lcm of the points' reduced denominators.
@@ -158,32 +165,49 @@ def enumerate_orbit(system: Rifs, seed, radius, *,
     cap_num, cap_den = expand_cap.numerator, expand_cap.denominator
 
     # x is held as the int a = x * scale, and (p/q) x + b sends it to
-    # p a / q + b * scale
+    # (p a + b * scale * q) / q, which lies within the cap exactly when
+    # p a is in [lo, hi]: |p a + b * scale * q| <= floor(cap * scale * q)
+    def placed(maps, scale):
+        walk = []
+        for p, q, shift in maps:
+            top = cap_num * scale * q // cap_den
+            walk.append((p, q, shift, -top - shift * q, top - shift * q))
+        return walk
+
     scale, maps, start = system.on_lattice(seed)
-    cap = cap_num * scale // cap_den
+    maps = placed(maps, scale)
     seen = set()
     queue = deque(start)
     used = 0
     complete = True
+    # the product of the refinements so far
+    grown = 1
     while queue:
         a = queue.popleft()
-        for ratio, den, shift in maps:
+        for ratio, den, shift, lo, hi in maps:
             v = ratio * a
+            if v < lo or v > hi:
+                continue
             if den != 1:
                 if v % den:
-                    # refine by g and walk a * g again; the images taken
-                    # so far are in seen, so the visit order is kept
+                    # refine by g times the power of g's primes that the
+                    # refinements so far took (each prime's exponent in
+                    # grown is below its bit length), and walk a * g
+                    # again; the images taken so far are in seen, so the
+                    # visit order is kept
                     g = den // math.gcd(v, den)
+                    g *= math.gcd(grown, g ** grown.bit_length())
+                    grown *= g
                     scale *= g
-                    cap = cap_num * scale // cap_den
-                    maps = [(r, d, b * g) for r, d, b in maps]
+                    maps = placed([(r, d, b * g) for r, d, b, _, _ in maps],
+                                  scale)
                     seen = {b * g for b in seen}
                     queue = deque(b * g for b in queue)
                     queue.appendleft(a * g)
                     break
                 v //= den
             v += shift
-            if v < -cap or v > cap or v in seen:
+            if v in seen:
                 continue
             if used >= node_budget:
                 complete = False
@@ -195,6 +219,8 @@ def enumerate_orbit(system: Rifs, seed, radius, *,
 
     record = radius.numerator * scale // radius.denominator
     lattice = sorted(v for v in seen if -record <= v <= record)
+    # the walk's set goes before a rescaled copy of the lattice is made
+    del seen
     # reduce the scale to the lcm of the points' reduced denominators
     common = math.gcd(scale, *lattice)
     if common > 1:
@@ -373,18 +399,16 @@ def write_orbit_dump(sample: OrbitSample, path) -> None:
     """Dump one rational per line, ascending, with provenance headers.
 
     Each line is format_rational of the point: a / L reduced by gcd(a, L),
-    written without its denominator when that is 1.
+    written without its denominator when that is 1.  Lines are written
+    as they are formatted, so no copy of the dump is held.
     """
-    lines = [
-        f"# system={sample.system.describe()}",
-        f"# seed={format_rational(sample.seed)}",
-        f"# radius={format_rational(sample.radius)}",
-        f"# complete={'true' if sample.complete else 'false'}",
-    ]
     scale = sample.scale
-    for a in sample.lattice:
-        g = math.gcd(a, scale)
-        den = scale // g
-        lines.append(str(a // g) if den == 1 else f"{a // g}/{den}")
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"# system={sample.system.describe()}\n"
+                 f"# seed={format_rational(sample.seed)}\n"
+                 f"# radius={format_rational(sample.radius)}\n"
+                 f"# complete={'true' if sample.complete else 'false'}\n")
+        for a in sample.lattice:
+            g = math.gcd(a, scale)
+            den = scale // g
+            fh.write(f"{a // g}\n" if den == 1 else f"{a // g}/{den}\n")

@@ -43,7 +43,10 @@ class AffineMap:
         return AffineMap(1 / self.ratio, -self.offset / self.ratio)
 
     def describe(self) -> str:
-        return f"{format_rational(self.ratio)}*x+{format_rational(self.offset)}"
+        """r*x+b, or r*x-|b| for a negative offset b."""
+        sign = "-" if self.offset < 0 else "+"
+        return (f"{format_rational(self.ratio)}*x{sign}"
+                f"{format_rational(abs(self.offset))}")
 
 
 def affine_map(ratio, offset) -> AffineMap:

@@ -185,6 +185,16 @@ def test_density_csv(tmp_path, capsys):
     assert frag["sup_tail"] >= frag["inf_tail"]
 
 
+@pytest.mark.parametrize("rows", [[], ["1,2,nan", "-0.5,3,1e-05"]])
+def test_csv_is_the_joined_rows(tmp_path, rows):
+    # _write_csv streams its rows; the bytes are those of the header and
+    # the rows joined in memory, a header alone when there are no rows
+    path = tmp_path / "table.csv"
+    cli._write_csv(path, ["h", "N", "x"], iter(rows))
+    assert path.read_bytes() == ("\n".join(["h,N,x", *rows])
+                                 + "\n").encode()
+
+
 def test_renewal_file(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "maps": [{"r": "2", "b": "0"}, {"r": "3", "b": "1"}],

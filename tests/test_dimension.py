@@ -591,7 +591,7 @@ def test_density_periodic_fold(cantor_system):
     assert report.sup_tail == pytest.approx(1.0, abs=1e-3)
     assert report.sup_tail >= 1.0
     assert report.inf_tail == pytest.approx(2**-LOG2_3, rel=5e-3)
-    assert all(0.0 <= phase < 1.0 for _, phase, _ in report.samples)
+    assert all(0.0 <= phase < 1.0 for phase in report.phases)
 
 
 def test_density_profile_rejects_sparse_grid(cantor_system):
@@ -643,7 +643,7 @@ def test_density_profile_matches_scans(ratio, base, folded, edges, periods,
     assert (report.sup_tail, report.inf_tail) == (sup_tail, inf_tail)
     assert report.defect == defect
     assert report.tail_window == (float(grid[-1] / ratio), float(grid[-1]))
-    assert [x for x, _, _ in report.samples] == [float(h) for h in grid]
+    assert report.hs == [float(h) for h in grid]
     sparsest = min(per_period)
     with pytest.raises(DomainError, match=f"holds {sparsest} < "):
         density_profile(profile, s, ratio, periods, sparsest + 1)

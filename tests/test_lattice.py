@@ -13,7 +13,7 @@ import types
 from fractions import Fraction
 from pathlib import Path
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rifslab import (
@@ -54,6 +54,16 @@ def nudges(scale):
             Fraction(1, 24), Fraction(-1, 24), Fraction(1, 13), Fraction(-1, 13)]
 
 
+def lattice_case(pts, extra=Fraction(0)):
+    """(pts, the OrbitSample holding them): pts sorted distinct Fractions,
+    the radius their largest magnitude (at least 1/12) plus extra."""
+    top = max([abs(x) for x in pts] + [Fraction(1, 12)])
+    lattice, scale = integerize(pts)
+    return pts, OrbitSample(system=SYSTEM, seed=Fraction(0),
+                            radius=top + extra, lattice=lattice, scale=scale,
+                            complete=True, node_budget_used=0)
+
+
 @st.composite
 def lattice_samples(draw):
     """(sorted distinct Fractions, the OrbitSample holding them).  The
@@ -61,14 +71,9 @@ def lattice_samples(draw):
     pts = sorted(set(draw(st.lists(
         st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12)),
         max_size=25))))
-    top = max([abs(x) for x in pts] + [Fraction(1, 12)])
     extra = draw(st.just(Fraction(0))
                  | st.fractions(min_value=0, max_value=3, max_denominator=12))
-    lattice, scale = integerize(pts)
-    sample = OrbitSample(system=SYSTEM, seed=Fraction(0), radius=top + extra,
-                         lattice=lattice, scale=scale, complete=True,
-                         node_budget_used=0)
-    return pts, sample
+    return lattice_case(pts, extra)
 
 
 def rationals_near(pts, scale):
@@ -146,13 +151,22 @@ def test_jumps_and_density_sup_match_oracle(case, data):
 
 @settings(max_examples=200)
 @given(case=lattice_samples())
+@example(case=lattice_case([Fraction(-7, 4), Fraction(-1, 2), Fraction(0),
+                            Fraction(3, 8), Fraction(5)], Fraction(1, 3)))
+@example(case=lattice_case([]))
 def test_orbit_dump_lines_are_format_rational(case):
+    # the dump is written line by line; its bytes are those of the four
+    # headers and the points' format_rational lines, joined in memory
     pts, sample = case
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "orbit.txt"
         write_orbit_dump(sample, path)
-        lines = path.read_text().splitlines()
-    assert lines[4:] == [format_rational(x) for x in pts]
+        text = path.read_text()
+    headers = [f"# system={SYSTEM.describe()}", "# seed=0",
+               f"# radius={format_rational(sample.radius)}",
+               "# complete=true"]
+    assert text == "\n".join(headers + [format_rational(x)
+                                        for x in pts]) + "\n"
 
 
 RATIOS = [Fraction(r) for r in (2, -2, 3)] + [Fraction(5, 2), Fraction(-7, 3)]

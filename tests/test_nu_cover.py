@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from rifslab import pool
 from rifslab import (DomainError, enumerate_orbit, estimate_discrete_hausdorff,
                      make_system, min_cover_cost)
+from rifslab.dimension import _integer_points
 from _oracles import (arbitrary_cover_min, consecutive_cover_min,
                       quadratic_cover_min)
 
@@ -61,6 +62,18 @@ def test_rejects_non_integer_points():
         estimate_discrete_hausdorff([Fraction(7, 2), Fraction(-1, 3)], [0.5],
                                     range(6))
     assert min_cover_cost([Fraction(2, 2)], 1.0, 2) == min_cover_cost([1], 1.0, 2)
+
+
+def test_integer_points_keep_a_sorted_lattice():
+    # a strictly increasing int list, such as a sample's lattice, is
+    # used as it is; anything else is sorted and deduplicated
+    pts = [-5, 0, 2, 9]
+    assert _integer_points(pts) is pts
+    assert _integer_points([9, 0, 2, 0, -5, 9]) == [-5, 0, 2, 9]
+    assert _integer_points((2, -5)) == [-5, 2]
+    assert _integer_points([]) == []
+    with pytest.raises(DomainError, match="must be integers"):
+        _integer_points([0, Fraction(1, 2)])
 
 
 def test_tabulated_cubes_are_half_open():

@@ -1,7 +1,9 @@
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from rifslab import (
@@ -113,6 +115,7 @@ def orbit_fields(sample):
 FRACTIONAL_RATIOS = [sign * r for sign in (1, -1) for r in (
     Fraction(3, 2), Fraction(5, 2), Fraction(4, 3), Fraction(7, 3),
     Fraction(5, 4), Fraction(9, 4))]
+TWO_PRIMES = [(Fraction(5, 2), Fraction(0)), (Fraction(7, 3), Fraction(1))]
 
 
 @given(maps=st.lists(st.tuples(st.sampled_from(FRACTIONAL_RATIOS),
@@ -121,6 +124,12 @@ FRACTIONAL_RATIOS = [sign * r for sign in (1, -1) for r in (
        seed=RATIONALS,
        radius=st.fractions(min_value=1, max_value=60, max_denominator=4),
        budget=st.integers(min_value=1, max_value=400))
+# 5/2 refines the scale by powers of 2 and 7/3 by powers of 3, each prime
+# doubling only its own exponent, complete (547 points) and cut short
+@example(maps=TWO_PRIMES, seed=Fraction(0), radius=Fraction(3000),
+         budget=10**6)
+@example(maps=TWO_PRIMES, seed=Fraction(0), radius=Fraction(3000), budget=60)
+@example(maps=TWO_PRIMES, seed=Fraction(1, 2), radius=Fraction(40), budget=9)
 def test_walk_matches_fraction_walk(maps, seed, radius, budget):
     # budgets this small cut most of these walks, so partial samples are
     # compared too: same points, same scale, same flag, same node count
@@ -133,13 +142,33 @@ def test_walk_matches_fraction_walk(maps, seed, radius, budget):
 def test_walk_refines_scale_with_points_queued():
     # seed 0 under {(5/2)x, (5/2)x + 1}: the image 5/2 of 1 moves the
     # walk to scale 2 with nothing queued, then the image 25/4 of 5/2
-    # moves it to scale 4 while 7/2 (held as 7) is still queued; the
-    # budget of 8 ends the walk before scale 8
+    # moves it to scale 8 (4 for the image, doubled as 2 refines again)
+    # while 7/2 (held as 7) is still queued; the budget of 8 ends the
+    # walk before a point needs 8, so the final gcd returns scale 4
     system = make_system([(Fraction(5, 2), 0), (Fraction(5, 2), 1)])
     sample = enumerate_orbit(system, 0, 40, node_budget=8)
     assert orbit_fields(sample) == (
         [0, 4, 10, 14, 25, 29, 35, 39], 4, False, 8)
     assert orbit_fields(sample) == fraction_orbit(system, 0, 40, 8)
+
+
+def test_walk_holds_little_beyond_its_lattice():
+    # {(5/2)x, (5/2)x + 1} at radius (5/2)^13 has 8,193 points on scale
+    # 2^13; the walk prunes before it refines and refines to 2, 2^3, 2^7
+    # and 2^15, at 256 points or fewer, and the final gcd returns 2^13.
+    # Refining by 2 at each need took 14 refinements, the last two at
+    # 8,192 points and more, and peaked at 5.5 times the lattice's bytes
+    system = make_system([(Fraction(5, 2), 0), (Fraction(5, 2), 1)])
+    tracemalloc.start()
+    try:
+        sample = enumerate_orbit(system, 0, Fraction(5, 2) ** 13)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (len(sample.lattice), sample.scale) == (8193, 2**13)
+    held = sys.getsizeof(sample.lattice) + sum(map(sys.getsizeof,
+                                                   sample.lattice))
+    assert peak < 4 * held
 
 
 def test_budget_exhaustion_is_partial_not_error(cantor_system):

@@ -60,6 +60,18 @@ def test_fixed_point():
         fixed_point(affine_map(Fraction(1), Fraction(2)))
 
 
+@pytest.mark.parametrize("pairs, text", [
+    # a negative offset takes the minus sign in place of the plus
+    ([(4, -1), (4, -2)], "{4*x-1, 4*x-2}"),
+    # a zero offset stays +0, as in the benchmark goldens
+    ([(3, 0), (3, 2)], "{3*x+0, 3*x+2}"),
+    ([(Fraction(5, 2), Fraction(-1, 3)), (-3, Fraction(7, 2))],
+     "{5/2*x-1/3, -3*x+7/2}"),
+])
+def test_describe_table(pairs, text):
+    assert make_system(pairs).describe() == text
+
+
 def test_make_system_rejects_single_map():
     with pytest.raises(ConfigError, match="at least 2"):
         make_system([(Fraction(2), Fraction(0))])
