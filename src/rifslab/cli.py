@@ -460,7 +460,7 @@ _COMMANDS = (
     ("density", "density", _frag_density,
      "normalized counts, extrema, periodicity"),
     ("renewal", "renewal", _frag_renewal,
-     "density constant with tail bound and evidence"),
+     "density constant, tail bound; log-mean if arithmetic"),
     ("padic", "padic", _frag_padic,
      "ball clustering, p-adic box fit, mass-vs-box check"),
     ("report", None, _frag_report, "run every analysis into one report.json"),

@@ -16,7 +16,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate, islice, zip_longest
+from itertools import accumulate, chain, islice, zip_longest
 
 from . import pool
 from .errors import (DEFAULT_NODE_BUDGET, BudgetExceededError, ConfigError,
@@ -733,7 +733,8 @@ def density_profile(profile: CountingProfile, s: float, period_ratio=None,
     normalized count is maximal at the left end and approaches
     N(h_i)/h_{i+1}**s at the right end; the tail extrema scan both
     families.  They are exact for the window exactly when the grid
-    contains every orbit point inside it, as `density_grid` builds them.
+    contains every jump of N inside it, as `density_grid` builds them
+    from `OrbitSample.jumps`.
 
     The scans run on the profile's lattice: h = g / D is the float g / D,
     the period, tail and fold bounds are found by bisecting for
@@ -808,18 +809,6 @@ def density_profile(profile: CountingProfile, s: float, period_ratio=None,
                          tail_window=window, defect=defect)
 
 
-def _magnitudes(sample: OrbitSample, hi) -> list[int]:
-    """Sorted |a| over the lattice points a with |a| <= floor(hi * L), one
-    entry per point: the magnitude at index i is the (i + 1)-th smallest.
-
-    The negative points give a descending run and the others an ascending
-    one, so the sort is a single merge of the two.
-    """
-    pts = sample.lattice
-    top = sample.floor_scaled(hi)
-    return sorted(map(abs, pts[bisect_left(pts, -top):bisect_right(pts, top)]))
-
-
 def density_ratio(system: Rifs, declared) -> Fraction | None:
     """The multiplicative period of a density profile: the declared one,
     else the magnitude every ratio shares, else None."""
@@ -844,43 +833,40 @@ def density_grid(h_grid, sample: OrbitSample, ratio,
     The grid is built on one lattice, D = lcm(L q, the fill's
     denominators) for the sample scale L and ratio p/q: a fill value x is
     x D, a jump m / L is m D / L, and its fold ratio * m / L is
-    p m D / (q L).  Every entry g is at most top D, so its count
-    #{|a| <= floor(g L / D)} is one bisection of the sorted magnitudes.
+    p m D / (q L).  The jumps and their counts come from `sample.jumps`
+    over the fill's span, which refuses an h_grid past the radius.
     """
-    if not sample.complete:
-        raise DomainError("counting requires a complete sample")
     top = h_grid[-1]
     if ratio is None:
         fills = h_grid
-        lo = fills[tail_window(len(fills))[0]]
+        bottom, lo = h_grid[0], h_grid[tail_window(len(h_grid))[0]]
         q = 1
     else:
         fills = [top / ratio ** (t + 1) * (1 + i * (ratio - 1) / _DENSITY_FILL)
                  for t in range(_DENSITY_PERIODS)
                  for i in range(_DENSITY_FILL + 1)]
-        lo = top / ratio**_DENSITY_PERIODS
+        bottom = lo = top / ratio**_DENSITY_PERIODS
         q = ratio.denominator
+    mags, steps = sample.jumps(bottom, top)
+    # steps[i] is now N(h) for the h past exactly i jumps
+    steps.insert(0, sample.count_within(bottom))
     scale = sample.scale
     den = math.lcm(scale * q, *(x.denominator for x in fills))
     step = den // scale
     grid = {x.numerator * (den // x.denominator) for x in fills}
-    mags = _magnitudes(sample, top)
-    # the jumps m / L in [lo, top] are the magnitudes from ceil(lo L) on
-    first = bisect_left(mags, -sample.floor_scaled(-lo))
-    jumps = set(mags[first:])
-    if len(jumps) <= max_jumps:
-        grid.update(map(step.__mul__, jumps))
+    value = partial(Fraction, denominator=scale)
+    first = bisect_left(mags, lo, key=value)
+    if len(mags) - first <= max_jumps:
+        grid.update(map(step.__mul__, islice(mags, first, None)))
         if ratio is not None:
             # the defect fold needs ratio*h on the grid for jumps one
             # period down
-            fold_lo = -sample.floor_scaled(-top / ratio**2)
-            fold_hi = sample.floor_scaled(top / ratio)
             fold = ratio.numerator * (den // (q * scale))
-            grid.update(map(fold.__mul__, mags[
-                max(first, bisect_left(mags, fold_lo)):
-                bisect_right(mags, fold_hi)]))
+            grid.update(map(fold.__mul__, islice(
+                mags, bisect_left(mags, top / ratio**2, key=value),
+                bisect_right(mags, top / ratio, key=value))))
     grid = sorted(grid)
-    return CountingProfile(grid, den, [bisect_right(mags, g // step)
+    return CountingProfile(grid, den, [steps[bisect_right(mags, g // step)]
                                        for g in grid])
 
 
@@ -888,29 +874,17 @@ def window_density_sup(sample: OrbitSample, s: float, lo, hi) -> float:
     """sup of N(h)/h**s over h in [lo, hi], exact for a complete sample.
 
     The sup of a right-continuous step count divided by h**s is attained
-    at a jump or at the window's left edge.  One pass over the sorted
-    magnitudes gives every jump with its count.
+    at a jump or at the window's left edge; `sample.jumps` gives every
+    jump with its count.
     """
     lo = Fraction(lo)
     hi = Fraction(hi)
-    if not sample.complete:
-        raise DomainError("density sup requires a complete sample")
     if not 0 < lo < hi:
         raise DomainError("window must satisfy 0 < lo < hi")
-    if hi > sample.radius:
-        raise DomainError("window exceeds the verified radius")
-    best = sample.count_within(lo) / float(lo) ** s
-    mags = _magnitudes(sample, hi)
+    mags, counts = sample.jumps(lo, hi)
     scale = sample.scale
-    last = len(mags) - 1
-    # the jumps in [lo, hi] are the magnitudes from ceil(lo L) on
-    for i in range(bisect_left(mags, -sample.floor_scaled(-lo)), last + 1):
-        m = mags[i]
-        # N(m / L) counts every magnitude up to m, so take the last of a tie
-        if i < last and mags[i + 1] == m:
-            continue
-        best = max(best, (i + 1) / (m / scale) ** s)
-    return best
+    return max(chain([sample.count_within(lo) / float(lo) ** s],
+                     (n / (m / scale) ** s for m, n in zip(mags, counts))))
 
 
 # ---------------------------------------------------------------------------

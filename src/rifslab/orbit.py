@@ -24,11 +24,13 @@ S.
 
 The sample is stored once, on one integer lattice: point i is
 lattice[i] / L, with L the lcm of the points' reduced denominators.
-Counts, counting profiles, window scans, gaps and the orbit dump work
-on those integers; a rational x enters them as floor(x * L), and a float
-comes out as the correctly rounded int / int quotient, which is what
-float(Fraction) computes too.  The Fraction list `points` is built only
-when asked for.
+Counts, window scans, gaps and the orbit dump work on those integers; a
+rational x enters them as floor(x * L), and a float comes out as the
+correctly rounded int / int quotient, which is what float(Fraction)
+computes too.  The Fraction list `points` is built only when asked for.
+Counting profiles, the density grid and the density sup read N(h) only
+through `count_within` and `jumps`, which refuses a partial sample and
+a window past the radius.
 
 The overlap probe walks the words of length at most top, the deepest
 probed depth, on the fixed scale S Q**(top + 1).  There every value it
@@ -40,11 +42,14 @@ preimages of the few seed images.
 from __future__ import annotations
 
 import math
+import operator
+from array import array
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress, islice
 
 from .errors import DEFAULT_NODE_BUDGET, BudgetExceededError, DomainError
 from .rational import format_rational, on_lattice
@@ -102,6 +107,33 @@ class OrbitSample(LatticePoints):
         """Number of points in [-h, h]; exact binary search."""
         top = self.floor_scaled(h)
         return bisect_right(self.lattice, top) - bisect_left(self.lattice, -top)
+
+    def jumps(self, lo, hi) -> tuple[list[int], array]:
+        """The step function N(h) = count_within(h) on [lo, hi], 0 < lo:
+        the distinct magnitudes m with lo <= m / L <= hi, ascending, and
+        an array of N(m / L) at each.  Refuses a partial sample and hi
+        past the radius."""
+        if not self.complete:
+            raise DomainError("counting requires a complete sample")
+        if hi > self.radius:
+            raise DomainError(f"count at {format_rational(Fraction(hi))} exceeds "
+                              f"verified radius {format_rational(self.radius)}")
+        pts = self.lattice
+        bot, top = -self.floor_scaled(-lo), self.floor_scaled(hi)
+        start, neg = bisect_left(pts, -top), bisect_right(pts, -bot)
+        pos = bisect_left(pts, bot)
+        # a descending run of magnitudes and an ascending one: one merge
+        mags = [-a for a in pts[start:neg]]
+        mags.extend(islice(pts, pos, bisect_right(pts, top)))
+        mags.sort()
+        # N(m / L) is the pos - neg points below bot plus the rank of m
+        counts = array("q", range(pos - neg + 1, pos - neg + len(mags) + 1))
+        if start < neg:
+            # keep one entry per pair +-m, the count of both
+            last = [*map(operator.ne, mags, islice(mags, 1, None)), True]
+            mags = list(compress(mags, last))
+            counts = array("q", compress(counts, last))
+        return mags, counts
 
     def __contains__(self, x) -> bool:
         x = Fraction(x)
@@ -234,10 +266,10 @@ def enumerate_orbit(system: Rifs, seed, radius, *,
 def counting_profile(sample: OrbitSample, grid) -> CountingProfile:
     """Exact counts N(h) over an increasing grid of rational h values.
 
-    Requires a complete sample and every h within the verified radius.
-    The grid goes onto the lattice of the lcm D of its denominators once,
-    as ints g with h = g / D, and a sample point a / L lies in [-h, h]
-    exactly when |a| <= floor(g L / D).
+    The counts come from `sample.jumps` over the grid's span, which
+    refuses a grid past the radius.  The grid goes onto the lattice of
+    the lcm D of its denominators once, as ints g with h = g / D, and
+    N(h) is the count at the last jump m <= floor(g L / D).
     """
     grid = [h if isinstance(h, Fraction) else Fraction(h) for h in grid]
     if not grid:
@@ -247,19 +279,12 @@ def counting_profile(sample: OrbitSample, grid) -> CountingProfile:
             raise DomainError("grid must be strictly increasing")
     if grid[0] <= 0:
         raise DomainError("grid values must be positive")
-    if grid[-1] > sample.radius:
-        raise DomainError(
-            f"grid value {format_rational(grid[-1])} exceeds verified radius "
-            f"{format_rational(sample.radius)}")
-    if not sample.complete:
-        raise DomainError("counting requires a complete sample")
+    mags, steps = sample.jumps(grid[0], grid[-1])
+    # steps[i] is now N(h) for the h past exactly i jumps
+    steps.insert(0, sample.count_within(grid[0]))
     grid, scale = on_lattice(grid)
-    pts = sample.lattice
-    counts = []
-    for g in grid:
-        top = g * sample.scale // scale
-        counts.append(bisect_right(pts, top) - bisect_left(pts, -top))
-    return CountingProfile(grid, scale, counts)
+    return CountingProfile(grid, scale, [
+        steps[bisect_right(mags, g * sample.scale // scale)] for g in grid])
 
 
 def window_max_count(sample: OrbitSample, h) -> tuple[int, Fraction | None]:

@@ -675,6 +675,18 @@ def test_window_density_sup_guards(cantor_system):
         window_density_sup(sample, LOG2_3, Fraction(5), Fraction(28))
 
 
+@pytest.mark.parametrize("ratio", [Fraction(3), None])
+def test_density_grid_refuses_grid_past_radius(cantor_system, ratio):
+    # a sample of radius 3^6 holds 64 of the orbit's 512 points in
+    # [-3^9, 3^9], so its counts past the radius are not the orbit's
+    sample = enumerate_orbit(cantor_system, 0, Fraction(3) ** 6)
+    h_grid = [Fraction(3) ** k for k in range(1, 10)]
+    with pytest.raises(DomainError, match="exceeds verified radius"):
+        dimension.density_grid(h_grid, sample, ratio)
+    profile = dimension.density_grid(h_grid[:6], sample, ratio)
+    assert profile.counts[-1] == sample.count_within(h_grid[5]) == 64
+
+
 def test_renewal_rejects_degenerate():
     system = make_system([(Fraction(2), Fraction(0)), (Fraction(4), Fraction(0))])
     sample = enumerate_orbit(system, 1, Fraction(2) ** 12)

@@ -6,6 +6,7 @@ point by point, on samples built from drawn rationals (negative and
 fractional, denominators up to 12) and on enumerated orbits.
 """
 
+import dataclasses
 import json
 import math
 import tempfile
@@ -13,11 +14,13 @@ import types
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rifslab import (
     CountingProfile,
+    DomainError,
     OrbitSample,
     PAdicAttractorSample,
     attractor_sample,
@@ -147,6 +150,16 @@ def test_jumps_and_density_sup_match_oracle(case, data):
     s = data.draw(st.sampled_from([0.25, math.log(2) / math.log(3), 1.0, 1.5]))
     assert (window_density_sup(sample, s, lo, hi)
             == window_density_sup_points(pts, s, lo, hi))
+    # the step function both read: every jump, ascending, with its count
+    jumps = sorted(jumps_in_points(pts, lo, hi))
+    mags, counts = sample.jumps(lo, hi)
+    assert mags == [h.numerator * (sample.scale // h.denominator)
+                    for h in jumps]
+    assert counts.tolist() == [count_within_points(pts, h) for h in jumps]
+    with pytest.raises(DomainError, match="exceeds verified radius"):
+        sample.jumps(lo, radius + Fraction(1, 24))
+    with pytest.raises(DomainError, match="counting requires a complete"):
+        dataclasses.replace(sample, complete=False).jumps(lo, hi)
 
 
 @settings(max_examples=200)
@@ -283,12 +296,14 @@ def test_density_never_builds_profile_view(tmp_path, capsys, monkeypatch):
         assert (frag["defect"] is None) == (name == "mixed")
 
 
-def test_density_refuses_cut_sample(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["dims", "density"])
+def test_density_refuses_cut_sample(tmp_path, capsys, command):
+    # both count through OrbitSample.jumps, which refuses the cut sample
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({
         "maps": [{"r": "5/2", "b": "0"}, {"r": "5/2", "b": "1"}],
         "seed": "0", "grid": {"kmax": 8}}))
-    assert main(["density", "--config", str(cfg), "--budget", "50",
+    assert main([command, "--config", str(cfg), "--budget", "50",
                  "--out", str(tmp_path / "out")]) == 4
     assert ("counting requires a complete sample"
             in capsys.readouterr().err)
