@@ -935,13 +935,7 @@ def renewal_constant(system: Rifs, sample: OrbitSample, residuals, s: float,
     cutoff = Fraction(cutoff)
     if cutoff < 1:
         raise DomainError("cutoff must be >= 1")
-    required = _sums_radius(system, cutoff)
-    if sample.radius < required:
-        raise DomainError(
-            f"renewal sums need radius >= {format_rational(required)}, "
-            f"sample has {format_rational(sample.radius)}")
-    if not sample.complete:
-        raise DomainError("renewal sums require a complete sample")
+    sample.require(_sums_radius(system, cutoff), "renewal constant")
 
     def clamped(num: int, den: int) -> float:
         # min(1, |t|**-s) for t = num / den, den > 0, with the value 1 at

@@ -28,9 +28,11 @@ Counts, window scans, gaps and the orbit dump work on those integers; a
 rational x enters them as floor(x * L), and a float comes out as the
 correctly rounded int / int quotient, which is what float(Fraction)
 computes too.  The Fraction list `points` is built only when asked for.
-Counting profiles, the density grid and the density sup read N(h) only
-through `count_within` and `jumps`, which refuses a partial sample and
-a window past the radius.
+A sample is the orbit only inside its radius and only when complete.
+`OrbitSample.require` is the one rule that refuses a reading outside
+that: counts, jumps, membership, window scans, the residual scan, the
+renewal constant and the sandwich all ask it.  The orbit dump, `min_gap`
+and the cover table do not; they describe a partial sample as it is.
 
 The overlap probe walks the words of length at most top, the deepest
 probed depth, on the fixed scale S Q**(top + 1).  There every value it
@@ -92,7 +94,9 @@ class OrbitSample(LatticePoints):
     complete means the pruned frontier drained before the node budget was
     hit, in which case the sample is exactly the orbit restricted to the
     window and is closed under every map that stays inside it.  A partial
-    sample (complete False) is still a valid subset.
+    sample (complete False) is still a valid subset.  Only `require`
+    decides what the sample can answer: every reading of the orbit asks
+    it, and it refuses a partial sample and a reading past the radius.
     """
 
     system: Rifs
@@ -103,21 +107,33 @@ class OrbitSample(LatticePoints):
     complete: bool
     node_budget_used: int
 
+    def require(self, radius, what: str) -> None:
+        """Refuse `what`, a reading of the orbit within [-radius, radius],
+        unless the sample is complete and its radius reaches that far:
+        only then is the sample the orbit there."""
+        if not self.complete:
+            raise DomainError(f"{what} requires a complete sample")
+        if radius > self.radius:
+            raise DomainError(f"{what} needs radius >= "
+                              f"{format_rational(Fraction(radius))}, "
+                              f"sample has {format_rational(self.radius)}")
+
     def count_within(self, h) -> int:
-        """Number of points in [-h, h]; exact binary search."""
+        """N(h), the number of points in [-h, h], for 0 <= h <= radius;
+        exact binary search."""
+        if h < 0:
+            raise DomainError("count needs h >= 0")
+        self.require(h, "counting")
         top = self.floor_scaled(h)
         return bisect_right(self.lattice, top) - bisect_left(self.lattice, -top)
 
     def jumps(self, lo, hi) -> tuple[list[int], array]:
         """The step function N(h) = count_within(h) on [lo, hi], 0 < lo:
         the distinct magnitudes m with lo <= m / L <= hi, ascending, and
-        an array of N(m / L) at each.  Refuses a partial sample and hi
-        past the radius."""
-        if not self.complete:
-            raise DomainError("counting requires a complete sample")
-        if hi > self.radius:
-            raise DomainError(f"count at {format_rational(Fraction(hi))} exceeds "
-                              f"verified radius {format_rational(self.radius)}")
+        an array of N(m / L) at each."""
+        if lo <= 0:
+            raise DomainError("jumps need lo > 0")
+        self.require(hi, "counting")
         pts = self.lattice
         bot, top = -self.floor_scaled(-lo), self.floor_scaled(hi)
         start, neg = bisect_left(pts, -top), bisect_right(pts, -bot)
@@ -137,6 +153,7 @@ class OrbitSample(LatticePoints):
 
     def __contains__(self, x) -> bool:
         x = Fraction(x)
+        self.require(abs(x), "membership")
         a, rem = divmod(x.numerator * self.scale, x.denominator)
         if rem:
             return False
@@ -264,13 +281,10 @@ def enumerate_orbit(system: Rifs, seed, radius, *,
 
 
 def counting_profile(sample: OrbitSample, grid) -> CountingProfile:
-    """Exact counts N(h) over an increasing grid of rational h values.
-
-    The counts come from `sample.jumps` over the grid's span, which
-    refuses a grid past the radius.  The grid goes onto the lattice of
-    the lcm D of its denominators once, as ints g with h = g / D, and
-    N(h) is the count at the last jump m <= floor(g L / D).
-    """
+    """Exact counts N(h) over an increasing grid of rational h values,
+    each read by `sample.count_within`, which refuses a grid past the
+    radius.  The profile holds the grid on the lattice of the lcm of its
+    denominators."""
     grid = [h if isinstance(h, Fraction) else Fraction(h) for h in grid]
     if not grid:
         raise DomainError("grid must be nonempty")
@@ -279,12 +293,8 @@ def counting_profile(sample: OrbitSample, grid) -> CountingProfile:
             raise DomainError("grid must be strictly increasing")
     if grid[0] <= 0:
         raise DomainError("grid values must be positive")
-    mags, steps = sample.jumps(grid[0], grid[-1])
-    # steps[i] is now N(h) for the h past exactly i jumps
-    steps.insert(0, sample.count_within(grid[0]))
-    grid, scale = on_lattice(grid)
-    return CountingProfile(grid, scale, [
-        steps[bisect_right(mags, g * sample.scale // scale)] for g in grid])
+    return CountingProfile(*on_lattice(grid),
+                           [sample.count_within(h) for h in grid])
 
 
 def window_max_count(sample: OrbitSample, h) -> tuple[int, Fraction | None]:
@@ -296,12 +306,9 @@ def window_max_count(sample: OrbitSample, h) -> tuple[int, Fraction | None]:
     two-pointer pass over the lattice.
     """
     h = Fraction(h)
-    if not sample.complete:
-        raise DomainError("window scan requires a complete sample")
     if h <= 0:
         raise DomainError("window half-width must be positive")
-    if h > sample.radius:
-        raise DomainError("window [x-h, x+h] must fit inside the radius")
+    sample.require(h, "window scan")
     pts = sample.lattice
     if not pts:
         return 0, None
@@ -404,15 +411,9 @@ def residual_points(sample: OrbitSample) -> list[Fraction]:
     membership checks must land inside the verified radius, otherwise the
     radius is too small to decide and an error says how large it must be.
     """
-    if not sample.complete:
-        raise DomainError("residual scan requires a complete sample")
     system = sample.system
+    sample.require(residual_radius(system, sample.seed), "residual scan")
     candidates = sorted({m(sample.seed) for m in system.maps})
-    needed = residual_radius(system, sample.seed)
-    if needed > sample.radius:
-        raise DomainError(
-            f"residual scan needs radius >= {format_rational(needed)}, "
-            f"sample has {format_rational(sample.radius)}")
     result = []
     for y in candidates:
         if all(m.inverse()(y) not in sample for m in system.maps):

@@ -23,8 +23,7 @@ from .dimension import (DimensionFit, _loglog_fit, estimate_mass_dimension,
                         integerize)
 from .errors import DEFAULT_NODE_BUDGET, BudgetExceededError, DomainError
 from .orbit import LatticePoints, OrbitSample, counting_profile, enumerate_orbit
-from .rational import (PAdicValue, _int_valuation, check_prime,
-                       format_rational, padic_valuation)
+from .rational import PAdicValue, _int_valuation, check_prime, padic_valuation
 from .systems import PAdicSystem, disjoint_lattice_images, fixed_point
 
 
@@ -294,8 +293,6 @@ def mass_box_sandwich(system: PAdicSystem, sample: OrbitSample,
     and the offsets: every orbit point lies in L**-1 Z_p.
     Requires the sample to cover the upper window.
     """
-    if not sample.complete:
-        raise DomainError("sandwich requires a complete sample")
     p = system.p
     lattice, scale = sample.lattice, sample.scale
     # the reduced denominator of a / L is L / gcd(a, L)
@@ -308,11 +305,7 @@ def mass_box_sandwich(system: PAdicSystem, sample: OrbitSample,
     ks = sorted(set(int(k) for k in k_values))
     upper_edges = [c_upper * p ** (k + shift) for k in ks]
     for k, upper_edge in zip(ks, upper_edges):
-        if upper_edge > sample.radius:
-            raise DomainError(
-                f"sandwich at k={k} needs radius >= "
-                f"{format_rational(upper_edge)}, sample has "
-                f"{format_rational(sample.radius)}")
+        sample.require(upper_edge, f"sandwich at k={k}")
     rows = []
     for k, upper_edge, balls in zip(ks, upper_edges,
                                     ball_counts(sample, p, ks)):
@@ -394,8 +387,6 @@ def mass_versus_box(system: PAdicSystem, sample: OrbitSample,
     meaning.
     """
     _require_fixed_seed(system, sample.seed)
-    if not sample.complete:
-        raise DomainError("orbit enumeration exhausted its budget")
     grid = []
     h = Fraction(system.p)
     while h <= sample.radius:

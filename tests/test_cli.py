@@ -334,7 +334,8 @@ def test_padic_refuses_clustering_on_partial_sample(tmp_path, capsys):
     assert code == 0
     assert frag["clustering"] == {
         "error": "clustering requires a complete sample"}
-    assert frag["sandwich"] == {"error": "sandwich requires a complete sample"}
+    assert frag["sandwich"] == {
+        "error": "sandwich at k=1 requires a complete sample"}
 
 
 def test_padic_shallow_attractor_keeps_sandwich_and_clustering(tmp_path,

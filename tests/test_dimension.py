@@ -681,7 +681,8 @@ def test_density_grid_refuses_grid_past_radius(cantor_system, ratio):
     # [-3^9, 3^9], so its counts past the radius are not the orbit's
     sample = enumerate_orbit(cantor_system, 0, Fraction(3) ** 6)
     h_grid = [Fraction(3) ** k for k in range(1, 10)]
-    with pytest.raises(DomainError, match="exceeds verified radius"):
+    with pytest.raises(DomainError,
+                       match="counting needs radius >= 19683, sample has 729"):
         dimension.density_grid(h_grid, sample, ratio)
     profile = dimension.density_grid(h_grid[:6], sample, ratio)
     assert profile.counts[-1] == sample.count_within(h_grid[5]) == 64

@@ -9,6 +9,7 @@ fractional, denominators up to 12) and on enumerated orbits.
 import dataclasses
 import json
 import math
+import re
 import tempfile
 import types
 from fractions import Fraction
@@ -105,10 +106,41 @@ def test_view_scale_and_integerize(case):
 @given(case=lattice_samples(), data=st.data())
 def test_counts_and_membership_match_oracle(case, data):
     pts, sample = case
+    radius = format_rational(sample.radius)
     for x in data.draw(st.lists(rationals_near(pts, sample.scale),
                                 min_size=1, max_size=8)):
-        assert (x in sample) == (x in pts)
-        assert sample.count_within(x) == count_within_points(pts, x)
+        # the sample is the orbit only within its radius, and answers
+        # nothing past it
+        if abs(x) <= sample.radius:
+            assert (x in sample) == (x in pts)
+        else:
+            with pytest.raises(DomainError, match=re.escape(
+                    f"membership needs radius >= {format_rational(abs(x))}, "
+                    f"sample has {radius}")):
+                x in sample
+        if 0 <= x <= sample.radius:
+            assert sample.count_within(x) == count_within_points(pts, x)
+        else:
+            with pytest.raises(DomainError, match=re.escape(
+                    "count needs h >= 0" if x < 0 else
+                    f"counting needs radius >= {format_rational(x)}, "
+                    f"sample has {radius}")):
+                sample.count_within(x)
+
+
+def test_sample_refuses_readings_past_radius(cantor_system):
+    # {3x, 3x + 2} at radius 81 holds 16 of the orbit's 24 points in
+    # [-200, 200], and not the orbit point 162; [5, -5] is no window
+    sample = enumerate_orbit(cantor_system, 0, 81)
+    with pytest.raises(DomainError, match=re.escape(
+            "counting needs radius >= 200, sample has 81")):
+        sample.count_within(200)
+    with pytest.raises(DomainError, match="count needs h >= 0"):
+        sample.count_within(-5)
+    with pytest.raises(DomainError, match=re.escape(
+            "membership needs radius >= 162, sample has 81")):
+        Fraction(162) in sample
+    assert sample.count_within(81) == 16 and Fraction(80) in sample
 
 
 @settings(max_examples=200)
@@ -156,10 +188,19 @@ def test_jumps_and_density_sup_match_oracle(case, data):
     assert mags == [h.numerator * (sample.scale // h.denominator)
                     for h in jumps]
     assert counts.tolist() == [count_within_points(pts, h) for h in jumps]
-    with pytest.raises(DomainError, match="exceeds verified radius"):
+    with pytest.raises(DomainError, match=re.escape(
+            f"counting needs radius >= {format_rational(radius + Fraction(1, 24))}"
+            f", sample has {format_rational(radius)}")):
         sample.jumps(lo, radius + Fraction(1, 24))
     with pytest.raises(DomainError, match="counting requires a complete"):
         dataclasses.replace(sample, complete=False).jumps(lo, hi)
+    # magnitudes are positive: on {-2x, -2x + 1} at radius 40 a window
+    # [-2, 3] would list -2 and -1 with the counts -3 and -1
+    flips = enumerate_orbit(make_system([(-2, 0), (-2, 1)]), 0, 40)
+    for points, bad_lo, bad_hi in ((sample, 0, hi), (sample, -lo, hi),
+                                   (flips, -2, 3)):
+        with pytest.raises(DomainError, match="jumps need lo > 0"):
+            points.jumps(bad_lo, bad_hi)
 
 
 @settings(max_examples=200)
