@@ -365,10 +365,11 @@ def _frag_padic(ses: _Session) -> dict:
         clustering = [[r.k, r.balls] for r in rows_sw]
     except DomainError as exc:
         sandwich = {"error": str(exc)}
-        # a partial sample undercounts the balls it has not reached
-        clustering = ([[k, n] for k, n in zip(ks, ball_counts(sample, p, ks))]
-                      if sample.complete else
-                      {"error": "clustering requires a complete sample"})
+        try:
+            clustering = [[k, n]
+                          for k, n in zip(ks, ball_counts(sample, p, ks))]
+        except DomainError as exc:
+            clustering = {"error": str(exc)}
     frag = {"p": p, "clustering": clustering, "sandwich": sandwich}
     try:
         att, box = padic_attractor_box(psys, cfg.seed, ses.depth,
@@ -413,8 +414,10 @@ def _frag_report(ses: _Session) -> dict:
     then go to `pool.run` as one task each, last first: the long ones
     (cover table, attractor, density) come late in _ANALYSES, so they
     start first.  The p-adic fragment, last of all, is short since its
-    ball counts are exact.  Each fragment writes only its own artifact,
-    and report.json is assembled here in _ANALYSES order.
+    ball counts are exact.  No analysis forks on its own, so at most
+    `pool.workers()` processes run the report.  Each fragment writes only
+    its own artifact, and report.json is assembled here in _ANALYSES
+    order.
     """
     cfg = ses.cfg
     doc = {

@@ -16,9 +16,9 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate, chain, islice, zip_longest
+from heapq import heappop, heappush
+from itertools import accumulate, chain, islice
 
-from . import pool
 from .errors import (DEFAULT_NODE_BUDGET, BudgetExceededError, ConfigError,
                      DomainError)
 from .orbit import (CountingProfile, LatticePoints, OrbitSample,
@@ -465,13 +465,11 @@ def dual_attractor_hull(system: Rifs) -> tuple[Fraction, Fraction]:
     return min(candidates), max(candidates)
 
 
-# Box walks of {2x, 3x+1}, 2-core VM, Python 3.11: a split adds 3.5 ms
-# (4.6 ms in a 39 MB heap) and breaks even alone between push bounds of
-# 11,500 and 27,000, but inside `report`, beside the other analyses, it
-# made reports with bounds of 16,000 and 27,000 5% slower.
-_SPLIT_PUSHES = 50_000
-# 8 subtrees per process at the pool's most, whatever the CPU count
-_SUBTREES = 8 * pool.MAX_WORKERS
+# A word class whose push bound is below this keeps no memo.  Box walks of
+# {2x, 3x+1} at k_max 14, 2-core VM, Python 3.11: 64 took 0.080 s with a
+# 0.66 MB tracemalloc peak, 256 took 0.095 s with 0.27 MB, 1024 took
+# 0.139 s, and the plain walk 0.32 s.
+_MEMO_PUSHES = 256
 
 
 @dataclass(frozen=True)
@@ -515,18 +513,13 @@ def attractor_box_counts(system: Rifs, k_max: int, delta=None,
     that bound is checked against word_budget before walking, and the
     pushes are counted against the same budget as the walk goes.
 
-    A walk that may push _SPLIT_PUSHES words or more is split, the same
-    way on any number of CPUs.  This process walks levels 1..k0, k0 the
-    least level whose cut words each root a subtree of at most
-    B / _SUBTREES leaves, but below k_max.  The level-k0 subtrees then go
-    to `pool.run` as one task each, in walk order, each to walk the
-    levels past k0 under a share of the budget left in proportion to its
-    bound.  A subtree sums each sweep level as (count, first cell, end
-    cell): a level's intervals arrive sorted across subtrees too, so
-    consecutive subtrees share at most the cell at their border, and do
-    exactly when the later one starts before the earlier one ends.  Cell
-    sets are united.  The counts and words_pushed are those of the serial
-    walk.
+    A sweep remembers subtrees on grid phase (`_memo_walk`): a word's
+    descendants add P_w e to their offsets, so two words of one class
+    (P, Q, first level not yet cut at) whose offsets differ by a multiple
+    of the class's period M fall in cells that differ by a whole shift at
+    every level.  A subtree's sweep, (count, first cell, end cell) per
+    level, is then walked once per offset modulo M and shifted for the
+    rest.  The counts and words_pushed are those of the plain walk.
     """
     if k_max < 1:
         raise DomainError("k_max must be >= 1")
@@ -570,48 +563,28 @@ def attractor_box_counts(system: Rifs, k_max: int, delta=None,
     push_rising = [gens[j] for j in reversed(order)]
     push_falling = [gens[j] for j in order]
 
-    def walk(roots, levels, budget, frontier=None):
-        return _box_walk(roots, levels, push_rising, push_falling, ul, vl,
-                         sweep, budget, frontier)
-
     root = (1, 1, 0, 1)  # the empty word, never a cut word
-    if pushes < _SPLIT_PUSHES or k_max == 1:
-        results = [walk([root], levels, word_budget)]
+    classes = _memo_classes(gens, levels, log_bound, s) if sweep else None
+    if classes:
+        counts, walked = _memo_walk(root, classes, levels, push_rising,
+                                    push_falling, ul, vl, word_budget)
     else:
-        # a level-k0 cut word expands by |P| / Q >= delta**k0, so its
-        # subtree has at most B_w = (delta**k_max max|r| Q / |P|)**s
-        # leaves, which is B / _SUBTREES or less unless k0 is capped,
-        # and its walk pushes at most m (B_w - 1) / (m - 1) words
-        k0 = min(k_max - 1,
-                 math.ceil(math.log(_SUBTREES) / (s * math.log(delta))))
-        # the level-k0 cut words, in walk order, root the queued subtrees
-        roots = []
-        top = walk([root], levels[:k0 + 1] + levels[-1:], word_budget, roots)
-        weights = [math.exp(log_bound - s * math.log(abs(p) / q)) - 1
-                   for p, q, _, _ in roots]
-        # budget shares in proportion to the push bounds: while the
-        # pre-check holds, no subtree exhausts its share
-        share = (word_budget - top[1]) / math.fsum(weights)
-        results = [top] + pool.run(
-            [partial(walk, [r], levels, int(share * w))
-             for r, w in zip(roots, weights)])
-    return BoxCounts(delta=delta, hull=(u, v), ks=ks,
-                     counts=tuple(_merge_box_pieces(
-                         [pieces for pieces, _ in results], sweep)),
-                     words_pushed=sum(n for _, n in results))
+        pieces, walked = _box_walk([root], levels, push_rising, push_falling,
+                                   ul, vl, sweep, word_budget)
+        counts = [n for n, _, _ in pieces] if sweep else map(len, pieces)
+    return BoxCounts(delta=delta, hull=(u, v), ks=ks, counts=tuple(counts),
+                     words_pushed=walked)
 
 
 def _box_walk(roots, levels, push_rising, push_falling, ul, vl, sweep,
-              budget, frontier=None):
+              budget, walked=0):
     """Walk the subtrees of roots, words held as (P, Q, e, first level not
     yet cut at), one after another, for the levels of levels (whose first
     and last entries are guards).
 
     Returns the summary of each level, its cell set or, when sweeping,
     (count, first cell, end cell) and None if it has no cell, and the
-    number of words pushed.  The words cut at the last level, which the
-    walk does not expand, are appended to frontier, in walk order, if it
-    is a list.
+    number of words pushed, counted on from walked.
     """
     k_max = len(levels) - 2
     first = [None] * (k_max + 1)
@@ -619,7 +592,6 @@ def _box_walk(roots, levels, push_rising, push_falling, ul, vl, sweep,
     counts = [0] * (k_max + 1)
     cells = None if sweep else [set() for _ in counts]
     width = len(push_rising)
-    walked = 0
     stack = roots[::-1]
     pop, push = stack.pop, stack.append
     while stack:
@@ -652,8 +624,6 @@ def _box_walk(roots, levels, push_rising, push_falling, ul, vl, sweep,
                 if mag * b_k < a_k * q:
                     break
             if k > k_max:
-                if frontier is not None:
-                    frontier.append((p, q, e, k))
                 continue
         walked += width
         if walked > budget:
@@ -667,24 +637,150 @@ def _box_walk(roots, levels, push_rising, push_falling, ul, vl, sweep,
             for n, f, end in zip(counts[1:], first[1:], last[1:])], walked
 
 
-def _merge_box_pieces(pieces, sweep) -> list[int]:
-    """Cell counts per level of the summaries of `_box_walk`, walked in
-    tree order."""
-    counts = []
-    for level in zip_longest(*pieces):
-        parts = [part for part in level if part]
-        if not sweep:
-            counts.append(len(set().union(*parts)))
+def _memo_classes(gens, levels, log_bound, s):
+    """The word classes (P, Q, k) of a sweep, k the first level not yet
+    cut at, that have a memo class at or below them, mapped to the memo
+    class's (M, shifts) or to None.
+
+    A class keeps a memo when more walk words fall in it than M, its
+    number of offset phases, so that some phase repeats, and when its
+    push bound (delta**k_max max|r| Q / |P|)**s is _MEMO_PUSHES or more.
+    M is the least multiple of |P| b_j span / gcd(a_j, |P| b_j span) for
+    every level j >= k: adding M to e moves the cells of every descendant
+    at level j by M a_j / (P b_j span), the class's shift at j.
+    """
+    k_max = len(levels) - 2
+    # classes in order of |P|, which grows along every edge, so a class's
+    # word count is whole when it is popped
+    words = {(1, 1, 1): 1}
+    heap = [(1, (1, 1, 1))]
+    popped = []
+    while heap:
+        _, cls = heappop(heap)
+        p, q, k = cls
+        mag = abs(p)
+        while mag * levels[k][1] >= levels[k][0] * q:
+            k += 1
+        # no class below one whose push bound is too small keeps a memo
+        if k > k_max or _MEMO_PUSHES > math.exp(
+                min(log_bound - s * (math.log(mag) - math.log(q)), 700.0)):
             continue
-        # a level's intervals are sorted across pieces, so consecutive
-        # pieces share at most the cell at their border
-        total = 0
-        end = None
-        for n, first, last in parts:
-            total += n - (1 if end is not None and first < end else 0)
-            end = last
-        counts.append(total)
-    return counts
+        kids = [(p * pj, q * qj, k) for pj, qj, _ in gens]
+        popped.append((cls, kids))
+        for kid in kids:
+            if kid not in words:
+                words[kid] = 0
+                heappush(heap, (abs(kid[0]), kid))
+            words[kid] += words[cls]
+    classes = {}
+    for cls, kids in reversed(popped):
+        p, q, k = cls
+        period = 1
+        for a_j, _, scale in levels[k:-1]:
+            n = abs(p) * scale
+            period = math.lcm(period, n // math.gcd(a_j, n))
+        if period < words[cls]:
+            classes[cls] = period, [period * a_j // (p * scale)
+                                    for a_j, _, scale in levels[k:-1]]
+        elif any(kid in classes for kid in kids):
+            classes[cls] = None
+    return classes
+
+
+def _memo_walk(root, classes, levels, push_rising, push_falling, ul, vl,
+               budget):
+    """The sweep count of each level and the number of words pushed, for
+    the tree of root.
+
+    The words of `_memo_classes`'s classes are walked here.  A word of a
+    memo class with offset e = t M + r stands for the word at phase r: its
+    subtree's sweep is walked once per key (P, Q, k, r), remembered with
+    its pushes, and added moved by t shifts.  Every other subtree, which
+    holds no memo class, is walked by `_box_walk`.
+    """
+    k_max = len(levels) - 2
+    width = len(push_rising)
+    memo = {}
+    acc = [None] * (k_max + 1)  # [count, first cell, end cell] per level
+    frames = []  # the memo subtrees open, outermost first
+    walked = 0
+    stack = [root]
+    pop, push = stack.pop, stack.append
+    while stack:
+        word = pop()
+        if word is None:
+            # a memo subtree ends: remember its sweep at phase r, and add
+            # it to the enclosing sweep moved by t shifts
+            outer, start, key, k, moves = frames.pop()
+            sweep = [tuple(part) for part in acc[k:]]
+            memo[key] = sweep, walked - start
+            acc = outer
+            _add_sweeps(acc, k, sweep, moves)
+            continue
+        p, q, e, k = word
+        if (p, q, k) not in classes:
+            pieces, walked = _box_walk([word], levels, push_rising,
+                                       push_falling, ul, vl, True, budget,
+                                       walked)
+            _add_sweeps(acc, k, pieces[k - 1:])
+            continue
+        entry = classes[p, q, k]
+        if entry is not None:
+            period, shifts = entry
+            t, e = divmod(e, period)
+            moves = [t * d for d in shifts]
+            key = (p, q, k, e)
+            if key in memo:
+                sweep, pushes = memo[key]
+                walked += pushes
+                if walked > budget:
+                    raise BudgetExceededError(
+                        f"box counting walked more than {budget} words")
+                _add_sweeps(acc, k, sweep, moves)
+                continue
+            frames.append((acc, walked, key, k, moves))
+            acc = [None] * (k_max + 1)
+            push(None)
+        # the word's own interval at each level it is cut at; a class of
+        # _memo_classes has children, so some level is left
+        mag = abs(p)
+        lo = ul * q + e
+        hi = vl * q + e
+        if p < 0:
+            lo, hi = hi, lo
+        a_k, b_k, scale = levels[k]
+        while mag * b_k >= a_k * q:
+            den = p * scale
+            c0 = lo * a_k // den
+            c1 = -(-hi * a_k // den)
+            _add_sweeps(acc, k, [(c1 - c0, c0, c1)])
+            k += 1
+            a_k, b_k, scale = levels[k]
+        walked += width
+        if walked > budget:
+            raise BudgetExceededError(
+                f"box counting walked more than {budget} words")
+        for pj, qj, bq in push_rising if p > 0 else push_falling:
+            push((p * pj, q * qj, pj * e - bq * q, k))
+    return [n for n, _, _ in acc[1:]], walked
+
+
+def _add_sweeps(acc, k, sweep, moves=None):
+    """Add the sweep of a later subtree, (count, first cell, end cell) at
+    each level from k on, to acc, moved by moves[i] cells at level k + i.
+    A level's intervals arrive sorted, so the two share at most the cell at
+    their border, and do exactly when the later one starts before the
+    earlier one ends."""
+    for i, (n, first, end) in enumerate(sweep):
+        if moves:
+            first += moves[i]
+            end += moves[i]
+        part = acc[k + i]
+        if part is None:
+            acc[k + i] = [n, first, end]
+        else:
+            part[0] += n - (first < part[2])
+            part[2] = end
 
 
 def estimate_box_dimension(box: BoxCounts,

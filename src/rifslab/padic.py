@@ -51,7 +51,7 @@ def ball_count(points, p: int, k: int, method: str = "residues") -> BallClusteri
     the classes off those residues.  The pairwise method is the quadratic
     union-find reference.  Both are exact.
     """
-    _check_ball_levels(p, [k])
+    _check_ball_levels(p, [k], points)
     if method == "residues":
         ints, modulus = _ball_lattice(points, p, k)
         sizes = Counter(a % modulus for a in ints)
@@ -93,7 +93,7 @@ def ball_counts(points, p: int, ks) -> list[int]:
     `ball_count(points, p, k).count` for every k.
     """
     ks = [int(k) for k in ks]
-    _check_ball_levels(p, ks)
+    _check_ball_levels(p, ks, points)
     if not ks:
         return []
     top = max(ks)
@@ -106,10 +106,13 @@ def ball_counts(points, p: int, ks) -> list[int]:
     return [counts[k] for k in ks]
 
 
-def _check_ball_levels(p: int, ks) -> None:
+def _check_ball_levels(p: int, ks, points=None) -> None:
     check_prime(p)
     if any(k < 0 for k in ks):
         raise DomainError("ball level k must be >= 0")
+    if isinstance(points, OrbitSample):
+        # a partial sample undercounts the balls it has not reached
+        points.require(points.radius, "clustering")
 
 
 def _ball_lattice(points, p: int, k: int):

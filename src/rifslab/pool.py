@@ -25,18 +25,16 @@ def workers() -> int:
 def run(tasks) -> list:
     """Results of the zero-argument callables tasks, in order.
 
-    `report` hands it one task per analysis, and a split attractor box
-    walk one per subtree, which may nest inside an analysis: at most
-    2 * workers() - 1 processes are alive at once (3 on 2 CPUs).  Up to
-    workers() processes, this one and forked children, take the tasks
-    from one queue in the order given, each the next one whenever it is
-    free.  The queue is a pipe filled before the first fork, one byte per
-    item of consecutive tasks and at most 256 items, so its writer never
-    blocks.  A child pickles the results of the tasks it took, or
-    its first exception, into a pipe of its own and exits; once a fork
-    fails, fewer processes drain the queue.  Every child is reaped and
-    every descriptor closed before this returns or raises, and the first
-    exception of a child is re-raised.
+    Only `report`'s analysis queue calls it, with one task per analysis.
+    Up to workers() processes, this one and forked children, take the
+    tasks from one queue in the order given, each the next one whenever
+    it is free; no more are alive at once.  The queue is a pipe filled
+    before the first fork, one byte per item of consecutive tasks and at
+    most 256 items, so its writer never blocks.  A child pickles the
+    results of the tasks it took, or its first exception, into a pipe of
+    its own and exits; once a fork fails, fewer processes drain the
+    queue.  Every child is reaped and every descriptor closed before this
+    returns or raises, and the first exception of a child is re-raised.
     """
     count = workers() if len(tasks) > 1 else 1
     if count < 2:

@@ -575,8 +575,7 @@ def test_split_report_raises_a_workers_error(tmp_path, capsys,
 def test_report_forks_one_worker_fewer_than_it_may_use(
         tmp_path, capsys, monkeypatch, count_forks, workers,
         assert_no_child_left):
-    # the cantor walk's push bound is below the split's: every fork is a
-    # fragment worker
+    # the box walk never forks: every fork is a fragment worker
     monkeypatch.setattr(pool, "workers", lambda: workers)
     report_bytes(capsys, ["--config", cantor_padic_config(tmp_path)],
                  tmp_path / "out")

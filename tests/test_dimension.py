@@ -5,7 +5,6 @@ import random
 import threading
 import time
 import tracemalloc
-import warnings
 from fractions import Fraction
 from functools import partial
 
@@ -318,11 +317,12 @@ def test_box_counts_budget_counts_visited_words(renewal_system):
 
 
 @contextlib.contextmanager
-def split_walk(workers):
-    """Split every box walk across `workers` processes, however small."""
+def memo_threshold(pushes):
+    """Keep a box-walk memo for every word class whose push bound is at
+    least pushes: 0 keeps one wherever a phase repeats, however small the
+    walk, and math.inf keeps none."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dimension, "_SPLIT_PUSHES", 0)
-        mp.setattr(pool, "workers", lambda: workers)
+        mp.setattr(dimension, "_MEMO_PUSHES", pushes)
         yield
 
 
@@ -342,9 +342,9 @@ def split_walk(workers):
 def test_box_counts_sweep_and_cell_sets_match_cut_set_oracle(maps):
     system = make_system([(Fraction(r), Fraction(b)) for r, b in maps])
     expected = tuple(box_count_cut_set(system, k) for k in range(1, 9))
-    for workers in (1, 3):
-        with split_walk(workers):
-            assert attractor_box_counts(system, 8).counts == expected
+    assert attractor_box_counts(system, 8).counts == expected
+    with memo_threshold(0):
+        assert attractor_box_counts(system, 8).counts == expected
 
 
 def test_box_counts_hold_no_cell_sets(renewal_system):
@@ -368,12 +368,13 @@ MAX_CUT_WORDS = 5000
        delta=st.one_of(st.none(),
                        st.fractions(min_value=Fraction(5, 4), max_value=4,
                                     max_denominator=4)),
-       k_max=st.integers(1, 6), workers=st.integers(2, 4))
+       k_max=st.integers(1, 6))
 @settings(deadline=None)
-def test_box_counts_match_cut_set_oracle(maps, delta, k_max, workers):
+def test_box_counts_match_cut_set_oracle(maps, delta, k_max):
     # RATIOS has P < 0 orderings, 5/2 and -7/3, and OFFSETS makes both
     # disjoint first-level images (sweep) and overlapping ones (cell sets);
-    # the walk is split however small it is, and must equal the serial one
+    # a sweep keeps a memo however small it is, and must equal the plain
+    # walk
     system = make_system(maps)
     s = solve_similarity_dimension([r for r, _ in maps]).value
     scale = float(system.max_ratio_mag if delta is None else delta)
@@ -381,71 +382,76 @@ def test_box_counts_match_cut_set_oracle(maps, delta, k_max, workers):
     while k_max > 1 and (scale**k_max * float(system.max_ratio_mag))**s \
             > MAX_CUT_WORDS:
         k_max -= 1
-    with split_walk(workers):
+    with memo_threshold(0):
         box = attractor_box_counts(system, k_max, delta=delta)
     assert box.counts == tuple(box_count_cut_set(system, k, delta)
                                for k in box.ks)
-    with split_walk(1):
+    with memo_threshold(math.inf):
         assert attractor_box_counts(system, k_max, delta=delta) == box
 
 
+@given(maps=st.lists(st.tuples(st.sampled_from(RATIOS[:6]),
+                               st.integers(-3, 3).map(Fraction)),
+                     min_size=2, max_size=3, unique=True),
+       k_max=st.integers(2, 7))
+def test_memo_box_walk_matches_cut_set_oracle(maps, k_max):
+    # integer ratios and offsets: phases repeat in every sweep class
+    system = make_system(maps)
+    s = solve_similarity_dimension([r for r, _ in maps]).value
+    while k_max > 2 and (float(system.max_ratio_mag) ** (k_max + 1))**s \
+            > MAX_CUT_WORDS:
+        k_max -= 1
+    with memo_threshold(0):
+        box = attractor_box_counts(system, k_max)
+    assert box.counts == tuple(box_count_cut_set(system, k) for k in box.ks)
+    with memo_threshold(math.inf):
+        assert attractor_box_counts(system, k_max) == box
+
+
 def test_split_box_walk_pushes_the_serial_words(renewal_system):
-    for workers in (1, 2, 3):
-        with split_walk(workers):
-            assert attractor_box_counts(renewal_system, 8).words_pushed == 2884
+    assert attractor_box_counts(renewal_system, 8).words_pushed == 2884
+    with memo_threshold(0):
+        assert attractor_box_counts(renewal_system, 8).words_pushed == 2884
 
 
-def test_split_box_walk_deals_the_same_subtrees_on_any_cpu_count(
-        renewal_system, monkeypatch):
-    dealt = []
-    run = pool.run
-
-    def counted(tasks):
-        dealt.append(len(tasks))
-        return run(tasks)
-
-    monkeypatch.setattr(pool, "run", counted)
-    for workers in (1, 2, 3):
-        with split_walk(workers):
-            attractor_box_counts(renewal_system, 8)
-    assert len(dealt) == 3 and dealt[0] > 3
-    assert dealt[0] == dealt[1] == dealt[2]
-
-
-def test_split_box_walk_reaps_its_children(renewal_system, count_forks,
-                                           assert_no_child_left):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with split_walk(4):
-            box = attractor_box_counts(renewal_system, 8)
-    assert len(count_forks) == 3
-    assert box.counts == tuple(box_count_cut_set(renewal_system, k)
-                               for k in box.ks)
-    assert_no_child_left()
+@pytest.mark.parametrize("maps, k_max", [
+    ([(2, 0), (3, 1)], 12),
+    ([(-2, 0), (3, 1)], 12),
+    ([(3, 0), (3, 2)], 12),
+    ([(4, -1), (-2, 4)], 10),
+])
+def test_memo_box_walk_equals_the_plain_walk(maps, k_max, monkeypatch):
+    # at these sizes the default threshold keeps a memo; with none, every
+    # word is walked
+    system = make_system([(Fraction(r), Fraction(b)) for r, b in maps])
+    memo_walks = []
+    walk = dimension._memo_walk
+    monkeypatch.setattr(dimension, "_memo_walk",
+                        lambda *args: memo_walks.append(1) or walk(*args))
+    box = attractor_box_counts(system, k_max)
+    assert memo_walks
+    with memo_threshold(math.inf):
+        assert attractor_box_counts(system, k_max) == box
+    assert len(memo_walks) == 1
 
 
-def test_split_box_walk_raises_a_childs_error(renewal_system, monkeypatch,
-                                              tmp_path, assert_no_child_left):
-    parent = os.getpid()
-    walk = dimension._box_walk
-    ran = tmp_path / "ran_in_a_child"
+def test_box_walk_of_a_thousand_deep_words():
+    # a sweep whose words grow by 201/200 until their expansion reaches
+    # 201: about 1,063 maps deep, so nothing may recurse on word length,
+    # and Q / |P| leaves the binary64 range
+    system = make_system([(Fraction(201, 200), Fraction(0)),
+                          (Fraction(201), Fraction(-200))])
+    for pushes in (256, 0):
+        with memo_threshold(pushes):
+            box = attractor_box_counts(system, 1)
+        assert (box.counts, box.words_pushed) == ((201,), 2128)
 
-    def over_budget_in_children(*args):
-        if os.getpid() != parent:
-            ran.touch()
-            raise BudgetExceededError("box counting walked more than 7 words")
-        if args[-1] is None:
-            # a queued subtree: hold it here until a child has taken one
-            wait_for(ran.exists)
-        return walk(*args)
 
-    monkeypatch.setattr(dimension, "_box_walk", over_budget_in_children)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with split_walk(3), pytest.raises(BudgetExceededError,
-                                          match="more than 7 words"):
-            attractor_box_counts(renewal_system, 8)
-    assert_no_child_left()
+def test_box_walk_forks_nothing(renewal_system, count_forks, monkeypatch):
+    monkeypatch.setattr(pool, "workers", lambda: 3)
+    for k_max in (8, 14):
+        attractor_box_counts(renewal_system, k_max)
+    assert count_forks == []
 
 
 def wait_for(condition, seconds=60):
@@ -527,13 +533,12 @@ def test_forked_tasks_raise_a_childs_error(tmp_path, count_forks, monkeypatch,
     assert_no_child_left()
 
 
-def test_box_walk_is_serial_on_one_cpu_or_without_fork(
-        renewal_system, monkeypatch, assert_no_child_left):
-    expected = attractor_box_counts(renewal_system, 8)
-    monkeypatch.setattr(dimension, "_SPLIT_PUSHES", 0)
+def test_pool_runs_serial_on_one_cpu_or_without_fork(monkeypatch,
+                                                    count_forks):
+    tasks = [partial(pow, i, 2) for i in range(5)]
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     assert pool.workers() == 1
-    assert attractor_box_counts(renewal_system, 8) == expected
+    assert pool.run(tasks) == [i * i for i in range(5)]
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     assert pool.workers() == 2
     # a forked child of a threaded process may deadlock: no fork then
@@ -541,17 +546,15 @@ def test_box_walk_is_serial_on_one_cpu_or_without_fork(
     waiting = threading.Thread(target=release.wait)
     waiting.start()
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert pool.workers() == 1
-            assert attractor_box_counts(renewal_system, 8) == expected
+        assert pool.workers() == 1
+        assert pool.run(tasks) == [i * i for i in range(5)]
     finally:
         release.set()
         waiting.join()
-    assert_no_child_left()
+    assert count_forks == []
     monkeypatch.delattr(os, "fork")
     assert pool.workers() == 1
-    assert attractor_box_counts(renewal_system, 8) == expected
+    assert pool.run(tasks) == [i * i for i in range(5)]
 
 
 # --------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from rifslab import (
     ball_counts,
     compare_mass_and_box,
     disjoint_lattice_images,
+    enumerate_orbit,
     make_padic_system,
     mass_box_sandwich,
     padic_attractor_box,
@@ -152,6 +153,23 @@ def test_ball_counts_rejects_bad_input():
         ball_counts([1, 2], 4, [1])
     with pytest.raises(DomainError, match=">= 0"):
         ball_counts([1, 2], 2, [1, -1])
+
+
+def test_clustering_refuses_a_partial_sample(binary_padic_system):
+    # 1000 nodes cut the 2**13-point orbit short; counted anyway it would
+    # read 1000 balls at k = 10 and k = 12, where the orbit meets 1024
+    # and 4096
+    system = binary_padic_system.archimedean()
+    sample = enumerate_orbit(system, 0, 2**13, node_budget=1000)
+    assert not sample.complete
+    with pytest.raises(DomainError,
+                       match="clustering requires a complete sample"):
+        ball_counts(sample, 2, [10, 12])
+    with pytest.raises(DomainError,
+                       match="clustering requires a complete sample"):
+        ball_count(sample, 2, 10)
+    whole = enumerate_orbit(system, 0, 2**13)
+    assert ball_counts(whole, 2, [10, 12]) == [1024, 4096]
 
 
 def test_valuation_table():
