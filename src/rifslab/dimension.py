@@ -204,8 +204,7 @@ def _integer_points(points) -> list[int]:
     refused rather than truncated.  A strictly increasing list of ints,
     such as a sample's lattice, is returned as it is, not copied, and
     must not be mutated."""
-    if isinstance(points, (list, tuple)) and all(type(p) is int
-                                                 for p in points):
+    if isinstance(points, (list, tuple)) and {*map(type, points)} <= {int}:
         if isinstance(points, list) and all(
                 map(operator.lt, points, islice(points, 1, None))):
             return points
@@ -246,7 +245,10 @@ def min_cover_cost(points, alpha: float, n: int) -> CoverCost:
     - alpha <= 1: w is concave, so a start that overtakes a later start
       stays ahead for every longer prefix.  Live starts sit on a stack,
       newest on top, each best for the prefixes up to a binary-searched
-      crossover with the start below it.
+      crossover with the start below it.  A stack entry is the tuple
+      (start, first point it is best for, cost of the points before the
+      start, x_start - 1, runs before the start), so a comparison reads
+      only the entry and the prefix's last point.
     - alpha > 1: w is convex with w(0) = 0, hence superadditive, and
       w(s) > s*w(1) for s > 1: the newest start overtakes every older one
       at once and for good, so the Monge deque of this case never holds
@@ -263,6 +265,13 @@ def min_cover_cost(points, alpha: float, n: int) -> CoverCost:
     single point beats a longer last run by at least (2**alpha - 2)*w(1).
     For n <= 18 both margins exceed the rounding unless alpha is within
     about 2e-4 of 0 or 1.  At alpha = 1 all the arithmetic is exact.
+
+    A run is priced ((right - x + 1) * 2**-n)**alpha, the scan's
+    ((right - x + 1) / 2.0**n)**alpha bit for bit: Python rounds the int
+    length to the same float in both, 2**-n is exact for every n the cube
+    check allows (2**-1023 is subnormal, but a power of two), and so the
+    product and the quotient are both the correctly rounded value of one
+    real number, subnormal or not.
     """
     if alpha <= 0:
         raise DomainError("alpha must be positive")
@@ -273,80 +282,76 @@ def min_cover_cost(points, alpha: float, n: int) -> CoverCost:
         p = pts[0] if pts[0] < lo else pts[bisect_left(pts, hi)]
         raise DomainError(
             f"point {p} outside the side-2^{n} cube centred at 0")
-    size = 2.0**n
-    single = (1 / size) ** alpha  # w(1)
+    inv = math.ldexp(1.0, -n)  # 2**-n, exact
+    single = inv ** alpha  # w(1)
     if alpha > 1:
         total = 0.0
         # in order, as the scan adds: sum() compensates from Python 3.12
         for _ in pts:
             total += single
         return CoverCost(alpha=alpha, n=n, cost=total,
-                         optimal_partition=tuple((p, p) for p in pts))
+                         optimal_partition=tuple(zip(pts, pts)))
     k = len(pts)
-    cost = [0.0] * (k + 1)
-    blocks = [0] * (k + 1)
-    choice = [0] * (k + 1)
-    # the new start i, at the point x after a prefix of cost prior in
-    # runs runs, is the later one, so it wins a tie of totals and runs
-    prior = x = runs = None
-
-    def ahead(b, i):
-        """Whether the new start beats start b for the last run of
-        prefix i."""
-        right = pts[i - 1]
-        total = prior + ((right - x + 1) / size) ** alpha
-        total_b = cost[b - 1] + ((right - pts[b - 1] + 1) / size) ** alpha
-        if total != total_b:
-            return total < total_b
-        return runs <= blocks[b - 1]
-
-    # (start, first prefix it is best for); down the stack the starts
-    # get older and their first prefixes later
+    # choice[i]: the index of the first point of the last run of prefix
+    # i + 1; prior and runs: the cost and run count of prefix i
+    choice = list(range(k))
+    prior = 0.0
+    runs = 0
+    # (start, first index it is best for, cost before it, pts[start] - 1,
+    # runs before it); down the stack the starts get older and their first
+    # indices later
     stack = []
-    for i in range(1, k + 1):
+    pop = stack.pop
+    for i, x in enumerate(pts):
         while len(stack) > 1 and stack[-2][1] <= i:
-            stack.pop()
-        prior = cost[i - 1]
-        runs = blocks[i - 1]
+            pop()
         total = prior + single
         if stack:
-            # the top is best at i, with the total it gives cost[i]; a
-            # start i behind it never catches up
-            top = stack[-1][0]
-            x = pts[i - 1]
-            total_top = cost[top - 1] + ((x - pts[top - 1] + 1) / size) ** alpha
-            if total_top < total or (total_top == total
-                                     and blocks[top - 1] < runs):
-                cost[i] = total_top
-                blocks[i] = blocks[top - 1] + 1
-                choice[i] = top
+            # the top is best at i, with the total it gives prefix i + 1;
+            # a start i behind it never catches up
+            j, _, cost_j, before_j, runs_j = stack[-1]
+            total_j = cost_j + ((x - before_j) * inv) ** alpha
+            if total_j < total or (total_j == total and runs_j < runs):
+                prior = total_j
+                runs = runs_j + 1
+                choice[i] = j
                 continue
+            # the new start i is the later one, so it wins a tie of totals
+            # and runs: pop the starts it is ahead of at their last index,
+            # and binary-search the crossover with the first it is not
+            before = x - 1
             while stack:
-                top = stack[-1][0]
-                end = stack[-2][1] - 1 if len(stack) > 1 else k
-                if not ahead(top, end):
+                j, _, cost_j, before_j, runs_j = stack[-1]
+                end = stack[-2][1] - 1 if len(stack) > 1 else k - 1
+                right = pts[end]
+                mine = prior + ((right - before) * inv) ** alpha
+                theirs = cost_j + ((right - before_j) * inv) ** alpha
+                if mine > theirs or (mine == theirs and runs > runs_j):
                     lo, hi = i + 1, end
                     while lo < hi:
                         mid = (lo + hi) // 2
-                        if ahead(top, mid):
+                        right = pts[mid]
+                        mine = prior + ((right - before) * inv) ** alpha
+                        theirs = cost_j + ((right - before_j) * inv) ** alpha
+                        if mine < theirs or (mine == theirs
+                                             and runs <= runs_j):
                             lo = mid + 1
                         else:
                             hi = mid
-                    stack[-1] = (top, lo)
+                    stack[-1] = (j, lo, cost_j, before_j, runs_j)
                     break
-                stack.pop()
-        stack.append((i, i))
-        cost[i] = total
-        blocks[i] = runs + 1
-        choice[i] = i
+                pop()
+        stack.append((i, i, prior, x - 1, runs))
+        prior = total
+        runs += 1
     partition = []
-    i = k
-    while i > 0:
+    i = k - 1
+    while i >= 0:
         j = choice[i]
-        partition.append((pts[j - 1], pts[i - 1]))
+        partition.append((pts[j], pts[i]))
         i = j - 1
     partition.reverse()
-    return CoverCost(alpha=alpha, n=n, cost=cost[k],
+    return CoverCost(alpha=alpha, n=n, cost=prior,
                      optimal_partition=tuple(partition))
 
 
@@ -386,7 +391,8 @@ def estimate_discrete_hausdorff(points, alpha_grid, n_values,
     something.  The empty set reports 0 for both estimates.
 
     Each cube's points are sliced once, and every cost is that of
-    min_cover_cost, in this process: the table never forks.
+    min_cover_cost, called once per (alpha, n) in this process: the table
+    never forks.
     """
     n_values = sorted(set(int(n) for n in n_values))
     if len(n_values) < 6:
@@ -564,7 +570,8 @@ def attractor_box_counts(system: Rifs, k_max: int, delta=None,
     push_falling = [gens[j] for j in order]
 
     root = (1, 1, 0, 1)  # the empty word, never a cut word
-    classes = _memo_classes(gens, levels, log_bound, s) if sweep else None
+    classes = (_memo_classes(gens, levels, log_bound, s, pushes) if sweep
+               else None)
     if classes:
         counts, walked = _memo_walk(root, classes, levels, push_rising,
                                     push_falling, ul, vl, word_budget)
@@ -637,7 +644,7 @@ def _box_walk(roots, levels, push_rising, push_falling, ul, vl, sweep,
             for n, f, end in zip(counts[1:], first[1:], last[1:])], walked
 
 
-def _memo_classes(gens, levels, log_bound, s):
+def _memo_classes(gens, levels, log_bound, s, pushes):
     """The word classes (P, Q, k) of a sweep, k the first level not yet
     cut at, that have a memo class at or below them, mapped to the memo
     class's (M, shifts) or to None.
@@ -648,8 +655,18 @@ def _memo_classes(gens, levels, log_bound, s):
     M is the least multiple of |P| b_j span / gcd(a_j, |P| b_j span) for
     every level j >= k: adding M to e moves the cells of every descendant
     at level j by M a_j / (P b_j span), the class's shift at j.
+
+    M is at least its term at k_max, |P| b_k_max span / a_k_max, and |P|
+    grows along every edge, so once that term reaches pushes, the bound on
+    the walk's words, neither the class nor any below it can keep a memo:
+    the pass stops there.  A thin tree, such as the words of
+    {(201/200)x, 201x - 200} at k_max 1, then visits a few classes rather
+    than one per word length.
     """
     k_max = len(levels) - 2
+    # the least |P| whose period term at k_max is pushes or more
+    a_max, _, scale_max = levels[k_max]
+    too_long = -(-math.ceil(pushes) * a_max // scale_max)
     # classes in order of |P|, which grows along every edge, so a class's
     # word count is whole when it is popped
     words = {(1, 1, 1): 1}
@@ -661,8 +678,9 @@ def _memo_classes(gens, levels, log_bound, s):
         mag = abs(p)
         while mag * levels[k][1] >= levels[k][0] * q:
             k += 1
-        # no class below one whose push bound is too small keeps a memo
-        if k > k_max or _MEMO_PUSHES > math.exp(
+        # no class below one whose period is too long or whose push bound
+        # is too small for a memo keeps one
+        if k > k_max or mag >= too_long or _MEMO_PUSHES > math.exp(
                 min(log_bound - s * (math.log(mag) - math.log(q)), 700.0)):
             continue
         kids = [(p * pj, q * qj, k) for pj, qj, _ in gens]

@@ -447,6 +447,33 @@ def test_box_walk_of_a_thousand_deep_words():
         assert (box.counts, box.words_pushed) == ((201,), 2128)
 
 
+@pytest.mark.parametrize("maps, k_max, visited, memos", [
+    # one word per class, about a thousand classes deep: the period of a
+    # class is at least |P| span / 201, which passes the walk's push bound
+    # a few classes down, so the pass stops there (it visited 2,031)
+    ([(Fraction(201, 200), 0), (201, -200)], 1, 9, 0),
+    # the mixed-ratio report's walk keeps every memo class it had
+    ([(2, 0), (3, 1)], 14, 110, 29),
+])
+def test_memo_class_pass_stops_where_no_phase_can_repeat(maps, k_max, visited,
+                                                         memos, monkeypatch):
+    system = make_system([(Fraction(r), Fraction(b)) for r, b in maps])
+    visits = []
+    pop = dimension.heappop
+    monkeypatch.setattr(dimension, "heappop",
+                        lambda heap: visits.append(1) or pop(heap))
+    classes = []
+    memo_classes = dimension._memo_classes
+    monkeypatch.setattr(dimension, "_memo_classes",
+                        lambda *args: classes.append(memo_classes(*args))
+                        or classes[-1])
+    box = attractor_box_counts(system, k_max)
+    assert len(visits) == visited
+    assert sum(entry is not None for entry in classes[0].values()) == memos
+    with memo_threshold(math.inf):
+        assert attractor_box_counts(system, k_max) == box
+
+
 def test_box_walk_forks_nothing(renewal_system, count_forks, monkeypatch):
     monkeypatch.setattr(pool, "workers", lambda: 3)
     for k_max in (8, 14):

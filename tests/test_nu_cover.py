@@ -240,6 +240,33 @@ def test_orbit_costs_match_quadratic_dp_at_report_cubes(maps, seed, radius):
                 inside, alpha, n), (alpha, n)
 
 
+def test_mirrored_orbit_rows_match_quadratic_dp():
+    # every point is negative, so each cube's points are a suffix of the
+    # orbit, and -2**(n - 1), on the half-open cube's closed edge, is a
+    # point at every n
+    system = make_system([(Fraction(2), Fraction(0)), (Fraction(5), Fraction(1))])
+    points = sorted(-x for x in enumerate_orbit(system, 1, 2**17).lattice)
+    assert points[-1] < 0
+    alphas = [0.7, 0.8, 0.9, 1.0, 1.1]
+    report = estimate_discrete_hausdorff(points, alphas, range(13, 19))
+    for alpha, n, cost, _ in report.rows:
+        inside = [x for x in points if x >= -2**(n - 1)]
+        assert inside[0] == -2**(n - 1)
+        assert cost == quadratic_cover_min(inside, alpha, n)[0], (alpha, n)
+
+
+def test_subnormal_cube_scale_matches_quadratic_dp():
+    # at n = 1023 a unit run costs (2**-1023)**alpha, and 2**-1023 is
+    # subnormal; the lengths past 2**53 round to floats
+    half = 2**1022
+    points = [-half, -half + 1, -half + 3, -5, 0, 1, 2**60 + 1, 2**1000,
+              half - 2, half - 1]
+    for alpha in (0.3, 0.5, 0.9, 0.99, 1.0):
+        cc = min_cover_cost(points, alpha, 1023)
+        assert (cc.cost, cc.optimal_partition) == quadratic_cover_min(
+            points, alpha, 1023), alpha
+
+
 # --------------------------------------------------------------------------
 # the cover-cost table in one process
 
