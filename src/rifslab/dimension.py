@@ -255,16 +255,25 @@ def min_cover_cost(points, alpha: float, n: int) -> CoverCost:
       more than one start and every run is a single point.
 
     The cost and partition are those of the quadratic scan over every
-    start, bit for bit: every total is the same float expression
-    cost[j - 1] + w, and the order above is the scan's.  That needs the
-    float comparisons to agree with the real ones wherever the argument
-    above uses them.  Every total is below 2 (one run over all points
-    costs at most 1), so it is within about 2**-51 of its real value.  For
-    alpha <= 1 the real difference of two starts moves by at least
-    alpha*(1 - alpha)/4**n from one prefix to the next; for alpha > 1 a
-    single point beats a longer last run by at least (2**alpha - 2)*w(1).
-    For n <= 18 both margins exceed the rounding unless alpha is within
-    about 2e-4 of 0 or 1.  At alpha = 1 all the arithmetic is exact.
+    start, bit for bit, wherever the float comparisons agree with the real
+    ones the argument above uses: every total is the same float
+    expression cost[j - 1] + w, and the order above is the scan's.
+
+    - alpha <= 1: every total is below 2 (one run over all points costs
+      at most 1), so it is within about 2**-51 of its real value, and the
+      real difference of two starts moves by at least
+      alpha*(1 - alpha)/4**n from one prefix to the next.  For n <= 18
+      that margin exceeds the rounding unless alpha is within about 2e-4
+      of 0 or 1.  At alpha = 1 all the arithmetic is exact.
+    - alpha > 1: a single point beats a longer last run by at least
+      (2**alpha - 2)*w(1).  While w(1) = (2**-n)**alpha is a normal float
+      (n*alpha <= 1022), every total is within a relative k*2**-53 of its
+      real value, so the margin holds unless alpha is within about
+      k**2 * 2**-53 of 1.  A subnormal or zero w(1) breaks this: weights
+      round to multiples of 2**-1074, and the scan may join points into
+      runs at the same float cost or a few 2**-1074 less (at n = 1023, ten
+      points give ten singletons where it gives 7 runs for alpha = 1.05,
+      both at 5e-323).  The singletons stay optimal for the real weights.
 
     A run is priced ((right - x + 1) * 2**-n)**alpha, the scan's
     ((right - x + 1) / 2.0**n)**alpha bit for bit: Python rounds the int
@@ -472,9 +481,9 @@ def dual_attractor_hull(system: Rifs) -> tuple[Fraction, Fraction]:
 
 
 # A word class whose push bound is below this keeps no memo.  Box walks of
-# {2x, 3x+1} at k_max 14, 2-core VM, Python 3.11: 64 took 0.080 s with a
-# 0.66 MB tracemalloc peak, 256 took 0.095 s with 0.27 MB, 1024 took
-# 0.139 s, and the plain walk 0.32 s.
+# {2x, 3x+1} at k_max 14, 2-core Xeon VM, Python 3.11, best of 9: 64 took
+# 0.076 s with a 0.45 MB tracemalloc peak, 256 took 0.093 s with 0.13 MB,
+# 1024 took 0.121 s with 0.05 MB, and the walk without a memo 0.31 s.
 _MEMO_PUSHES = 256
 
 
@@ -519,13 +528,14 @@ def attractor_box_counts(system: Rifs, k_max: int, delta=None,
     that bound is checked against word_budget before walking, and the
     pushes are counted against the same budget as the walk goes.
 
-    A sweep remembers subtrees on grid phase (`_memo_walk`): a word's
-    descendants add P_w e to their offsets, so two words of one class
-    (P, Q, first level not yet cut at) whose offsets differ by a multiple
-    of the class's period M fall in cells that differ by a whole shift at
-    every level.  A subtree's sweep, (count, first cell, end cell) per
-    level, is then walked once per offset modulo M and shifted for the
-    rest.  The counts and words_pushed are those of the plain walk.
+    A sweep remembers subtrees on grid phase: a word's descendants add
+    P_w e to their offsets, so two words of one class (P, Q, first level
+    not yet cut at) whose offsets differ by a multiple of the class's
+    period M fall in cells that differ by a whole shift at every level.
+    The walk (`_box_walk`) walks a memo class's subtree once per offset
+    modulo M, remembers its sweep, (count, first cell, end cell) per
+    level, and adds it shifted for the class's other words.  The counts
+    and words_pushed are those of the walk without a memo.
     """
     if k_max < 1:
         raise DomainError("k_max must be >= 1")
@@ -569,42 +579,75 @@ def attractor_box_counts(system: Rifs, k_max: int, delta=None,
     push_rising = [gens[j] for j in reversed(order)]
     push_falling = [gens[j] for j in order]
 
-    root = (1, 1, 0, 1)  # the empty word, never a cut word
     classes = (_memo_classes(gens, levels, log_bound, s, pushes) if sweep
-               else None)
-    if classes:
-        counts, walked = _memo_walk(root, classes, levels, push_rising,
-                                    push_falling, ul, vl, word_budget)
-    else:
-        pieces, walked = _box_walk([root], levels, push_rising, push_falling,
-                                   ul, vl, sweep, word_budget)
-        counts = [n for n, _, _ in pieces] if sweep else map(len, pieces)
+               else {})
+    counts, walked = _box_walk(levels, push_rising, push_falling, ul, vl,
+                               sweep, classes, word_budget)
     return BoxCounts(delta=delta, hull=(u, v), ks=ks, counts=tuple(counts),
                      words_pushed=walked)
 
 
-def _box_walk(roots, levels, push_rising, push_falling, ul, vl, sweep,
-              budget, walked=0):
-    """Walk the subtrees of roots, words held as (P, Q, e, first level not
-    yet cut at), one after another, for the levels of levels (whose first
-    and last entries are guards).
+def _box_walk(levels, push_rising, push_falling, ul, vl, sweep, classes,
+              budget):
+    """Walk the tree of the empty word, words held as (P, Q, e, first
+    level not yet cut at), for the levels of levels (whose first and last
+    entries are guards); return the count of each level and the number of
+    words pushed.  A sweep keeps each level's count, first cell and end
+    cell in counts, first and last; otherwise each level keeps its cells
+    in a set.
 
-    Returns the summary of each level, its cell set or, when sweeping,
-    (count, first cell, end cell) and None if it has no cell, and the
-    number of words pushed, counted on from walked.
+    A word of a memo class, which classes maps (P, Q, k) to (M, shifts),
+    with offset e = t M + r stands for the word at phase r.  Its subtree
+    is walked once per key (P, Q, k, r) in a frame, fresh sweep arrays
+    that a None on the stack closes, remembered with its pushes, and added
+    to the enclosing sweep moved by t shifts.
     """
     k_max = len(levels) - 2
+    counts = [0] * (k_max + 1)
     first = [None] * (k_max + 1)
     last = [None] * (k_max + 1)
-    counts = [0] * (k_max + 1)
     cells = None if sweep else [set() for _ in counts]
+    # |P| grows along every edge, so a word whose |P| passes every memo
+    # class's has no memo class at or below it
+    reach = max((abs(p) for p, _, _ in classes), default=0)
+    memo = {}
+    frames = []  # the memo subtrees open, innermost last
     width = len(push_rising)
-    stack = roots[::-1]
+    walked = 0
+    stack = [(1, 1, 0, 1)]  # the empty word, never a cut word
     pop, push = stack.pop, stack.append
     while stack:
-        p, q, e, k = pop()
-        a_k, b_k, scale = levels[k]
+        word = pop()
+        if word is None:
+            # a memo subtree ends: remember its sweep at phase r, and add
+            # it to the enclosing sweep moved by t shifts
+            outer, opened, key, k, moves = frames.pop()
+            pieces = tuple(zip(counts[k:], first[k:], last[k:]))
+            memo[key] = pieces, walked - opened
+            counts, first, last = outer
+            _add_sweeps(counts, first, last, k, pieces, moves)
+            continue
+        p, q, e, k = word
         mag = abs(p)
+        if mag <= reach and (p, q, k) in classes:
+            period, shifts = classes[p, q, k]
+            t, e = divmod(e, period)
+            moves = [t * d for d in shifts]
+            key = (p, q, k, e)
+            if key in memo:
+                pieces, pushes = memo[key]
+                walked += pushes
+                if walked > budget:
+                    raise BudgetExceededError(
+                        f"box counting walked more than {budget} words")
+                _add_sweeps(counts, first, last, k, pieces, moves)
+                continue
+            frames.append(((counts, first, last), walked, key, k, moves))
+            counts = [0] * (k_max + 1)
+            first = [None] * (k_max + 1)
+            last = [None] * (k_max + 1)
+            push(None)
+        a_k, b_k, scale = levels[k]
         if mag * b_k >= a_k * q:
             # g_w(u) / side = (ul q + e) a_k / (p scale)
             lo = ul * q + e
@@ -639,15 +682,13 @@ def _box_walk(roots, levels, push_rising, push_falling, ul, vl, sweep,
         for pj, qj, bq in push_rising if p > 0 else push_falling:
             push((p * pj, q * qj, pj * e - bq * q, k))
     if not sweep:
-        return cells[1:], walked
-    return [None if f is None else (n, f, end)
-            for n, f, end in zip(counts[1:], first[1:], last[1:])], walked
+        counts = list(map(len, cells))
+    return counts[1:], walked
 
 
 def _memo_classes(gens, levels, log_bound, s, pushes):
-    """The word classes (P, Q, k) of a sweep, k the first level not yet
-    cut at, that have a memo class at or below them, mapped to the memo
-    class's (M, shifts) or to None.
+    """The memo classes (P, Q, k) of a sweep's words, k the first level
+    not yet cut at, each mapped to its period M and its shifts.
 
     A class keeps a memo when more walk words fall in it than M, its
     number of offset phases, so that some phase repeats, and when its
@@ -671,7 +712,7 @@ def _memo_classes(gens, levels, log_bound, s, pushes):
     # word count is whole when it is popped
     words = {(1, 1, 1): 1}
     heap = [(1, (1, 1, 1))]
-    popped = []
+    classes = {}
     while heap:
         _, cls = heappop(heap)
         p, q, k = cls
@@ -683,122 +724,38 @@ def _memo_classes(gens, levels, log_bound, s, pushes):
         if k > k_max or mag >= too_long or _MEMO_PUSHES > math.exp(
                 min(log_bound - s * (math.log(mag) - math.log(q)), 700.0)):
             continue
-        kids = [(p * pj, q * qj, k) for pj, qj, _ in gens]
-        popped.append((cls, kids))
-        for kid in kids:
+        for pj, qj, _ in gens:
+            kid = (p * pj, q * qj, k)
             if kid not in words:
                 words[kid] = 0
                 heappush(heap, (abs(kid[0]), kid))
             words[kid] += words[cls]
-    classes = {}
-    for cls, kids in reversed(popped):
-        p, q, k = cls
+        # the levels from the class's own first level on
+        below = levels[cls[2]:-1]
         period = 1
-        for a_j, _, scale in levels[k:-1]:
-            n = abs(p) * scale
+        for a_j, _, scale in below:
+            n = mag * scale
             period = math.lcm(period, n // math.gcd(a_j, n))
         if period < words[cls]:
             classes[cls] = period, [period * a_j // (p * scale)
-                                    for a_j, _, scale in levels[k:-1]]
-        elif any(kid in classes for kid in kids):
-            classes[cls] = None
+                                    for a_j, _, scale in below]
     return classes
 
 
-def _memo_walk(root, classes, levels, push_rising, push_falling, ul, vl,
-               budget):
-    """The sweep count of each level and the number of words pushed, for
-    the tree of root.
-
-    The words of `_memo_classes`'s classes are walked here.  A word of a
-    memo class with offset e = t M + r stands for the word at phase r: its
-    subtree's sweep is walked once per key (P, Q, k, r), remembered with
-    its pushes, and added moved by t shifts.  Every other subtree, which
-    holds no memo class, is walked by `_box_walk`.
-    """
-    k_max = len(levels) - 2
-    width = len(push_rising)
-    memo = {}
-    acc = [None] * (k_max + 1)  # [count, first cell, end cell] per level
-    frames = []  # the memo subtrees open, outermost first
-    walked = 0
-    stack = [root]
-    pop, push = stack.pop, stack.append
-    while stack:
-        word = pop()
-        if word is None:
-            # a memo subtree ends: remember its sweep at phase r, and add
-            # it to the enclosing sweep moved by t shifts
-            outer, start, key, k, moves = frames.pop()
-            sweep = [tuple(part) for part in acc[k:]]
-            memo[key] = sweep, walked - start
-            acc = outer
-            _add_sweeps(acc, k, sweep, moves)
-            continue
-        p, q, e, k = word
-        if (p, q, k) not in classes:
-            pieces, walked = _box_walk([word], levels, push_rising,
-                                       push_falling, ul, vl, True, budget,
-                                       walked)
-            _add_sweeps(acc, k, pieces[k - 1:])
-            continue
-        entry = classes[p, q, k]
-        if entry is not None:
-            period, shifts = entry
-            t, e = divmod(e, period)
-            moves = [t * d for d in shifts]
-            key = (p, q, k, e)
-            if key in memo:
-                sweep, pushes = memo[key]
-                walked += pushes
-                if walked > budget:
-                    raise BudgetExceededError(
-                        f"box counting walked more than {budget} words")
-                _add_sweeps(acc, k, sweep, moves)
-                continue
-            frames.append((acc, walked, key, k, moves))
-            acc = [None] * (k_max + 1)
-            push(None)
-        # the word's own interval at each level it is cut at; a class of
-        # _memo_classes has children, so some level is left
-        mag = abs(p)
-        lo = ul * q + e
-        hi = vl * q + e
-        if p < 0:
-            lo, hi = hi, lo
-        a_k, b_k, scale = levels[k]
-        while mag * b_k >= a_k * q:
-            den = p * scale
-            c0 = lo * a_k // den
-            c1 = -(-hi * a_k // den)
-            _add_sweeps(acc, k, [(c1 - c0, c0, c1)])
-            k += 1
-            a_k, b_k, scale = levels[k]
-        walked += width
-        if walked > budget:
-            raise BudgetExceededError(
-                f"box counting walked more than {budget} words")
-        for pj, qj, bq in push_rising if p > 0 else push_falling:
-            push((p * pj, q * qj, pj * e - bq * q, k))
-    return [n for n, _, _ in acc[1:]], walked
-
-
-def _add_sweeps(acc, k, sweep, moves=None):
+def _add_sweeps(counts, first, last, k, pieces, moves):
     """Add the sweep of a later subtree, (count, first cell, end cell) at
-    each level from k on, to acc, moved by moves[i] cells at level k + i.
-    A level's intervals arrive sorted, so the two share at most the cell at
-    their border, and do exactly when the later one starts before the
-    earlier one ends."""
-    for i, (n, first, end) in enumerate(sweep):
-        if moves:
-            first += moves[i]
-            end += moves[i]
-        part = acc[k + i]
-        if part is None:
-            acc[k + i] = [n, first, end]
-        else:
-            part[0] += n - (first < part[2])
-            part[2] = end
+    each level from k on, moved by moves[i] cells at level k + i, to the
+    sweep held in counts, first and last.  A level's intervals arrive
+    sorted, so the two share at most the cell at their border, and do
+    exactly when the later one starts before the earlier one ends."""
+    for j, (n, start, end), move in zip(range(k, len(last)), pieces, moves):
+        start += move
+        if last[j] is None:
+            first[j] = start
+        elif start < last[j]:
+            n -= 1
+        counts[j] += n
+        last[j] = end + move
 
 
 def estimate_box_dimension(box: BoxCounts,

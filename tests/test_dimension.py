@@ -408,7 +408,8 @@ def test_memo_box_walk_matches_cut_set_oracle(maps, k_max):
         assert attractor_box_counts(system, k_max) == box
 
 
-def test_split_box_walk_pushes_the_serial_words(renewal_system):
+def test_memo_box_walk_pushes_the_plain_walks_words(renewal_system):
+    # a memo hit counts the pushes its subtree made when it was walked
     assert attractor_box_counts(renewal_system, 8).words_pushed == 2884
     with memo_threshold(0):
         assert attractor_box_counts(renewal_system, 8).words_pushed == 2884
@@ -424,15 +425,16 @@ def test_memo_box_walk_equals_the_plain_walk(maps, k_max, monkeypatch):
     # at these sizes the default threshold keeps a memo; with none, every
     # word is walked
     system = make_system([(Fraction(r), Fraction(b)) for r, b in maps])
-    memo_walks = []
-    walk = dimension._memo_walk
-    monkeypatch.setattr(dimension, "_memo_walk",
-                        lambda *args: memo_walks.append(1) or walk(*args))
+    classes = []
+    memo_classes = dimension._memo_classes
+    monkeypatch.setattr(dimension, "_memo_classes",
+                        lambda *args: classes.append(memo_classes(*args))
+                        or classes[-1])
     box = attractor_box_counts(system, k_max)
-    assert memo_walks
+    assert len(classes[0]) >= 1
     with memo_threshold(math.inf):
         assert attractor_box_counts(system, k_max) == box
-    assert len(memo_walks) == 1
+    assert classes[1] == {}
 
 
 def test_box_walk_of_a_thousand_deep_words():
@@ -469,7 +471,7 @@ def test_memo_class_pass_stops_where_no_phase_can_repeat(maps, k_max, visited,
                         or classes[-1])
     box = attractor_box_counts(system, k_max)
     assert len(visits) == visited
-    assert sum(entry is not None for entry in classes[0].values()) == memos
+    assert len(classes[0]) == memos
     with memo_threshold(math.inf):
         assert attractor_box_counts(system, k_max) == box
 

@@ -1,4 +1,6 @@
+import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -255,16 +257,44 @@ def test_mirrored_orbit_rows_match_quadratic_dp():
         assert cost == quadratic_cover_min(inside, alpha, n)[0], (alpha, n)
 
 
+def edge_points(n):
+    """Ten points of the side-2**n cube, n > 83, both of its ends among
+    them, sorted."""
+    half = 2**(n - 1)
+    return [-half, -half + 1, -half + 3, -5, 0, 1, 2**60 + 1, 2**(n - 23),
+            half - 2, half - 1]
+
+
 def test_subnormal_cube_scale_matches_quadratic_dp():
     # at n = 1023 a unit run costs (2**-1023)**alpha, and 2**-1023 is
     # subnormal; the lengths past 2**53 round to floats
-    half = 2**1022
-    points = [-half, -half + 1, -half + 3, -5, 0, 1, 2**60 + 1, 2**1000,
-              half - 2, half - 1]
+    points = edge_points(1023)
     for alpha in (0.3, 0.5, 0.9, 0.99, 1.0):
         cc = min_cover_cost(points, alpha, 1023)
         assert (cc.cost, cc.optimal_partition) == quadratic_cover_min(
             points, alpha, 1023), alpha
+
+
+@pytest.mark.parametrize("alpha", [1.05, 1.5, 2.0])
+def test_convex_cover_matches_quadratic_dp_while_unit_run_is_normal(alpha):
+    # for alpha > 1 every run is a single point; the scan agrees bit for
+    # bit up to the largest n with n*alpha <= 1022, where w(1) is normal
+    n = int(1022 / alpha)
+    assert math.ldexp(1.0, -n) ** alpha >= sys.float_info.min
+    points = edge_points(n)
+    cc = min_cover_cost(points, alpha, n)
+    assert cc.optimal_partition == tuple(zip(points, points))
+    assert (cc.cost, cc.optimal_partition) == quadratic_cover_min(
+        points, alpha, n)
+    # at n = 1023 w(1) is subnormal or 0.0, weights stop being
+    # superadditive, and the scan joins points into fewer runs at the
+    # same cost; the singletons stay
+    points = edge_points(1023)
+    cc = min_cover_cost(points, alpha, 1023)
+    cost, partition = quadratic_cover_min(points, alpha, 1023)
+    assert cc.optimal_partition == tuple(zip(points, points))
+    assert cc.cost == cost
+    assert len(partition) < len(points)
 
 
 # --------------------------------------------------------------------------
