@@ -25,7 +25,6 @@ from .config import RunConfig, load_config
 from .dimension import (
     DimensionFit,
     attractor_box_counts,
-    density_grid,
     density_profile,
     density_ratio,
     estimate_beurling_dimension,
@@ -279,8 +278,7 @@ def _frag_density(ses: _Session) -> dict:
     s = ses.similarity().value
     sample = ses.orbit(cfg.radius)
     ratio = density_ratio(cfg.system, cfg.density_period)
-    profile = density_grid(cfg.h_grid(), sample, ratio)
-    report = density_profile(profile, s, period_ratio=ratio)
+    report = density_profile(sample, cfg.h_grid(), s, ratio)
     # one format per row, made as it is written; no period prints nan
     phases = repeat(math.nan) if report.phases is None else report.phases
     rows = ("%.17g,%.17g,%.17g" % row

@@ -138,7 +138,9 @@ def _fit_window(entries, window):
     return chosen
 
 
-_TAIL_WIDTH = 10  # the last grid entries a fit or a density tail reads
+# the last grid entries a fit reads; a density profile without a period adds
+# jumps from h_grid's last values and reads its tail from the merged grid's
+_TAIL_WIDTH = 10
 
 
 def tail_window(length: int) -> tuple[int, int]:
@@ -773,16 +775,16 @@ def estimate_box_dimension(box: BoxCounts,
 # density profiles
 
 
-# periods filled, steps in each, and the least grid values in each
-_DENSITY_PERIODS, _DENSITY_FILL, _DENSITY_MIN_PER_PERIOD = 3, 40, 32
+# periods filled and steps in each
+_DENSITY_PERIODS, _DENSITY_FILL = 3, 40
 
 
 @dataclass(frozen=True)
 class DensityReport:
     """The columns hs, phases and values hold h, its place
-    log h / log ratio mod 1 in the declared period and N(h)/h**s per
-    profile entry; phases is None without a period.  sup_tail, inf_tail
-    and defect read the entries in tail_window."""
+    log h / log ratio mod 1 in the period and N(h)/h**s per grid entry;
+    phases is None without a period.  sup_tail, inf_tail and defect read
+    the entries in tail_window."""
 
     hs: list[float]
     phases: list[float] | None
@@ -793,119 +795,34 @@ class DensityReport:
     defect: float | None
 
 
-def density_profile(profile: CountingProfile, s: float, period_ratio=None,
-                    periods: int = _DENSITY_PERIODS,
-                    min_per_period: int = _DENSITY_MIN_PER_PERIOD
-                    ) -> DensityReport:
-    """Normalized counts N(h)/h**s with tail extrema and, for a declared
-    multiplicative period, the mismatch between the last two periods.
+def density_profile(sample: OrbitSample, h_grid, s: float, ratio=None,
+                    max_jumps: int = 200_000) -> DensityReport:
+    """Normalized counts N(h)/h**s up to the top of h_grid, with tail
+    extrema and, for a period ratio, the mismatch between the last two
+    periods.
 
-    N is a step function, so on each stretch between profile entries the
-    normalized count is maximal at the left end and approaches
-    N(h_i)/h_{i+1}**s at the right end; the tail extrema scan both
-    families.  They are exact for the window exactly when the grid
-    contains every jump of N inside it, as `density_grid` builds them
-    from `OrbitSample.jumps`.
+    Without a ratio the grid is h_grid plus every orbit jump from its
+    last _TAIL_WIDTH values up, and the tail is the last _TAIL_WIDTH
+    entries of that merged grid.  With one it is a linear fill of each of
+    the last _DENSITY_PERIODS periods, _DENSITY_FILL steps each, plus
+    every jump in their span and ratio * h for each jump h one period
+    down; the tail is [top / ratio, top], and the defect pairs each entry
+    h in [top / ratio**2, top / ratio] with ratio * h, which is on the
+    grid for every fill value and every jump.
 
-    The scans run on the profile's lattice: h = g / D is the float g / D,
-    the period, tail and fold bounds are found by bisecting for
-    floor(x * D), and with ratio p/q the defect pairs g_i with the g_j
-    for which q g_j = p g_i.  No Fraction is built per entry.
-    """
-    grid, scale, counts = profile.lattice, profile.scale, profile.counts
-    if len(grid) < 2:
-        raise DomainError("density profile needs at least 2 entries")
-    floats = [g / scale for g in grid]
-    values = [n / x ** s for n, x in zip(counts, floats)]
+    N is a step function, so between grid entries N/h**s is largest at
+    the left end and tends to N(h_i)/h_{i+1}**s at the right end; the
+    tail extrema scan both, exactly, since the grid holds every jump in
+    the tail.  A dense orbit has about as many jumps as integers in the
+    span; beyond max_jumps only the fill stays (h_grid without a ratio),
+    and the extrema are then approximate but tight, since N/h**s moves
+    little between adjacent integers.
 
-    if period_ratio is None:
-        start = tail_window(len(grid))[0]
-        window = (floats[start], floats[-1])
-        phases = None
-        defect = None
-    else:
-        ratio = Fraction(period_ratio)
-        if ratio <= 1:
-            raise DomainError("period ratio must exceed 1")
-        log_r = math.log(float(ratio))
-        h_max = Fraction(grid[-1], scale)
-        floor_scaled = profile.floor_scaled
-        if grid[0] > floor_scaled(h_max / ratio**periods):
-            raise DomainError(
-                f"profile must span at least {periods} periods of ratio "
-                f"{format_rational(ratio)}")
-        for t in range(periods):
-            lo, hi = h_max / ratio ** (t + 1), h_max / ratio**t
-            inside = (bisect_right(grid, floor_scaled(hi))
-                      - bisect_right(grid, floor_scaled(lo)))
-            if inside < min_per_period:
-                raise DomainError(
-                    f"grid too sparse: period ({format_rational(lo)}, "
-                    f"{format_rational(hi)}] holds {inside} < {min_per_period} values")
-
-        window_lo = h_max / ratio
-        # g / D >= x exactly when g >= ceil(x D) = -floor(-x D)
-        start = bisect_left(grid, -floor_scaled(-window_lo))
-        window = (float(window_lo), float(h_max))
-
-        # ratio * h grows with h in [h_max / ratio**2, window_lo] and stays
-        # <= h_max, so one pointer from window_lo up finds each on the grid
-        p, q = ratio.numerator, ratio.denominator
-        defect = None
-        matched = 0
-        j = start
-        for i in range(bisect_left(grid, -floor_scaled(-h_max / ratio**2)),
-                       bisect_right(grid, floor_scaled(window_lo))):
-            target = p * grid[i]
-            while q * grid[j] < target:
-                j += 1
-            if q * grid[j] == target:
-                matched += 1
-                gap = abs(values[j] - values[i])
-                defect = gap if defect is None else max(defect, gap)
-        if matched < min_per_period:
-            raise DomainError(
-                "periodicity defect needs a period-matched grid: only "
-                f"{matched} values h with ratio*h also on the grid")
-
-        phases = [math.log(x) / log_r % 1.0 for x in floats]
-
-    tail = values[start:]
-    sup_tail = max(tail)
-    inf_tail = min(tail)
-    for n0, x1 in zip(counts[start:], floats[start + 1:]):
-        inf_tail = min(inf_tail, n0 / x1 ** s)
-    return DensityReport(hs=floats, phases=phases, values=values,
-                         sup_tail=sup_tail, inf_tail=inf_tail,
-                         tail_window=window, defect=defect)
-
-
-def density_ratio(system: Rifs, declared) -> Fraction | None:
-    """The multiplicative period of a density profile: the declared one,
-    else the magnitude every ratio shares, else None."""
-    if declared is not None:
-        return declared
-    mags = {abs(m.ratio) for m in system.maps}
-    return mags.pop() if len(mags) == 1 else None
-
-
-def density_grid(h_grid, sample: OrbitSample, ratio,
-                 max_jumps: int = 200_000) -> CountingProfile:
-    """Counting profile for `density_profile` up to the top of h_grid: a
-    linear fill of each period (h_grid's tail without one) plus every
-    orbit jump in the span, so the tail extrema and the periodicity
-    defect are exact for the sample.
-
-    Orbits of nearly full density have as many jumps as integers in the
-    span; beyond max_jumps the grid keeps only the fill, whose sampled
-    extrema are then approximate but tight (the normalized count varies
-    little between adjacent integers of a dense orbit).
-
-    The grid is built on one lattice, D = lcm(L q, the fill's
-    denominators) for the sample scale L and ratio p/q: a fill value x is
-    x D, a jump m / L is m D / L, and its fold ratio * m / L is
-    p m D / (q L).  The jumps and their counts come from `sample.jumps`
-    over the fill's span, which refuses an h_grid past the radius.
+    The grid lies on D = lcm(L q, the fill's denominators) for the sample
+    scale L and ratio p/q: a fill value x is x D, a jump m / L is
+    m D / L, and its fold is p m D / (q L).  The jumps and their counts
+    come from `sample.jumps` over the fill's span, which refuses a
+    partial sample and an h_grid past the radius.
     """
     top = h_grid[-1]
     if ratio is None:
@@ -913,6 +830,9 @@ def density_grid(h_grid, sample: OrbitSample, ratio,
         bottom, lo = h_grid[0], h_grid[tail_window(len(h_grid))[0]]
         q = 1
     else:
+        ratio = Fraction(ratio)
+        if ratio <= 1:
+            raise DomainError("period ratio must exceed 1")
         fills = [top / ratio ** (t + 1) * (1 + i * (ratio - 1) / _DENSITY_FILL)
                  for t in range(_DENSITY_PERIODS)
                  for i in range(_DENSITY_FILL + 1)]
@@ -937,8 +857,52 @@ def density_grid(h_grid, sample: OrbitSample, ratio,
                 mags, bisect_left(mags, top / ratio**2, key=value),
                 bisect_right(mags, top / ratio, key=value))))
     grid = sorted(grid)
-    return CountingProfile(grid, den, [steps[bisect_right(mags, g // step)]
-                                       for g in grid])
+    if len(grid) < 2:
+        raise DomainError("density profile needs at least 2 entries")
+    counts = [steps[bisect_right(mags, g // step)] for g in grid]
+    # the jumps and the fill go before the float columns, which set the
+    # peak memory of the density fragment, are built
+    del mags, steps, fills
+    floats = [g / den for g in grid]
+    values = [n / x ** s for n, x in zip(counts, floats)]
+
+    if ratio is None:
+        start = tail_window(len(grid))[0]
+        phases = defect = None
+    else:
+        # top / ratio and top / ratio**2 are fill values, so on the grid
+        # at q / p and (q / p)**2 times grid[-1] = top D; ratio * h grows
+        # with h between them, and one pointer from top / ratio up meets
+        # each partner
+        p = ratio.numerator
+        start = bisect_left(grid, grid[-1] * q // p)
+        defect = 0.0
+        j = start
+        for i in range(bisect_left(grid, grid[-1] * q * q // (p * p)),
+                       start + 1):
+            target = p * grid[i]
+            while q * grid[j] < target:
+                j += 1
+            defect = max(defect, abs(values[j] - values[i]))
+        log_r = math.log(float(ratio))
+        phases = [math.log(x) / log_r % 1.0 for x in floats]
+
+    sup_tail = max(values[start:])
+    inf_tail = min(chain(values[start:], (n0 / x1 ** s for n0, x1 in zip(
+        counts[start:], floats[start + 1:]))))
+    return DensityReport(hs=floats, phases=phases, values=values,
+                         sup_tail=sup_tail, inf_tail=inf_tail,
+                         tail_window=(floats[start], floats[-1]),
+                         defect=defect)
+
+
+def density_ratio(system: Rifs, declared) -> Fraction | None:
+    """The multiplicative period of a density profile: the declared one,
+    else the magnitude every ratio shares, else None."""
+    if declared is not None:
+        return declared
+    mags = {abs(m.ratio) for m in system.maps}
+    return mags.pop() if len(mags) == 1 else None
 
 
 def window_density_sup(sample: OrbitSample, s: float, lo, hi) -> float:

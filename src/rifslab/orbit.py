@@ -162,22 +162,17 @@ class OrbitSample(LatticePoints):
 
 
 @dataclass(frozen=True)
-class CountingProfile(LatticePoints):
-    """Window counts N(h) = #(orbit in [-h, h]) along an increasing grid,
-    on one integer lattice: N(lattice[i] / scale) = counts[i].
+class CountingProfile:
+    """Window counts N(h) = #(orbit in [-h, h]) along a strictly
+    increasing grid of positive Fractions: N(grid[i]) = counts[i].
+    `entries`, the pairs (h, N(h)), is built on each use."""
 
-    The lattice holds the grid as strictly increasing positive ints, and
-    `points` is the grid as Fractions.  `entries`, the pairs (h, N(h)) with
-    h a Fraction, is built from that view on each use.
-    """
-
-    lattice: list[int]
-    scale: int
+    grid: list[Fraction]
     counts: list[int]
 
     @property
     def entries(self) -> tuple[tuple[Fraction, int], ...]:
-        return tuple(zip(self.points, self.counts))
+        return tuple(zip(self.grid, self.counts))
 
 
 @dataclass(frozen=True)
@@ -283,8 +278,7 @@ def enumerate_orbit(system: Rifs, seed, radius, *,
 def counting_profile(sample: OrbitSample, grid) -> CountingProfile:
     """Exact counts N(h) over an increasing grid of rational h values,
     each read by `sample.count_within`, which refuses a grid past the
-    radius.  The profile holds the grid on the lattice of the lcm of its
-    denominators."""
+    radius."""
     grid = [h if isinstance(h, Fraction) else Fraction(h) for h in grid]
     if not grid:
         raise DomainError("grid must be nonempty")
@@ -293,8 +287,7 @@ def counting_profile(sample: OrbitSample, grid) -> CountingProfile:
             raise DomainError("grid must be strictly increasing")
     if grid[0] <= 0:
         raise DomainError("grid values must be positive")
-    return CountingProfile(*on_lattice(grid),
-                           [sample.count_within(h) for h in grid])
+    return CountingProfile(grid, [sample.count_within(h) for h in grid])
 
 
 def window_max_count(sample: OrbitSample, h) -> tuple[int, Fraction | None]:

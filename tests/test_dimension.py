@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from rifslab import dimension, pool
 from rifslab import (
     BudgetExceededError,
-    CountingProfile,
     DomainError,
     attractor_box_counts,
     counting_profile,
@@ -34,8 +33,7 @@ from rifslab import (
     window_density_sup,
 )
 from _oracles import (box_count_cut_set, box_count_cylinders,
-                      contracted_hull, density_scans,
-                      fraction_renewal_constant)
+                      contracted_hull, fraction_renewal_constant)
 
 LOG2_3 = math.log(2) / math.log(3)
 
@@ -593,30 +591,25 @@ def test_pool_runs_serial_on_one_cpu_or_without_fork(monkeypatch,
 def test_density_tail_extrema_no_period(cantor_system):
     sample = enumerate_orbit(cantor_system, 0, Fraction(3) ** 10)
     grid = [Fraction(3) ** k for k in range(1, 11)]
-    profile = counting_profile(sample, grid)
-    report = density_profile(profile, LOG2_3)
-    # N(3^k)/3^{ks} = 1 at every grid point
+    # max_jumps 0 keeps the grid to h_grid, where N(3^k)/3^{ks} = 1
+    report = density_profile(sample, grid, LOG2_3, max_jumps=0)
+    assert report.hs == [3.0**k for k in range(1, 11)]
     assert report.sup_tail == pytest.approx(1.0, abs=1e-12)
     assert report.defect is None
     # between 3^k and 3^{k+1} the normalized count dips to 2^k/3^{(k+1)s}
     assert report.inf_tail == pytest.approx(0.5, abs=1e-12)
+    # with the jumps from 3 up, the tail is the merged grid's last 10
+    # entries: 3^10 and the nine largest points, 3^10 - 1 = 2222222222
+    # in base 3 down to 2222220222; N = 2^10 at the largest
+    report = density_profile(sample, grid, LOG2_3)
+    assert report.tail_window == (58994.0, 59049.0)
+    assert report.sup_tail == 2**10 / 59048.0**LOG2_3
 
 
 def test_density_periodic_fold(cantor_system):
     sample = enumerate_orbit(cantor_system, 0, Fraction(3) ** 10)
-    pts = sample.points
-    top = Fraction(3) ** 10
-    grid = set()
-    for t in range(3):
-        lo = top / Fraction(3) ** (t + 1)
-        for i in range(40):
-            grid.add(lo + (i + 1) * lo * 2 / 40)
-        grid.add(lo)
-    jumps = {x for x in pts if top / 27 <= x <= top}
-    grid |= jumps
-    grid |= {3 * x for x in jumps if top / 9 <= x <= top / 3}
-    profile = counting_profile(sample, sorted(grid))
-    report = density_profile(profile, LOG2_3, period_ratio=Fraction(3))
+    grid = [Fraction(3) ** k for k in range(1, 11)]
+    report = density_profile(sample, grid, LOG2_3, Fraction(3))
     assert report.defect is not None
     # at this radius each matched pair can differ by one point in ~2^7
     assert report.defect <= 1e-2
@@ -624,64 +617,6 @@ def test_density_periodic_fold(cantor_system):
     assert report.sup_tail >= 1.0
     assert report.inf_tail == pytest.approx(2**-LOG2_3, rel=5e-3)
     assert all(0.0 <= phase < 1.0 for phase in report.phases)
-
-
-def test_density_profile_rejects_sparse_grid(cantor_system):
-    sample = enumerate_orbit(cantor_system, 0, Fraction(3) ** 6)
-    profile = counting_profile(sample, [Fraction(3) ** k for k in range(1, 7)])
-    with pytest.raises(DomainError, match="sparse"):
-        density_profile(profile, LOG2_3, period_ratio=Fraction(3))
-
-
-def test_density_profile_rejects_short_span(cantor_system):
-    sample = enumerate_orbit(cantor_system, 0, Fraction(3) ** 6)
-    grid = [Fraction(3) ** 5 + k for k in range(100)]
-    profile = counting_profile(sample, grid)
-    with pytest.raises(DomainError, match="period"):
-        density_profile(profile, LOG2_3, period_ratio=Fraction(3))
-
-
-@given(ratio=st.sampled_from([Fraction(2), Fraction(3), Fraction(5, 2)]),
-       base=st.lists(st.fractions(min_value=Fraction(1, 6), max_value=40,
-                                  max_denominator=6),
-                     min_size=2, max_size=60, unique=True),
-       folded=st.lists(st.booleans(), max_size=60),
-       edges=st.booleans(),
-       periods=st.integers(min_value=1, max_value=3),
-       s=st.floats(min_value=0.2, max_value=1.0),
-       stretch=st.sampled_from([1, 7]))
-def test_density_profile_matches_scans(ratio, base, folded, edges, periods,
-                                       s, stretch):
-    # some h come with ratio * h, so the defect fold finds matches, and
-    # edges puts the period ends h_max / ratio**t on the grid; stretch
-    # puts the profile on a finer lattice than its grid needs
-    grid = set(base) | {ratio * h for h, f in zip(base, folded) if f}
-    if edges:
-        grid |= {max(grid) / ratio**t for t in range(1, periods + 1)}
-    grid = sorted(grid)
-    entries = tuple((h, i + 1) for i, h in enumerate(grid))
-    per_period, sup_tail, inf_tail, defect, matched = density_scans(
-        entries, s, ratio, periods)
-    scale = stretch * math.lcm(*(h.denominator for h in grid))
-    profile = CountingProfile([int(h * scale) for h in grid], scale,
-                              [n for _, n in entries])
-    assert profile.entries == entries
-    if grid[0] > grid[-1] / ratio**periods:
-        with pytest.raises(DomainError, match="span"):
-            density_profile(profile, s, ratio, periods)
-        return
-    report = density_profile(profile, s, ratio, periods,
-                             min(per_period + [matched]))
-    assert (report.sup_tail, report.inf_tail) == (sup_tail, inf_tail)
-    assert report.defect == defect
-    assert report.tail_window == (float(grid[-1] / ratio), float(grid[-1]))
-    assert report.hs == [float(h) for h in grid]
-    sparsest = min(per_period)
-    with pytest.raises(DomainError, match=f"holds {sparsest} < "):
-        density_profile(profile, s, ratio, periods, sparsest + 1)
-    if matched < sparsest:
-        with pytest.raises(DomainError, match=f"only {matched} values"):
-            density_profile(profile, s, ratio, periods, matched + 1)
 
 
 def test_window_density_sup_matches_scan(cantor_system):
@@ -715,9 +650,20 @@ def test_density_grid_refuses_grid_past_radius(cantor_system, ratio):
     h_grid = [Fraction(3) ** k for k in range(1, 10)]
     with pytest.raises(DomainError,
                        match="counting needs radius >= 19683, sample has 729"):
-        dimension.density_grid(h_grid, sample, ratio)
-    profile = dimension.density_grid(h_grid[:6], sample, ratio)
-    assert profile.counts[-1] == sample.count_within(h_grid[5]) == 64
+        density_profile(sample, h_grid, LOG2_3, ratio)
+    report = density_profile(sample, h_grid[:6], LOG2_3, ratio)
+    assert sample.count_within(h_grid[5]) == 64
+    assert report.values[-1] == 64 / 729.0**LOG2_3
+
+
+def test_density_profile_refusals(cantor_system):
+    sample = enumerate_orbit(cantor_system, 0, Fraction(3) ** 6)
+    with pytest.raises(DomainError, match="period ratio must exceed 1"):
+        density_profile(sample, [Fraction(3), Fraction(9)], LOG2_3,
+                        Fraction(1))
+    # one h-grid value and no jumps leave one grid entry
+    with pytest.raises(DomainError, match="at least 2 entries"):
+        density_profile(sample, [Fraction(9)], LOG2_3, max_jumps=0)
 
 
 def test_renewal_rejects_degenerate():

@@ -20,7 +20,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rifslab import (
-    CountingProfile,
     DomainError,
     OrbitSample,
     PAdicAttractorSample,
@@ -38,10 +37,11 @@ from rifslab import (
 )
 from rifslab.cli import main
 from rifslab.config import parse_config
-from rifslab.dimension import density_grid, density_ratio
+from rifslab.dimension import density_profile, density_ratio
 from _oracles import (
     brute_orbit,
     count_within_points,
+    density_scans,
     fraction_density_entries,
     jumps_in_points,
     window_density_sup_points,
@@ -257,9 +257,10 @@ DENSITY_RATIOS = [Fraction(2), Fraction(3), Fraction(5, 2), Fraction(7, 3)]
        offsets=st.lists(RATIONALS, min_size=2, max_size=2, unique=True),
        seed=RATIONALS,
        kmax=st.integers(min_value=3, max_value=6),
-       max_jumps=st.sampled_from([0, 5, 200_000]))
-def test_density_grid_matches_fraction_oracle(ratio, other, signs, offsets,
-                                              seed, kmax, max_jumps):
+       max_jumps=st.sampled_from([0, 5, 200_000]),
+       s=st.floats(min_value=0.2, max_value=1.0))
+def test_density_profile_matches_fraction_oracle(ratio, other, signs, offsets,
+                                                 seed, kmax, max_jumps, s):
     # a second ratio magnitude takes the non-periodic branch; max_jumps 0
     # and 5 keep only the fill on most samples
     second = ratio if other is None else other
@@ -271,10 +272,32 @@ def test_density_grid_matches_fraction_oracle(ratio, other, signs, offsets,
                              node_budget=20_000)
     assume(sample.complete)
     period = density_ratio(cfg.system, cfg.density_period)
-    profile = density_grid(cfg.h_grid(), sample, period, max_jumps=max_jumps)
-    assert all(a < b for a, b in zip(profile.lattice, profile.lattice[1:]))
-    assert list(profile.entries) == fraction_density_entries(
-        cfg, sample.points, period, max_jumps=max_jumps)
+    report = density_profile(sample, cfg.h_grid(), s, period,
+                             max_jumps=max_jumps)
+    entries = fraction_density_entries(cfg, sample.points, period,
+                                       max_jumps=max_jumps)
+    assert report.hs == [float(h) for h, _ in entries]
+    assert report.values == [n / float(h) ** s for h, n in entries]
+    extrema = (report.sup_tail, report.inf_tail, report.defect,
+               report.tail_window)
+    if period is None:
+        tail = entries[-10:]
+        values = report.values[-10:]
+        inf_tail = min(values + [n / float(h) ** s
+                                 for (_, n), (h, _) in zip(tail, tail[1:])])
+        assert extrema == (max(values), inf_tail, None,
+                           (float(tail[0][0]), float(tail[-1][0])))
+        return
+    per_period, sup_tail, inf_tail, defect, matched = density_scans(
+        entries, s, period, 3)
+    top = entries[-1][0]
+    assert extrema == (sup_tail, inf_tail, defect,
+                       (float(top / period), float(top)))
+    # the refusals the fill made unreachable: each period holds the 40
+    # fill steps, and every entry of the middle period has its fold
+    assert min(per_period) >= 40
+    assert matched == sum(1 for h, _ in entries
+                          if top / period**2 <= h <= top / period)
 
 
 def test_scale_is_lcm_of_reduced_denominators(tmp_path, capsys):
@@ -322,8 +345,7 @@ def test_density_never_builds_profile_view(tmp_path, capsys, monkeypatch):
     # the density grid is built, counted and folded on the lattice: the
     # periodic fold on an integer and a non-integer ratio, and the
     # non-periodic scan
-    for cls in (OrbitSample, CountingProfile):
-        monkeypatch.setattr(cls, "points", property(_never_built))
+    monkeypatch.setattr(OrbitSample, "points", property(_never_built))
     for name, maps in (("cantor", [("3", "0"), ("3", "2")]),
                        ("mixed", [("2", "0"), ("3", "1")]),
                        ("wide", [("5/2", "0"), ("5/2", "1")])):
