@@ -9,10 +9,11 @@ from fractions import Fraction
 from functools import partial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rifslab import dimension, pool
+from rifslab.config import parse_config
 from rifslab import (
     BudgetExceededError,
     DomainError,
@@ -33,7 +34,8 @@ from rifslab import (
     window_density_sup,
 )
 from _oracles import (box_count_cut_set, box_count_cylinders,
-                      contracted_hull, fraction_renewal_constant)
+                      contracted_hull, density_scans,
+                      fraction_density_entries, fraction_renewal_constant)
 
 LOG2_3 = math.log(2) / math.log(3)
 
@@ -617,6 +619,48 @@ def test_density_periodic_fold(cantor_system):
     assert report.sup_tail >= 1.0
     assert report.inf_tail == pytest.approx(2**-LOG2_3, rel=5e-3)
     assert all(0.0 <= phase < 1.0 for phase in report.phases)
+
+
+@settings(max_examples=80, deadline=None)
+@given(ratio=st.sampled_from([Fraction(2), Fraction(3), Fraction(5, 2),
+                              Fraction(7, 3)]),
+       signs=st.tuples(st.sampled_from([1, -1]), st.sampled_from([1, -1])),
+       offsets=st.lists(st.fractions(min_value=-3, max_value=3,
+                                     max_denominator=4),
+                        min_size=2, max_size=2, unique=True),
+       seed=st.fractions(min_value=-3, max_value=3, max_denominator=4),
+       kmax=st.integers(min_value=3, max_value=6),
+       max_jumps=st.sampled_from([0, 5, 200_000]),
+       s=st.floats(min_value=0.2, max_value=1.0))
+def test_density_profile_matches_scans(ratio, signs, offsets, seed, kmax,
+                                       max_jumps, s):
+    # one ratio magnitude, so the profile folds by it; max_jumps 0 and 5
+    # keep only the fill on most samples
+    cfg = parse_config({
+        "maps": [{"r": str(sign * ratio), "b": str(b)}
+                 for sign, b in zip(signs, offsets)],
+        "seed": str(seed), "grid": {"base": str(ratio), "kmax": kmax}})
+    sample = enumerate_orbit(cfg.system, cfg.seed, cfg.radius,
+                             node_budget=20_000)
+    assume(sample.complete)
+    period = dimension.density_ratio(cfg.system, cfg.density_period)
+    assert period == ratio
+    report = density_profile(sample, cfg.h_grid(), s, period,
+                             max_jumps=max_jumps)
+    entries = fraction_density_entries(cfg, sample.points, period,
+                                       max_jumps=max_jumps)
+    per_period, sup_tail, inf_tail, defect, matched = density_scans(
+        entries, s, period, 3)
+    top = entries[-1][0]
+    assert (report.sup_tail, report.inf_tail, report.defect,
+            report.tail_window) == (sup_tail, inf_tail, defect,
+                                    (float(top / period), float(top)))
+    assert report.hs == [float(h) for h, _ in entries]
+    # the refusals the fill made unreachable: each period holds the 40
+    # fill steps, and every entry of the middle period has its fold
+    assert min(per_period) >= 40
+    assert matched == sum(1 for h, _ in entries
+                          if top / period**2 <= h <= top / period)
 
 
 def test_window_density_sup_matches_scan(cantor_system):

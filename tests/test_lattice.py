@@ -41,7 +41,6 @@ from rifslab.dimension import density_profile, density_ratio
 from _oracles import (
     brute_orbit,
     count_within_points,
-    density_scans,
     fraction_density_entries,
     jumps_in_points,
     window_density_sup_points,
@@ -259,10 +258,11 @@ DENSITY_RATIOS = [Fraction(2), Fraction(3), Fraction(5, 2), Fraction(7, 3)]
        kmax=st.integers(min_value=3, max_value=6),
        max_jumps=st.sampled_from([0, 5, 200_000]),
        s=st.floats(min_value=0.2, max_value=1.0))
-def test_density_profile_matches_fraction_oracle(ratio, other, signs, offsets,
-                                                 seed, kmax, max_jumps, s):
+def test_density_grid_matches_fraction_oracle(ratio, other, signs, offsets,
+                                              seed, kmax, max_jumps, s):
     # a second ratio magnitude takes the non-periodic branch; max_jumps 0
-    # and 5 keep only the fill on most samples
+    # and 5 keep only the fill on most samples.  The periodic extrema are
+    # test_dimension's test_density_profile_matches_scans
     second = ratio if other is None else other
     cfg = parse_config({
         "maps": [{"r": str(signs[0] * ratio), "b": str(offsets[0])},
@@ -278,26 +278,15 @@ def test_density_profile_matches_fraction_oracle(ratio, other, signs, offsets,
                                        max_jumps=max_jumps)
     assert report.hs == [float(h) for h, _ in entries]
     assert report.values == [n / float(h) ** s for h, n in entries]
-    extrema = (report.sup_tail, report.inf_tail, report.defect,
-               report.tail_window)
     if period is None:
         tail = entries[-10:]
         values = report.values[-10:]
         inf_tail = min(values + [n / float(h) ** s
                                  for (_, n), (h, _) in zip(tail, tail[1:])])
-        assert extrema == (max(values), inf_tail, None,
-                           (float(tail[0][0]), float(tail[-1][0])))
-        return
-    per_period, sup_tail, inf_tail, defect, matched = density_scans(
-        entries, s, period, 3)
-    top = entries[-1][0]
-    assert extrema == (sup_tail, inf_tail, defect,
-                       (float(top / period), float(top)))
-    # the refusals the fill made unreachable: each period holds the 40
-    # fill steps, and every entry of the middle period has its fold
-    assert min(per_period) >= 40
-    assert matched == sum(1 for h, _ in entries
-                          if top / period**2 <= h <= top / period)
+        assert (report.sup_tail, report.inf_tail, report.defect,
+                report.tail_window) == (
+            max(values), inf_tail, None,
+            (float(tail[0][0]), float(tail[-1][0])))
 
 
 def test_scale_is_lcm_of_reduced_denominators(tmp_path, capsys):
