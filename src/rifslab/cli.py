@@ -410,9 +410,10 @@ def _frag_report(ses: _Session) -> dict:
     dimension and the orbit sample at the config's radius; an error there
     is left for each fragment that needs them to record.  The analyses
     then go to `pool.run` as one task each, last first: the long ones
-    (cover table, attractor, density) come late in _ANALYSES, so they
-    start first.  The p-adic fragment, last of all, is short since its
-    ball counts are exact.  No analysis forks on its own, so at most
+    (cover table, density) come late in _ANALYSES, so they start first.
+    The attractor between them is short since its walk reads most
+    subtrees from memos, and the p-adic fragment, last of all, is short
+    since its ball counts are exact.  No analysis forks on its own, so at most
     `pool.workers()` processes run the report.  Each fragment writes only
     its own artifact, and report.json is assembled here in _ANALYSES
     order.

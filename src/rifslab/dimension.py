@@ -482,10 +482,11 @@ def dual_attractor_hull(system: Rifs) -> tuple[Fraction, Fraction]:
     return min(candidates), max(candidates)
 
 
-# A word class whose push bound is below this keeps no memo.  Box walks of
-# {2x, 3x+1} at k_max 14, 2-core Xeon VM, Python 3.11, best of 9: 64 took
-# 0.076 s with a 0.45 MB tracemalloc peak, 256 took 0.093 s with 0.13 MB,
-# 1024 took 0.121 s with 0.05 MB, and the walk without a memo 0.31 s.
+# A word class whose push bound is above this keeps no memo.  Box walks of
+# {2x, 3x+1} at k_max 14, 2-core Xeon VM, Python 3.11, best of 9: 128 took
+# 0.019 s with a 57 KB tracemalloc peak, 256 took 0.014 s with 98 KB, 512
+# took 0.012 s with 152 KB, 1024 took 0.015 s with 278 KB, and the walk
+# without a memo 0.30 s.
 _MEMO_PUSHES = 256
 
 
@@ -530,14 +531,19 @@ def attractor_box_counts(system: Rifs, k_max: int, delta=None,
     that bound is checked against word_budget before walking, and the
     pushes are counted against the same budget as the walk goes.
 
-    A sweep remembers subtrees on grid phase: a word's descendants add
-    P_w e to their offsets, so two words of one class (P, Q, first level
-    not yet cut at) whose offsets differ by a multiple of the class's
-    period M fall in cells that differ by a whole shift at every level.
-    The walk (`_box_walk`) walks a memo class's subtree once per offset
-    modulo M, remembers its sweep, (count, first cell, end cell) per
-    level, and adds it shifted for the class's other words.  The counts
-    and words_pushed are those of the walk without a memo.
+    A sweep reads small subtrees from a memo by grid phase.  A word's
+    descendants add P_w e to their offsets, so every word of one class
+    (P, Q, first level k not yet cut at) has the same subtree up to a
+    translation: its cells at level j >= k are those of the class's word
+    at phase r moved by F cells, where F, r = divmod(x a_j, |P| b_j span)
+    for the word's left end x.  A class's sweep at level j, its count,
+    first cell and end cell less F, is thus a step function of r.
+    Each memo class is walked once, for its first word, and stores those
+    step functions (`_memo_build`); every word of the class then reads its
+    sweep with one divmod and one bisection per level.  Only a class the
+    walk reaches at least twice whose push bound is at most
+    _MEMO_PUSHES keeps a memo.  The counts and words_pushed are those of
+    the walk without a memo.
     """
     if k_max < 1:
         raise DomainError("k_max must be >= 1")
@@ -581,8 +587,7 @@ def attractor_box_counts(system: Rifs, k_max: int, delta=None,
     push_rising = [gens[j] for j in reversed(order)]
     push_falling = [gens[j] for j in order]
 
-    classes = (_memo_classes(gens, levels, log_bound, s, pushes) if sweep
-               else {})
+    classes = _memo_classes(gens, levels, log_bound, s) if sweep else set()
     counts, walked = _box_walk(levels, push_rising, push_falling, ul, vl,
                                sweep, classes, word_budget)
     return BoxCounts(delta=delta, hull=(u, v), ks=ks, counts=tuple(counts),
@@ -598,11 +603,11 @@ def _box_walk(levels, push_rising, push_falling, ul, vl, sweep, classes,
     cell in counts, first and last; otherwise each level keeps its cells
     in a set.
 
-    A word of a memo class, which classes maps (P, Q, k) to (M, shifts),
-    with offset e = t M + r stands for the word at phase r.  Its subtree
-    is walked once per key (P, Q, k, r) in a frame, fresh sweep arrays
-    that a None on the stack closes, remembered with its pushes, and added
-    to the enclosing sweep moved by t shifts.
+    A word of a memo class (P, Q, k) in classes is not walked: the class's
+    first word builds its memo (`_memo_build`), and every word of the
+    class reads its sweep from the memo at its own grid phase, counts the
+    pushes its subtree would make, and adds the sweep to the enclosing
+    one (`_add_sweeps`).
     """
     k_max = len(levels) - 2
     counts = [0] * (k_max + 1)
@@ -613,42 +618,28 @@ def _box_walk(levels, push_rising, push_falling, ul, vl, sweep, classes,
     # class's has no memo class at or below it
     reach = max((abs(p) for p, _, _ in classes), default=0)
     memo = {}
-    frames = []  # the memo subtrees open, innermost last
     width = len(push_rising)
     walked = 0
     stack = [(1, 1, 0, 1)]  # the empty word, never a cut word
     pop, push = stack.pop, stack.append
     while stack:
         word = pop()
-        if word is None:
-            # a memo subtree ends: remember its sweep at phase r, and add
-            # it to the enclosing sweep moved by t shifts
-            outer, opened, key, k, moves = frames.pop()
-            pieces = tuple(zip(counts[k:], first[k:], last[k:]))
-            memo[key] = pieces, walked - opened
-            counts, first, last = outer
-            _add_sweeps(counts, first, last, k, pieces, moves)
-            continue
         p, q, e, k = word
         mag = abs(p)
         if mag <= reach and (p, q, k) in classes:
-            period, shifts = classes[p, q, k]
-            t, e = divmod(e, period)
-            moves = [t * d for d in shifts]
-            key = (p, q, k, e)
-            if key in memo:
-                pieces, pushes = memo[key]
-                walked += pushes
-                if walked > budget:
-                    raise BudgetExceededError(
-                        f"box counting walked more than {budget} words")
-                _add_sweeps(counts, first, last, k, pieces, moves)
-                continue
-            frames.append(((counts, first, last), walked, key, k, moves))
-            counts = [0] * (k_max + 1)
-            first = [None] * (k_max + 1)
-            last = [None] * (k_max + 1)
-            push(None)
+            # the left end of g_w([u, v]), times L Q, with the sign that
+            # makes it grow with the class's grid phase
+            x = ul * q + e if p > 0 else -(vl * q + e)
+            if (p, q, k) not in memo:
+                memo[p, q, k] = _memo_build(word, x, levels, push_rising,
+                                            push_falling, ul, vl)
+            steps, pushes = memo[p, q, k]
+            walked += pushes
+            if walked > budget:
+                raise BudgetExceededError(
+                    f"box counting walked more than {budget} words")
+            _add_sweeps(counts, first, last, k, steps, x)
+            continue
         a_k, b_k, scale = levels[k]
         if mag * b_k >= a_k * q:
             # g_w(u) / side = (ul q + e) a_k / (p scale)
@@ -688,76 +679,145 @@ def _box_walk(levels, push_rising, push_falling, ul, vl, sweep, classes,
     return counts[1:], walked
 
 
-def _memo_classes(gens, levels, log_bound, s, pushes):
-    """The memo classes (P, Q, k) of a sweep's words, k the first level
-    not yet cut at, each mapped to its period M and its shifts.
+def _memo_classes(gens, levels, log_bound, s):
+    """The memo classes (P, Q, k) of a sweep's walk, k the first level
+    not yet cut at.
 
-    A class keeps a memo when more walk words fall in it than M, its
-    number of offset phases, so that some phase repeats, and when its
-    push bound (delta**k_max max|r| Q / |P|)**s is _MEMO_PUSHES or more.
-    M is the least multiple of |P| b_j span / gcd(a_j, |P| b_j span) for
-    every level j >= k: adding M to e moves the cells of every descendant
-    at level j by M a_j / (P b_j span), the class's shift at j.
-
-    M is at least its term at k_max, |P| b_k_max span / a_k_max, and |P|
-    grows along every edge, so once that term reaches pushes, the bound on
-    the walk's words, neither the class nor any below it can keep a memo:
-    the pass stops there.  A thin tree, such as the words of
-    {(201/200)x, 201x - 200} at k_max 1, then visits a few classes rather
-    than one per word length.
+    A class keeps a memo when the walk reaches at least 2 of its words
+    and its push bound (delta**k_max max|r| Q / |P|)**s is at most
+    _MEMO_PUSHES.  The walk enters no memo class's subtree, and neither
+    does the pass.  It pops an entry for the empty word and one for each
+    child of each class it expands, and each such class holds a word that
+    the walk pops and expands, so the walk pops at least as many words.
     """
     k_max = len(levels) - 2
-    # the least |P| whose period term at k_max is pushes or more
-    a_max, _, scale_max = levels[k_max]
-    too_long = -(-math.ceil(pushes) * a_max // scale_max)
-    # classes in order of |P|, which grows along every edge, so a class's
-    # word count is whole when it is popped
-    words = {(1, 1, 1): 1}
-    heap = [(1, (1, 1, 1))]
-    classes = {}
+    # an entry (|P|, P, Q, k, words) per class and parent class; |P| grows
+    # along every edge, so a class's entries are popped one after another,
+    # once every class that reaches it has been
+    heap = [(1, 1, 1, 1, 1)]
+    classes = set()
     while heap:
-        _, cls = heappop(heap)
-        p, q, k = cls
-        mag = abs(p)
+        mag, p, q, k, words = heappop(heap)
+        while heap and heap[0][:4] == (mag, p, q, k):
+            words += heappop(heap)[4]
+        cls = p, q, k
         while mag * levels[k][1] >= levels[k][0] * q:
             k += 1
-        # no class below one whose period is too long or whose push bound
-        # is too small for a memo keeps one
-        if k > k_max or mag >= too_long or _MEMO_PUSHES > math.exp(
-                min(log_bound - s * (math.log(mag) - math.log(q)), 700.0)):
+        if k > k_max:
+            continue
+        if words > 1 and math.exp(min(
+                log_bound - s * (math.log(mag) - math.log(q)),
+                700.0)) <= _MEMO_PUSHES:
+            classes.add(cls)
             continue
         for pj, qj, _ in gens:
-            kid = (p * pj, q * qj, k)
-            if kid not in words:
-                words[kid] = 0
-                heappush(heap, (abs(kid[0]), kid))
-            words[kid] += words[cls]
-        # the levels from the class's own first level on
-        below = levels[cls[2]:-1]
-        period = 1
-        for a_j, _, scale in below:
-            n = mag * scale
-            period = math.lcm(period, n // math.gcd(a_j, n))
-        if period < words[cls]:
-            classes[cls] = period, [period * a_j // (p * scale)
-                                    for a_j, _, scale in below]
+            heappush(heap, (mag * abs(pj), p * pj, q * qj, k, words))
     return classes
 
 
-def _add_sweeps(counts, first, last, k, pieces, moves):
-    """Add the sweep of a later subtree, (count, first cell, end cell) at
-    each level from k on, moved by moves[i] cells at level k + i, to the
-    sweep held in counts, first and last.  A level's intervals arrive
-    sorted, so the two share at most the cell at their border, and do
-    exactly when the later one starts before the earlier one ends."""
-    for j, (n, start, end), move in zip(range(k, len(last)), pieces, moves):
-        start += move
+def _memo_build(word, x, levels, push_rising, push_falling, ul, vl):
+    """The sweep of a memo class as a step function of grid phase, from
+    one plain walk of the subtree of its word (P, Q, e, k) with left end
+    x; return it with the number of words the walk pushes.
+
+    Every word of the class has this subtree up to a translation: a
+    descendant by the suffix v is (P P_v, Q Q_v, P_v e + Q f_v) with f_v
+    fixed by v.  So at level j >= k, with F, r = divmod(x a_j, N) and
+    N = |P| b_j span, a cut interval's first cell is F + alpha + [r >= tau0]
+    and its end cell F + beta + [r >= tau1], for integers alpha, beta and
+    thresholds tau0, tau1 in [1, N] fixed by the class.  Intervals arrive
+    sorted and share at most the cell at their border, so an interval's
+    new cells start at the later of its first cell and the end cell
+    before it.  Of two steps a + [r >= t], the one with the greater
+    (a, -t) is the greater at every r, so that start is a step too, and
+    the level's count is the sum over its intervals of end cell minus
+    start: a step function of r.  The first interval of every level
+    starts at x, since u = min A is the least left end of the images
+    g_j([u, v]), so the level's first cell is F.
+
+    A level is stored as (a_j, N, thresholds, totals, beta, tau1): the
+    sorted thresholds below N at which the count changes, the count
+    before the first and after each, and the end cell's step of the
+    level's last interval.
+    """
+    p, q, e, k = word
+    mag = abs(p)
+    k_max = len(levels) - 2
+    # the sweep at each level: the count at r = 0, its change at each
+    # threshold, and the end cell's step as (beta, tau1)
+    counts = [0] * (k_max + 1)
+    moves = [{} for _ in counts]
+    last = [None] * (k_max + 1)
+    width = len(push_rising)
+    pushes = 0
+    stack = [word]
+    pop, push = stack.pop, stack.append
+    while stack:
+        p, q, e, j = pop()
+        size = abs(p)
+        a_j, b_j, scale = levels[j]
+        if size * b_j >= a_j * q:
+            # with the ends less |P_v| x, the cells at level j run from
+            # F + floor((r |P_v| + lo a_j) / D) to F + ceil((r |P_v| +
+            # hi a_j) / D), D = |P P_v| b_j span
+            grow = size // mag
+            lo = ul * q + e
+            hi = vl * q + e
+            if p < 0:
+                lo, hi = -hi, -lo
+            lo -= x * grow
+            hi -= x * grow
+            while True:
+                den = size * scale
+                alpha, rest = divmod(lo * a_j, den)
+                tau0 = -((rest - den) // grow)
+                beta, rest = divmod(-hi * a_j, den)
+                beta, tau1 = -beta, rest // grow + 1
+                start = last[j]
+                if start is None or start[0] < alpha or \
+                        start[0] == alpha and start[1] >= tau0:
+                    start = alpha, tau0
+                counts[j] += beta - start[0]
+                move = moves[j]
+                move[tau1] = move.get(tau1, 0) + 1
+                move[start[1]] = move.get(start[1], 0) - 1
+                last[j] = beta, tau1
+                j += 1
+                a_j, b_j, scale = levels[j]
+                if size * b_j < a_j * q:
+                    break
+            if j > k_max:
+                continue
+        pushes += width
+        for pj, qj, bq in push_rising if p > 0 else push_falling:
+            push((p * pj, q * qj, pj * e - bq * q, j))
+    steps = []
+    for j in range(k, k_max + 1):
+        a_j, _, scale = levels[j]
+        n = mag * scale
+        move = moves[j]
+        thresholds = sorted(t for t, m in move.items() if m and t < n)
+        totals = accumulate(map(move.__getitem__, thresholds),
+                            initial=counts[j])
+        steps.append((a_j, n, tuple(thresholds), tuple(totals), *last[j]))
+    return tuple(steps), pushes
+
+
+def _add_sweeps(counts, first, last, k, steps, x):
+    """Add the sweep of a memo class's word with left end x, read from the
+    class's steps at each level from k on, to the sweep held in counts,
+    first and last.  A level's intervals arrive sorted, so the two share
+    at most the cell at their border, and do exactly when the later one
+    starts before the earlier one ends."""
+    for j, (a_j, n, thresholds, totals, beta, tau1) in enumerate(steps, k):
+        cell, r = divmod(x * a_j, n)
+        count = totals[bisect_right(thresholds, r)]
         if last[j] is None:
-            first[j] = start
-        elif start < last[j]:
-            n -= 1
-        counts[j] += n
-        last[j] = end + move
+            first[j] = cell
+        elif cell < last[j]:
+            count -= 1
+        counts[j] += count
+        last[j] = cell + beta + (r >= tau1)
 
 
 def estimate_box_dimension(box: BoxCounts,

@@ -318,9 +318,9 @@ def test_box_counts_budget_counts_visited_words(renewal_system):
 
 @contextlib.contextmanager
 def memo_threshold(pushes):
-    """Keep a box-walk memo for every word class whose push bound is at
-    least pushes: 0 keeps one wherever a phase repeats, however small the
-    walk, and math.inf keeps none."""
+    """Keep a box-walk memo for every word class the walk reaches twice
+    whose push bound is at most pushes: math.inf keeps one for the first
+    such classes, however large, and 0 keeps none."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dimension, "_MEMO_PUSHES", pushes)
         yield
@@ -343,7 +343,7 @@ def test_box_counts_sweep_and_cell_sets_match_cut_set_oracle(maps):
     system = make_system([(Fraction(r), Fraction(b)) for r, b in maps])
     expected = tuple(box_count_cut_set(system, k) for k in range(1, 9))
     assert attractor_box_counts(system, 8).counts == expected
-    with memo_threshold(0):
+    with memo_threshold(math.inf):
         assert attractor_box_counts(system, 8).counts == expected
 
 
@@ -361,6 +361,8 @@ RATIOS = [Fraction(r) for r in (2, -2, 3, -3, 4, -4)] + [Fraction(5, 2),
                                                          Fraction(-7, 3)]
 OFFSETS = st.fractions(min_value=-3, max_value=3, max_denominator=5)
 MAX_CUT_WORDS = 5000
+# the most grid phases of one level the exhaustive memo test walks
+MAX_PHASES = 1000
 
 
 @given(maps=st.lists(st.tuples(st.sampled_from(RATIOS), OFFSETS),
@@ -373,8 +375,8 @@ MAX_CUT_WORDS = 5000
 def test_box_counts_match_cut_set_oracle(maps, delta, k_max):
     # RATIOS has P < 0 orderings, 5/2 and -7/3, and OFFSETS makes both
     # disjoint first-level images (sweep) and overlapping ones (cell sets);
-    # a sweep keeps a memo however small it is, and must equal the plain
-    # walk
+    # a sweep keeps a memo however large its classes are, and must equal
+    # the plain walk
     system = make_system(maps)
     s = solve_similarity_dimension([r for r, _ in maps]).value
     scale = float(system.max_ratio_mag if delta is None else delta)
@@ -382,11 +384,11 @@ def test_box_counts_match_cut_set_oracle(maps, delta, k_max):
     while k_max > 1 and (scale**k_max * float(system.max_ratio_mag))**s \
             > MAX_CUT_WORDS:
         k_max -= 1
-    with memo_threshold(0):
+    with memo_threshold(math.inf):
         box = attractor_box_counts(system, k_max, delta=delta)
     assert box.counts == tuple(box_count_cut_set(system, k, delta)
                                for k in box.ks)
-    with memo_threshold(math.inf):
+    with memo_threshold(0):
         assert attractor_box_counts(system, k_max, delta=delta) == box
 
 
@@ -395,23 +397,23 @@ def test_box_counts_match_cut_set_oracle(maps, delta, k_max):
                      min_size=2, max_size=3, unique=True),
        k_max=st.integers(2, 7))
 def test_memo_box_walk_matches_cut_set_oracle(maps, k_max):
-    # integer ratios and offsets: phases repeat in every sweep class
+    # integer ratios and offsets: equal ratios put many words in a class
     system = make_system(maps)
     s = solve_similarity_dimension([r for r, _ in maps]).value
     while k_max > 2 and (float(system.max_ratio_mag) ** (k_max + 1))**s \
             > MAX_CUT_WORDS:
         k_max -= 1
-    with memo_threshold(0):
+    with memo_threshold(math.inf):
         box = attractor_box_counts(system, k_max)
     assert box.counts == tuple(box_count_cut_set(system, k) for k in box.ks)
-    with memo_threshold(math.inf):
+    with memo_threshold(0):
         assert attractor_box_counts(system, k_max) == box
 
 
 def test_memo_box_walk_pushes_the_plain_walks_words(renewal_system):
-    # a memo hit counts the pushes its subtree made when it was walked
+    # a memo lookup counts the pushes its subtree made when it was built
     assert attractor_box_counts(renewal_system, 8).words_pushed == 2884
-    with memo_threshold(0):
+    with memo_threshold(math.inf):
         assert attractor_box_counts(renewal_system, 8).words_pushed == 2884
 
 
@@ -432,9 +434,9 @@ def test_memo_box_walk_equals_the_plain_walk(maps, k_max, monkeypatch):
                         or classes[-1])
     box = attractor_box_counts(system, k_max)
     assert len(classes[0]) >= 1
-    with memo_threshold(math.inf):
+    with memo_threshold(0):
         assert attractor_box_counts(system, k_max) == box
-    assert classes[1] == {}
+    assert classes[1] == set()
 
 
 def test_box_walk_of_a_thousand_deep_words():
@@ -443,22 +445,61 @@ def test_box_walk_of_a_thousand_deep_words():
     # and Q / |P| leaves the binary64 range
     system = make_system([(Fraction(201, 200), Fraction(0)),
                           (Fraction(201), Fraction(-200))])
-    for pushes in (256, 0):
+    for pushes in (256, math.inf):
         with memo_threshold(pushes):
             box = attractor_box_counts(system, 1)
         assert (box.counts, box.words_pushed) == ((201,), 2128)
 
 
+def box_walk_work(system, k_max):
+    """The box counts of system, the pushes of each memo's build, the
+    pushes each memo lookup stands for, and the number of words the walk
+    pops: the empty word, and every word pushed outside a memo's
+    subtree."""
+    built = {}
+    lookups = []
+    build = dimension._memo_build
+    add = dimension._add_sweeps
+
+    def counted_build(*args):
+        steps, pushes = build(*args)
+        built[id(steps)] = pushes
+        return steps, pushes
+
+    def counted_add(counts, first, last, k, steps, x):
+        lookups.append(built[id(steps)])
+        add(counts, first, last, k, steps, x)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dimension, "_memo_build", counted_build)
+        mp.setattr(dimension, "_add_sweeps", counted_add)
+        box = attractor_box_counts(system, k_max)
+    popped = 1 + box.words_pushed - sum(lookups)
+    return box, list(built.values()), lookups, popped
+
+
+def test_memo_box_walk_work(renewal_system):
+    # the mixed-ratio report's walk counts 541,704 pushes: 28 memos are
+    # built with 3,960 pushes and read by 2,539 words, and the walk pops
+    # 5,121 words, 2,539 of them to read a memo
+    box, builds, lookups, popped = box_walk_work(renewal_system, 14)
+    assert box.words_pushed == 541_704
+    assert (len(builds), sum(builds), len(lookups), popped) == \
+        (28, 3960, 2539, 5121)
+    with memo_threshold(0):
+        assert attractor_box_counts(renewal_system, 14) == box
+
+
 @pytest.mark.parametrize("maps, k_max, visited, memos", [
-    # one word per class, about a thousand classes deep: the period of a
-    # class is at least |P| span / 201, which passes the walk's push bound
-    # a few classes down, so the pass stops there (it visited 2,031)
-    ([(Fraction(201, 200), 0), (201, -200)], 1, 9, 0),
-    # the mixed-ratio report's walk keeps every memo class it had
-    ([(2, 0), (3, 1)], 14, 110, 29),
+    # one word per class, about a thousand classes deep: no class is
+    # reached twice, so the pass pops one entry per word the walk pushes
+    # and one for the empty word
+    ([(Fraction(201, 200), 0), (201, -200)], 1, 2129, 0),
+    # the mixed-ratio report's walk
+    ([(2, 0), (3, 1)], 14, 269, 28),
 ])
-def test_memo_class_pass_stops_where_no_phase_can_repeat(maps, k_max, visited,
-                                                         memos, monkeypatch):
+def test_memo_class_pass_pops_no_more_than_the_walk(maps, k_max, visited,
+                                                     memos, monkeypatch):
     system = make_system([(Fraction(r), Fraction(b)) for r, b in maps])
     visits = []
     pop = dimension.heappop
@@ -469,11 +510,91 @@ def test_memo_class_pass_stops_where_no_phase_can_repeat(maps, k_max, visited,
     monkeypatch.setattr(dimension, "_memo_classes",
                         lambda *args: classes.append(memo_classes(*args))
                         or classes[-1])
-    box = attractor_box_counts(system, k_max)
+    attractor_box_counts(system, k_max)
     assert len(visits) == visited
     assert len(classes[0]) == memos
-    with memo_threshold(math.inf):
+    # every class the pass expands holds a word that the walk pops and
+    # expands, and the walk pops that word's children as the pass pops an
+    # entry for each
+    box, _, _, popped = box_walk_work(system, k_max)
+    assert visited <= popped
+    with memo_threshold(0):
         assert attractor_box_counts(system, k_max) == box
+
+
+def phase_sweeps(word, levels, push_rising, push_falling, ul, vl):
+    """Per level from the word's own on, the number of cells its
+    subtree's cut intervals cover, the least cell and the end cell, from
+    one cell set per level; the offset e of the word (P, Q, e, k) may be
+    a Fraction."""
+    k_max = len(levels) - 2
+    cells = {}
+    stack = [word]
+    while stack:
+        p, q, e, k = stack.pop()
+        lo, hi = sorted((Fraction(ul * q + e) / p, Fraction(vl * q + e) / p))
+        while k <= k_max and abs(p) * levels[k][1] >= levels[k][0] * q:
+            a_k, _, scale = levels[k]
+            cells.setdefault(k, []).append((math.floor(lo * a_k / scale),
+                                            math.ceil(hi * a_k / scale)))
+            k += 1
+        if k <= k_max:
+            stack += [(p * pj, q * qj, pj * e - bq * q, k) for pj, qj, bq
+                      in (push_rising if p > 0 else push_falling)]
+    return {k: (len(set().union(*(range(c0, c1) for c0, c1 in spans))),
+                min(c0 for c0, _ in spans), max(c1 for _, c1 in spans))
+            for k, spans in cells.items()}
+
+
+@pytest.mark.parametrize("maps", [
+    [(2, 0), (3, 1)],
+    [(-2, 0), (3, 1)],
+    [(Fraction(5, 2), 0), (Fraction(-7, 3), 1)],
+])
+@pytest.mark.parametrize("delta", [None, Fraction(3, 2)])
+def test_memo_steps_match_the_walk_at_every_phase(maps, delta, monkeypatch):
+    # for the classes of the words up to three maps deep, at every residue
+    # r of x a_j modulo |P| b_j span, the memo's count, first cell and end
+    # cell at level j are those of a word at that phase
+    system = make_system([(Fraction(r), Fraction(b)) for r, b in maps])
+    walks = []
+    box_walk = dimension._box_walk
+    monkeypatch.setattr(dimension, "_box_walk",
+                        lambda *args: walks.append(args) or box_walk(*args))
+    attractor_box_counts(system, 4, delta=delta)
+    levels, push_rising, push_falling, ul, vl, sweep = walks[0][:6]
+    assert sweep
+    words = [(1, 1, 1)]
+    for _ in range(3):
+        words += [(p * pj, q * qj, k) for p, q, k in words
+                  for pj, qj, _ in push_rising]
+    phases = 0
+    for p, q, k in set(words):
+        while abs(p) * levels[k][1] >= levels[k][0] * q:
+            k += 1
+        mag = abs(p)
+        # no leaves, and at most MAX_PHASES phases a level
+        if k == len(levels) - 1 or mag * levels[-2][2] > MAX_PHASES:
+            continue
+        # the word at phase 0 of every level
+        word = (p, q, -ul * q if p > 0 else -vl * q, k)
+        steps, _ = dimension._memo_build(word, 0, levels, push_rising,
+                                         push_falling, ul, vl)
+        for j in range(k, len(levels) - 1):
+            a_j, _, scale = levels[j]
+            for r in range(mag * scale):
+                # x a_j = r: the left end x, then the offset e
+                x = Fraction(r, a_j)
+                e = x - ul * q if p > 0 else -x - vl * q
+                counts = [0] * len(levels)
+                first = [None] * len(levels)
+                last = [None] * len(levels)
+                dimension._add_sweeps(counts, first, last, k, steps, x)
+                want = phase_sweeps((p, q, e, k), levels, push_rising,
+                                    push_falling, ul, vl)[j]
+                assert (counts[j], first[j], last[j]) == want, (p, q, j, r)
+                phases += 1
+    assert phases > 100
 
 
 def test_box_walk_forks_nothing(renewal_system, count_forks, monkeypatch):
