@@ -129,8 +129,13 @@ def _frag_diagnose(ses: _Session) -> dict:
     for n in range(1, cfg.separation_max_n + 1):
         sep = min_word_separation(cfg.system, n,
                                   word_budget=cfg.node_budget)
-        # no rate for an empty minimum (None) or an exact overlap (0)
-        rate = -math.log(float(sep)) / n if sep else None
+        # no rate for an empty minimum (None) or an exact overlap (0); a
+        # gap that binary64 rounds to 0 takes its log from the Fraction
+        rate = None
+        if sep:
+            gap = float(sep)
+            rate = (-math.log(gap) if gap else math.log(sep.denominator)
+                    - math.log(sep.numerator)) / n
         table.append({
             "n": n,
             "delta": format_rational(sep) if sep is not None else None,

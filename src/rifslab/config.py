@@ -167,6 +167,12 @@ def parse_config(doc: dict) -> RunConfig:
     radius = (_rat(doc["radius"], "radius") if "radius" in doc
               else base**kmax)
     _require(radius >= base**kmax, "radius: must cover the h-grid")
+    # every count, fit and density reads h <= radius in binary64
+    try:
+        float(radius)
+    except OverflowError:
+        raise ConfigError("radius: past the binary64 range; lower grid.base "
+                          "or grid.kmax") from None
 
     depths = doc.get("depths", [2, 4, 6, 8])
     _require(isinstance(depths, list) and depths

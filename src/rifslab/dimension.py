@@ -16,7 +16,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from heapq import heappop, heappush
 from itertools import accumulate, chain, islice
 
 from .errors import (DEFAULT_NODE_BUDGET, BudgetExceededError, ConfigError,
@@ -48,14 +47,19 @@ def solve_similarity_dimension(ratios,
     The left side is strictly decreasing in s, equals m >= 2 at s = 0 and
     tends to 0, so the root is unique.  Stops when the residual drops to
     the tolerance or after _MAX_BISECTIONS steps.  A ratio of magnitude
-    above 1 that binary64 rounds to 1 is refused as a DomainError.
+    above 1 that binary64 rounds to 1, or past its range, is refused as a
+    DomainError.
     """
     ratios = list(ratios)
     if len(ratios) < 2:
         raise ConfigError("need at least 2 ratios")
     if any(abs(r) <= 1 for r in ratios):
         raise ConfigError("ratio magnitude must exceed 1")
-    mags = [abs(float(r)) for r in ratios]
+    try:
+        mags = [abs(float(r)) for r in ratios]
+    except OverflowError:
+        raise DomainError(f"ratio {max(ratios, key=abs)} is past the "
+                          "binary64 range") from None
     if 1.0 in mags:
         raise DomainError(f"ratio {ratios[mags.index(1.0)]} exceeds 1 in "
                           "magnitude, but binary64 cannot tell it from 1")
@@ -482,11 +486,11 @@ def dual_attractor_hull(system: Rifs) -> tuple[Fraction, Fraction]:
     return min(candidates), max(candidates)
 
 
-# A word class whose push bound is above this keeps no memo.  Box walks of
+# A sweep word whose push bound is at most this reads a memo.  Box walks of
 # {2x, 3x+1} at k_max 14, 2-core Xeon VM, Python 3.11, best of 9: 128 took
-# 0.019 s with a 57 KB tracemalloc peak, 256 took 0.014 s with 98 KB, 512
-# took 0.012 s with 152 KB, 1024 took 0.015 s with 278 KB, and the walk
-# without a memo 0.30 s.
+# 0.039 s with a 62 KB tracemalloc peak, 256 took 0.030 s with 100 KB, 512
+# took 0.027 s with 171 KB, 1024 took 0.028 s with 296 KB, and the walk
+# without a memo 0.40 s.
 _MEMO_PUSHES = 256
 
 
@@ -536,14 +540,15 @@ def attractor_box_counts(system: Rifs, k_max: int, delta=None,
     (P, Q, first level k not yet cut at) has the same subtree up to a
     translation: its cells at level j >= k are those of the class's word
     at phase r moved by F cells, where F, r = divmod(x a_j, |P| b_j span)
-    for the word's left end x.  A class's sweep at level j, its count,
-    first cell and end cell less F, is thus a step function of r.
-    Each memo class is walked once, for its first word, and stores those
-    step functions (`_memo_build`); every word of the class then reads its
-    sweep with one divmod and one bisection per level.  Only a class the
-    walk reaches at least twice whose push bound is at most
-    _MEMO_PUSHES keeps a memo.  The counts and words_pushed are those of
-    the walk without a memo.
+    for the word's left end x.  A class's sweep at level j, its count and
+    end cell less F, is thus a step function of r, and its first cell is
+    F.  A sweep word whose push bound (delta**k_max max|r| Q / |P|)**s is
+    at most _MEMO_PUSHES is not walked: the first word of its class walks
+    the subtree once and stores those step functions (`_memo_build`), and
+    every word of the class reads its sweep with one divmod and one
+    bisection per level.  The bound is one threshold on |P| / Q, compared
+    in integers.  The counts and words_pushed are those of the walk
+    without a memo.
     """
     if k_max < 1:
         raise DomainError("k_max must be >= 1")
@@ -587,36 +592,43 @@ def attractor_box_counts(system: Rifs, k_max: int, delta=None,
     push_rising = [gens[j] for j in reversed(order)]
     push_falling = [gens[j] for j in order]
 
-    classes = _memo_classes(gens, levels, log_bound, s) if sweep else set()
+    # a sweep word reads a memo when its push bound (delta**k_max max|r|
+    # Q / |P|)**s is at most _MEMO_PUSHES, that is when |P| / Q is at
+    # least 2**bits, held as an int ratio since binary64 ends at 2**1024
+    # (every |P| / Q is at least 1, so a negative bits acts as 0); (1, 0)
+    # stands for a threshold no word meets
+    threshold = 1, 0
+    if sweep and _MEMO_PUSHES > 0:
+        bits = max(0.0, (log_bound - math.log(_MEMO_PUSHES))
+                   / (s * math.log(2)))
+        above, below = (2.0 ** (bits % 1.0)).as_integer_ratio()
+        threshold = above << int(bits), below
     counts, walked = _box_walk(levels, push_rising, push_falling, ul, vl,
-                               sweep, classes, word_budget)
+                               sweep, threshold, word_budget)
     return BoxCounts(delta=delta, hull=(u, v), ks=ks, counts=tuple(counts),
                      words_pushed=walked)
 
 
-def _box_walk(levels, push_rising, push_falling, ul, vl, sweep, classes,
+def _box_walk(levels, push_rising, push_falling, ul, vl, sweep, threshold,
               budget):
     """Walk the tree of the empty word, words held as (P, Q, e, first
     level not yet cut at), for the levels of levels (whose first and last
     entries are guards); return the count of each level and the number of
-    words pushed.  A sweep keeps each level's count, first cell and end
-    cell in counts, first and last; otherwise each level keeps its cells
-    in a set.
+    words pushed.  A sweep keeps each level's count and end cell in counts
+    and last; otherwise each level keeps its cells in a set.
 
-    A word of a memo class (P, Q, k) in classes is not walked: the class's
-    first word builds its memo (`_memo_build`), and every word of the
-    class reads its sweep from the memo at its own grid phase, counts the
-    pushes its subtree would make, and adds the sweep to the enclosing
-    one (`_add_sweeps`).
+    A word whose |P| / Q is at least threshold, a pair (above, below) of
+    ints, is not walked: the first word of its class (P, Q, k) builds the
+    class's memo (`_memo_build`), and every word of the class reads its
+    sweep from the memo at its own grid phase, counts the pushes its
+    subtree would make, and adds the sweep to the enclosing one
+    (`_add_sweeps`).
     """
     k_max = len(levels) - 2
     counts = [0] * (k_max + 1)
-    first = [None] * (k_max + 1)
-    last = [None] * (k_max + 1)
+    last = [-math.inf] * (k_max + 1)  # below every cell
     cells = None if sweep else [set() for _ in counts]
-    # |P| grows along every edge, so a word whose |P| passes every memo
-    # class's has no memo class at or below it
-    reach = max((abs(p) for p, _, _ in classes), default=0)
+    above, below = threshold
     memo = {}
     width = len(push_rising)
     walked = 0
@@ -626,7 +638,7 @@ def _box_walk(levels, push_rising, push_falling, ul, vl, sweep, classes,
         word = pop()
         p, q, e, k = word
         mag = abs(p)
-        if mag <= reach and (p, q, k) in classes:
+        if mag * below >= above * q:
             # the left end of g_w([u, v]), times L Q, with the sign that
             # makes it grow with the class's grid phase
             x = ul * q + e if p > 0 else -(vl * q + e)
@@ -638,7 +650,7 @@ def _box_walk(levels, push_rising, push_falling, ul, vl, sweep, classes,
             if walked > budget:
                 raise BudgetExceededError(
                     f"box counting walked more than {budget} words")
-            _add_sweeps(counts, first, last, k, steps, x)
+            _add_sweeps(counts, last, k, steps, x)
             continue
         a_k, b_k, scale = levels[k]
         if mag * b_k >= a_k * q:
@@ -653,9 +665,7 @@ def _box_walk(levels, push_rising, push_falling, ul, vl, sweep, classes,
                 c1 = -(-hi * a_k // den)
                 if sweep:
                     start = last[k]
-                    if start is None:
-                        first[k] = start = c0
-                    elif c0 > start:
+                    if c0 > start:
                         start = c0
                     if c1 > start:
                         counts[k] += c1 - start
@@ -677,42 +687,6 @@ def _box_walk(levels, push_rising, push_falling, ul, vl, sweep, classes,
     if not sweep:
         counts = list(map(len, cells))
     return counts[1:], walked
-
-
-def _memo_classes(gens, levels, log_bound, s):
-    """The memo classes (P, Q, k) of a sweep's walk, k the first level
-    not yet cut at.
-
-    A class keeps a memo when the walk reaches at least 2 of its words
-    and its push bound (delta**k_max max|r| Q / |P|)**s is at most
-    _MEMO_PUSHES.  The walk enters no memo class's subtree, and neither
-    does the pass.  It pops an entry for the empty word and one for each
-    child of each class it expands, and each such class holds a word that
-    the walk pops and expands, so the walk pops at least as many words.
-    """
-    k_max = len(levels) - 2
-    # an entry (|P|, P, Q, k, words) per class and parent class; |P| grows
-    # along every edge, so a class's entries are popped one after another,
-    # once every class that reaches it has been
-    heap = [(1, 1, 1, 1, 1)]
-    classes = set()
-    while heap:
-        mag, p, q, k, words = heappop(heap)
-        while heap and heap[0][:4] == (mag, p, q, k):
-            words += heappop(heap)[4]
-        cls = p, q, k
-        while mag * levels[k][1] >= levels[k][0] * q:
-            k += 1
-        if k > k_max:
-            continue
-        if words > 1 and math.exp(min(
-                log_bound - s * (math.log(mag) - math.log(q)),
-                700.0)) <= _MEMO_PUSHES:
-            classes.add(cls)
-            continue
-        for pj, qj, _ in gens:
-            heappush(heap, (mag * abs(pj), p * pj, q * qj, k, words))
-    return classes
 
 
 def _memo_build(word, x, levels, push_rising, push_falling, ul, vl):
@@ -803,20 +777,15 @@ def _memo_build(word, x, levels, push_rising, push_falling, ul, vl):
     return tuple(steps), pushes
 
 
-def _add_sweeps(counts, first, last, k, steps, x):
+def _add_sweeps(counts, last, k, steps, x):
     """Add the sweep of a memo class's word with left end x, read from the
-    class's steps at each level from k on, to the sweep held in counts,
-    first and last.  A level's intervals arrive sorted, so the two share
-    at most the cell at their border, and do exactly when the later one
-    starts before the earlier one ends."""
+    class's steps at each level from k on, to the sweep held in counts
+    and last.  A level's intervals arrive sorted, so the two share at most
+    the cell at their border, and do exactly when the later one starts
+    before the earlier one ends."""
     for j, (a_j, n, thresholds, totals, beta, tau1) in enumerate(steps, k):
         cell, r = divmod(x * a_j, n)
-        count = totals[bisect_right(thresholds, r)]
-        if last[j] is None:
-            first[j] = cell
-        elif cell < last[j]:
-            count -= 1
-        counts[j] += count
+        counts[j] += totals[bisect_right(thresholds, r)] - (cell < last[j])
         last[j] = cell + beta + (r >= tau1)
 
 

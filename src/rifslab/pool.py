@@ -29,33 +29,33 @@ def run(tasks) -> list:
     Up to workers() processes, this one and forked children, take the
     tasks from one queue in the order given, each the next one whenever
     it is free; no more are alive at once.  The queue is a pipe filled
-    before the first fork, one byte per item of consecutive tasks and at
-    most 256 items, so its writer never blocks.  A child pickles the
-    results of the tasks it took, or its first exception, into a pipe of
-    its own and exits; once a fork fails, fewer processes drain the
-    queue.  Every child is reaped and every descriptor closed before this
-    returns or raises, and the first exception of a child is re-raised.
+    before the first fork, one byte per task, so more than 256 tasks are
+    refused with a ValueError and its writer never blocks.  A child
+    pickles the results of the tasks it took, or its first exception,
+    into a pipe of its own and exits; once a fork fails, fewer processes
+    drain the queue.  Every child is reaped and every descriptor closed
+    before this returns or raises, and the first exception of a child is
+    re-raised.
     """
+    if len(tasks) > 256:
+        raise ValueError(f"pool.run takes at most 256 tasks, one queue byte "
+                         f"each, not {len(tasks)}")
     count = workers() if len(tasks) > 1 else 1
     if count < 2:
         return [task() for task in tasks]
     import pickle
 
-    size = -(-len(tasks) // 256)  # tasks per item
-
     def drain() -> list:
         done = []
         while item := os.read(queue, 1):
-            lo = item[0] * size
-            done += [(i, tasks[i]())
-                     for i in range(lo, min(lo + size, len(tasks)))]
+            done.append((item[0], tasks[item[0]]()))
         return done
 
     queue, write_fd = os.pipe()
     children = []
     try:
         with os.fdopen(write_fd, "wb") as fh:
-            fh.write(bytes(range(-(-len(tasks) // size))))
+            fh.write(bytes(range(len(tasks))))
         for _ in range(min(count, len(tasks)) - 1):
             read_fd, write_fd = os.pipe()
             try:

@@ -423,6 +423,39 @@ def test_report_is_deterministic(tmp_path, capsys):
         assert (out / n).read_bytes() == first[n], n
 
 
+def big_ratio_config(tmp_path, exponent):
+    r = str(10**exponent)
+    return write_config(tmp_path, {
+        "maps": [{"r": r, "b": "0"}, {"r": r, "b": "1"}], "seed": "0",
+        "grid": {"base": "2"}})
+
+
+def test_report_rates_a_gap_below_binary64(tmp_path, capsys):
+    # the least gap of n-words of {10**100 x, 10**100 x + 1} is 10**(-100 n),
+    # which binary64 rounds to 0 from n = 4 on; every rate is log 10**100
+    cfg = big_ratio_config(tmp_path, 100)
+    code, frag = run_json(capsys, ["report", "--config", cfg,
+                                   "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert "error" not in json.dumps(frag)
+    rates = [row["rate"] for row in frag["diagnosis"]["separation_table"]]
+    assert rates == pytest.approx([100 * math.log(10)] * 8)
+
+
+def test_report_records_a_ratio_past_binary64(tmp_path, capsys):
+    # no similarity dimension for 10**400: every analysis that needs one
+    # records the refusal in place
+    cfg = big_ratio_config(tmp_path, 400)
+    code, frag = run_json(capsys, ["report", "--config", cfg,
+                                   "--out", str(tmp_path / "out")])
+    assert code == 0
+    refused = sorted(key for key, value in frag.items()
+                     if isinstance(value, dict) and "past the binary64 range"
+                     in value.get("error", ""))
+    assert refused == ["attractor", "density", "diagnosis", "renewal",
+                       "similarity"]
+
+
 def report_bytes(capsys, argv, out):
     assert main(["report", *argv, "--out", str(out)]) == 0
     capsys.readouterr()

@@ -94,6 +94,17 @@ def test_rejects_small_radius():
         parse_config(cantor_doc(radius="100"))
 
 
+def test_rejects_a_radius_past_binary64():
+    # every count, fit and density reads h <= radius as a float; the
+    # default grid of {10**30 x, 10**30 x + 1} reaches 10**360
+    r = str(10**30)
+    for doc in (cantor_doc(maps=[{"r": r, "b": "0"}, {"r": r, "b": "1"}]),
+                cantor_doc(radius=str(10**400))):
+        with pytest.raises(ConfigError,
+                           match="radius: past the binary64 range"):
+            parse_config(doc)
+
+
 def test_padic_block_cross_checked():
     doc = {"maps": [{"r": "2", "b": "0"}, {"r": "2", "b": "1"}],
            "seed": "0",
@@ -138,11 +149,12 @@ def test_padic_exponent_is_bounded_before_the_power():
             parse_config(cantor_doc(
                 padic={"p": 3, "exponents": [e, 1], "signs": [1, 1]}))
         assert time.perf_counter() - start < 0.5
-    # a right exponent still passes, here with a 61-bit p and sign -1
+    # a right exponent still passes, here with a 61-bit p and sign -1; base
+    # 2 keeps the radius 2**12, where the default grid's would be 2**2196
     p = 2**61 - 1
     r = str(-p**3)
     cfg = parse_config(cantor_doc(
-        maps=[{"r": r, "b": "0"}, {"r": r, "b": "1"}],
+        maps=[{"r": r, "b": "0"}, {"r": r, "b": "1"}], grid={"base": "2"},
         padic={"p": p, "exponents": [3, 3], "signs": [-1, -1]}))
     assert cfg.padic.min_exponent == 3
 

@@ -90,6 +90,11 @@ def test_similarity_refuses_a_ratio_binary64_rounds_to_one():
         solve_similarity_dimension([r, Fraction(3)])
 
 
+def test_similarity_refuses_a_ratio_past_binary64():
+    with pytest.raises(DomainError, match="past the binary64 range"):
+        solve_similarity_dimension([Fraction(3), Fraction(-10**400)])
+
+
 # --------------------------------------------------------------------------
 # mass and window fits
 
@@ -318,9 +323,9 @@ def test_box_counts_budget_counts_visited_words(renewal_system):
 
 @contextlib.contextmanager
 def memo_threshold(pushes):
-    """Keep a box-walk memo for every word class the walk reaches twice
-    whose push bound is at most pushes: math.inf keeps one for the first
-    such classes, however large, and 0 keeps none."""
+    """Let every sweep word whose push bound is at most pushes read a
+    box-walk memo instead of being walked: math.inf makes the empty word
+    build one memo of the whole tree, and 0 builds none."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dimension, "_MEMO_PUSHES", pushes)
         yield
@@ -424,19 +429,19 @@ def test_memo_box_walk_pushes_the_plain_walks_words(renewal_system):
     ([(4, -1), (-2, 4)], 10),
 ])
 def test_memo_box_walk_equals_the_plain_walk(maps, k_max, monkeypatch):
-    # at these sizes the default threshold keeps a memo; with none, every
+    # at these sizes the default threshold builds a memo; with none, every
     # word is walked
     system = make_system([(Fraction(r), Fraction(b)) for r, b in maps])
-    classes = []
-    memo_classes = dimension._memo_classes
-    monkeypatch.setattr(dimension, "_memo_classes",
-                        lambda *args: classes.append(memo_classes(*args))
-                        or classes[-1])
+    builds = []
+    build = dimension._memo_build
+    monkeypatch.setattr(dimension, "_memo_build",
+                        lambda *args: builds.append(1) or build(*args))
     box = attractor_box_counts(system, k_max)
-    assert len(classes[0]) >= 1
+    assert len(builds) >= 1
+    builds.clear()
     with memo_threshold(0):
         assert attractor_box_counts(system, k_max) == box
-    assert classes[1] == set()
+    assert builds == []
 
 
 def test_box_walk_of_a_thousand_deep_words():
@@ -449,6 +454,18 @@ def test_box_walk_of_a_thousand_deep_words():
         with memo_threshold(pushes):
             box = attractor_box_counts(system, 1)
         assert (box.counts, box.words_pushed) == ((201,), 2128)
+
+
+def test_box_walk_of_words_past_the_binary64_range():
+    # |P| reaches 10**2200, so no float may hold |P| / Q or the push
+    # bound's threshold: each level doubles the count
+    system = make_system([(Fraction(10**200), Fraction(0)),
+                          (Fraction(10**200), Fraction(1))])
+    box = attractor_box_counts(system, 10)
+    assert (box.counts, box.words_pushed) == (
+        tuple(2**k for k in range(1, 11)), 2046)
+    with memo_threshold(0):
+        assert attractor_box_counts(system, 10) == box
 
 
 def box_walk_work(system, k_max):
@@ -466,9 +483,9 @@ def box_walk_work(system, k_max):
         built[id(steps)] = pushes
         return steps, pushes
 
-    def counted_add(counts, first, last, k, steps, x):
+    def counted_add(counts, last, k, steps, x):
         lookups.append(built[id(steps)])
-        add(counts, first, last, k, steps, x)
+        add(counts, last, k, steps, x)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dimension, "_memo_build", counted_build)
@@ -479,47 +496,15 @@ def box_walk_work(system, k_max):
 
 
 def test_memo_box_walk_work(renewal_system):
-    # the mixed-ratio report's walk counts 541,704 pushes: 28 memos are
-    # built with 3,960 pushes and read by 2,539 words, and the walk pops
-    # 5,121 words, 2,539 of them to read a memo
+    # the mixed-ratio report's walk counts 541,704 pushes: 20 memos are
+    # built with 4,498 pushes and read by 2,517 words, and the walk pops
+    # 5,033 words, 2,517 of them to read a memo
     box, builds, lookups, popped = box_walk_work(renewal_system, 14)
     assert box.words_pushed == 541_704
     assert (len(builds), sum(builds), len(lookups), popped) == \
-        (28, 3960, 2539, 5121)
+        (20, 4498, 2517, 5033)
     with memo_threshold(0):
         assert attractor_box_counts(renewal_system, 14) == box
-
-
-@pytest.mark.parametrize("maps, k_max, visited, memos", [
-    # one word per class, about a thousand classes deep: no class is
-    # reached twice, so the pass pops one entry per word the walk pushes
-    # and one for the empty word
-    ([(Fraction(201, 200), 0), (201, -200)], 1, 2129, 0),
-    # the mixed-ratio report's walk
-    ([(2, 0), (3, 1)], 14, 269, 28),
-])
-def test_memo_class_pass_pops_no_more_than_the_walk(maps, k_max, visited,
-                                                     memos, monkeypatch):
-    system = make_system([(Fraction(r), Fraction(b)) for r, b in maps])
-    visits = []
-    pop = dimension.heappop
-    monkeypatch.setattr(dimension, "heappop",
-                        lambda heap: visits.append(1) or pop(heap))
-    classes = []
-    memo_classes = dimension._memo_classes
-    monkeypatch.setattr(dimension, "_memo_classes",
-                        lambda *args: classes.append(memo_classes(*args))
-                        or classes[-1])
-    attractor_box_counts(system, k_max)
-    assert len(visits) == visited
-    assert len(classes[0]) == memos
-    # every class the pass expands holds a word that the walk pops and
-    # expands, and the walk pops that word's children as the pass pops an
-    # entry for each
-    box, _, _, popped = box_walk_work(system, k_max)
-    assert visited <= popped
-    with memo_threshold(0):
-        assert attractor_box_counts(system, k_max) == box
 
 
 def phase_sweeps(word, levels, push_rising, push_falling, ul, vl):
@@ -554,8 +539,9 @@ def phase_sweeps(word, levels, push_rising, push_falling, ul, vl):
 @pytest.mark.parametrize("delta", [None, Fraction(3, 2)])
 def test_memo_steps_match_the_walk_at_every_phase(maps, delta, monkeypatch):
     # for the classes of the words up to three maps deep, at every residue
-    # r of x a_j modulo |P| b_j span, the memo's count, first cell and end
-    # cell at level j are those of a word at that phase
+    # r of x a_j modulo N = |P| b_j span, the memo's count and end cell at
+    # level j are those of a word at that phase, whose least cell is F of
+    # F, r = divmod(x a_j, N)
     system = make_system([(Fraction(r), Fraction(b)) for r, b in maps])
     walks = []
     box_walk = dimension._box_walk
@@ -587,12 +573,12 @@ def test_memo_steps_match_the_walk_at_every_phase(maps, delta, monkeypatch):
                 x = Fraction(r, a_j)
                 e = x - ul * q if p > 0 else -x - vl * q
                 counts = [0] * len(levels)
-                first = [None] * len(levels)
-                last = [None] * len(levels)
-                dimension._add_sweeps(counts, first, last, k, steps, x)
+                last = [-math.inf] * len(levels)
+                dimension._add_sweeps(counts, last, k, steps, x)
+                least = divmod(x * a_j, mag * scale)[0]
                 want = phase_sweeps((p, q, e, k), levels, push_rising,
                                     push_falling, ul, vl)[j]
-                assert (counts[j], first[j], last[j]) == want, (p, q, j, r)
+                assert (counts[j], least, last[j]) == want, (p, q, j, r)
                 phases += 1
     assert phases > 100
 
@@ -652,13 +638,19 @@ def test_forked_tasks_go_to_whichever_process_is_free(tmp_path, count_forks,
     assert_no_child_left()
 
 
-def test_forked_tasks_past_the_queue_pipe_size(count_forks, monkeypatch,
-                                               assert_no_child_left):
-    # far more tasks than one-byte queue items can name
-    tasks = [partial(int, i) for i in range(40_000)]
-    monkeypatch.setattr(pool, "workers", lambda: 3)
-    assert pool.run(tasks) == list(range(40_000))
-    assert len(count_forks) == 2
+@pytest.mark.parametrize("workers", [1, 3])
+def test_forked_tasks_one_queue_byte_each(workers, count_forks, monkeypatch,
+                                          assert_no_child_left):
+    # one byte names each of 256 tasks; one more is refused before any
+    # task runs or any process forks
+    monkeypatch.setattr(pool, "workers", lambda: workers)
+    tasks = [partial(int, i) for i in range(256)]
+    assert pool.run(tasks) == list(range(256))
+    ran = []
+    with pytest.raises(ValueError, match="at most 256 tasks"):
+        pool.run([partial(ran.append, i) for i in range(257)])
+    assert ran == []
+    assert len(count_forks) == workers - 1
     assert_no_child_left()
 
 
