@@ -25,11 +25,11 @@ from .config import RunConfig, load_config
 from .dimension import (
     DimensionFit,
     attractor_box_counts,
+    cover_table,
     density_profile,
     density_ratio,
     estimate_beurling_dimension,
     estimate_box_dimension,
-    estimate_discrete_hausdorff,
     estimate_mass_dimension,
     integerize,
     renewal_constant,
@@ -87,7 +87,9 @@ class _Session:
     """One config, its --depth override (None when not given) and the
     caches shared by the fragments of a run, each a builder(session) ->
     dict writing into the config's output directory.  Orbit samples are
-    cached per radius, so `report` enumerates each radius once.
+    cached per radius, so `report` enumerates each radius once, and the
+    cover table and each of its rows are cached, so `report` can compute
+    rows in other processes and hand them to `dhd`'s builder.
     """
 
     def __init__(self, cfg: RunConfig, depth: int | None = None):
@@ -95,6 +97,8 @@ class _Session:
         self.depth = depth
         self._samples: dict[Fraction, object] = {}
         self._similarity = None
+        self._cover = None
+        self.cover_rows: dict[float, list[float]] = {}
 
     def orbit(self, radius) -> object:
         key = Fraction(radius)
@@ -110,6 +114,19 @@ class _Session:
                 [m.ratio for m in self.cfg.system.maps],
                 tolerance=self.cfg.residual_tolerance)
         return self._similarity
+
+    def cover(self):
+        """The cover table of the orbit sample at the config's radius."""
+        if self._cover is None:
+            points, _ = integerize(self.orbit(self.cfg.radius))
+            self._cover = cover_table(points, self.cfg.alpha_values(),
+                                      self.cfg.nu_levels())
+        return self._cover
+
+    def cover_row(self, alpha: float) -> list[float]:
+        if alpha not in self.cover_rows:
+            self.cover_rows[alpha] = self.cover().row(alpha)
+        return self.cover_rows[alpha]
 
 
 def _frag_solve_s(ses: _Session) -> dict:
@@ -247,16 +264,14 @@ def _frag_dims(ses: _Session) -> dict:
 
 def _frag_dhd(ses: _Session) -> dict:
     cfg = ses.cfg
-    sample = ses.orbit(cfg.radius)
-    points, scale = integerize(sample)
-    report = estimate_discrete_hausdorff(points, cfg.alpha_values(),
-                                         cfg.nu_levels(), tau=cfg.tau)
+    table = ses.cover()
+    report = table.read(map(ses.cover_row, table.alpha_grid), cfg.tau)
     rows = [(_f(alpha), str(n), _f(cost), _f(partial))
             for alpha, n, cost, partial in report.rows]
     _write_csv(os.path.join(cfg.out_dir, "nu.csv"),
                ["alpha", "n", "nu", "partial_sum"], map(",".join, rows))
     return {
-        "scale": scale,
+        "scale": ses.orbit(cfg.radius).scale,
         "dim_estimate": report.dim_estimate,
         "decay_estimate": report.decay_estimate,
         "alpha_resolution": cfg.alpha_step,
@@ -408,17 +423,32 @@ def _frag_padic(ses: _Session) -> dict:
 _ABSORBED = (ConfigError, DomainError, BudgetExceededError)
 
 
+def _row_groups(alphas, slots: int) -> list[tuple[float, ...]]:
+    """The alphas of a cover table as the alphas of at most slots queue
+    tasks: one alpha each where they fit, else runs of consecutive alphas,
+    all of one length but the last.  Costliest first: on the bench
+    systems a row costs most for alpha in 0.6-0.9 and least past 1, where
+    min_cover_cost is one pass over the points, so the tasks go in
+    descending alpha, those past 1 last."""
+    size = max(1, -(-len(alphas) // slots))
+    groups = [alphas[i:i + size] for i in range(0, len(alphas), size)]
+    return sorted(groups, key=lambda group: (group[0] > 1, -group[0]))
+
+
 def _frag_report(ses: _Session) -> dict:
     """Every analysis into one report.json, each failure recorded in place.
 
-    This process first computes what the analyses share, the similarity
-    dimension and the orbit sample at the config's radius; an error there
-    is left for each fragment that needs them to record.  The analyses
-    then go to `pool.run` as one task each, last first: the long ones
-    (cover table, density) come late in _ANALYSES, so they start first.
-    The attractor between them is short since its walk reads most
-    subtrees from memos, and the p-adic fragment, last of all, is short
-    since its ball counts are exact.  No analysis forks on its own, so at most
+    This process first computes what the analyses share: the similarity
+    dimension, and the cover table's slices of the orbit sample at the
+    config's radius, which enumerates that sample.  An error there is left
+    for each fragment that needs them to record.  The analyses then go to
+    `pool.run` as one task each, last first, so the long ones late in
+    _ANALYSES (density, the attractor walk, the cover table) start first;
+    the p-adic fragment, last of all, is short since its ball counts are
+    exact.  The cover table goes as its rows, tasks of their own in its
+    place (_row_groups).  Once the queue drains, this process stores the
+    rows in the session and runs `dhd`'s builder, which reads them from
+    there.  No analysis forks on its own, so at most
     `pool.workers()` processes run the report.  Each fragment writes only
     its own artifact, and report.json is assembled here in _ANALYSES
     order.
@@ -429,11 +459,14 @@ def _frag_report(ses: _Session) -> dict:
         "system": cfg.system.describe(),
         "seed": format_rational(cfg.seed),
     }
-    for shared in (ses.similarity, lambda: ses.orbit(cfg.radius)):
-        try:
-            shared()
-        except _ABSORBED:
-            pass
+    try:
+        ses.similarity()
+    except _ABSORBED:
+        pass
+    try:
+        grid = ses.cover().alpha_grid
+    except _ABSORBED:
+        grid = ()
 
     def run(builder) -> dict:
         try:
@@ -441,11 +474,25 @@ def _frag_report(ses: _Session) -> dict:
         except _ABSORBED as exc:
             return {"error": str(exc)}
 
-    jobs = {name: partial(run, builder)
+    def rows(alphas) -> list:
+        return [ses.cover_row(alpha) for alpha in alphas]
+
+    # (analysis name or the alphas of some rows, task) in queue order
+    jobs = [(name, partial(run, builder))
             for name, builder in reversed(_ANALYSES)
-            if name != "padic" or cfg.padic is not None}
+            if name != "padic" or cfg.padic is not None]
+    at = [name for name, _ in jobs].index("discrete_hausdorff")
+    dhd = jobs.pop(at)[1]
+    jobs[at:at] = [(alphas, partial(rows, alphas)) for alphas
+                   in _row_groups(grid, pool.MAX_TASKS - len(jobs))]
     fragments = {"padic": {"skipped": "no padic block in config"}}
-    fragments.update(zip(jobs, pool.run(list(jobs.values()))))
+    for key, result in zip([key for key, _ in jobs],
+                           pool.run([task for _, task in jobs])):
+        if isinstance(key, str):
+            fragments[key] = result
+        else:
+            ses.cover_rows.update(zip(key, result))
+    fragments["discrete_hausdorff"] = dhd()
     doc.update((name, fragments[name]) for name, _ in _ANALYSES)
     with open(os.path.join(cfg.out_dir, "report.json"), "w",
               encoding="utf-8") as fh:

@@ -16,7 +16,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain, groupby, islice
 
 from .errors import (DEFAULT_NODE_BUDGET, BudgetExceededError, ConfigError,
                      DomainError)
@@ -397,18 +397,55 @@ class DiscreteHausdorffReport:
 _STABILIZATION_TERMS = 4  # the last costs each estimate reads
 
 
-def estimate_discrete_hausdorff(points, alpha_grid, n_values,
-                                tau: float = 0.05) -> DiscreteHausdorffReport:
-    """Tabulate cover costs over growing cubes and read off the two
-    finite-scale dimension estimates.
+@dataclass(frozen=True)
+class CoverTable:
+    """The validated inputs of a cover-cost table: the alpha grid, the
+    ascending distinct cube exponents, the points inside each cube and
+    whether there are points at all.  Rows are independent, so they may
+    be computed in any order or process and read together."""
 
-    Needs at least 6 cube sizes so the stabilization window means
-    something.  The empty set reports 0 for both estimates.
+    alpha_grid: tuple[float, ...]
+    n_values: tuple[int, ...]
+    slices: tuple[list[int], ...]
+    empty: bool
 
-    Each cube's points are sliced once, and every cost is that of
-    min_cover_cost, called once per (alpha, n) in this process: the table
-    never forks.
-    """
+    def row(self, alpha: float) -> list[float]:
+        """The cover cost of each cube at alpha, one min_cover_cost call
+        per cube."""
+        return [min_cover_cost(inside, alpha, n).cost
+                for inside, n in zip(self.slices, self.n_values)]
+
+    def read(self, rows, tau: float) -> DiscreteHausdorffReport:
+        """The report of rows, the row of each grid alpha in grid order."""
+        table = []
+        tail = {}
+        for alpha, costs in zip(self.alpha_grid, rows):
+            table += [(alpha, n, cost, running) for n, cost, running
+                      in zip(self.n_values, costs, accumulate(costs))]
+            tail[alpha] = costs[-_STABILIZATION_TERMS:]
+        if self.empty:
+            return DiscreteHausdorffReport(0.0, 0.0, self.alpha_grid,
+                                           self.n_values, tuple(table))
+
+        dim_estimate = None
+        decay_estimate = None
+        for alpha in self.alpha_grid:
+            last = tail[alpha]
+            if dim_estimate is None and all(c < tau for c in last):
+                dim_estimate = alpha
+            if decay_estimate is None and all(c < tau for c in last) and all(
+                    b <= a for a, b in zip(last, last[1:])):
+                decay_estimate = alpha
+            if dim_estimate is not None and decay_estimate is not None:
+                break
+        return DiscreteHausdorffReport(dim_estimate, decay_estimate,
+                                       self.alpha_grid, self.n_values,
+                                       tuple(table))
+
+
+def cover_table(points, alpha_grid, n_values) -> CoverTable:
+    """The table estimate_discrete_hausdorff reads, its inputs checked in
+    its order and each cube's points sliced once."""
     n_values = sorted(set(int(n) for n in n_values))
     if len(n_values) < 6:
         raise DomainError("need at least 6 cube exponents")
@@ -420,35 +457,26 @@ def estimate_discrete_hausdorff(points, alpha_grid, n_values,
     if list(alpha_grid) != sorted(alpha_grid):
         raise DomainError("alpha grid must be ascending")
     pts = _integer_points(points)
+    slices = tuple(pts[bisect_left(pts, lo):bisect_left(pts, hi)]
+                   for lo, hi in map(_cube, n_values))
+    return CoverTable(alpha_grid, tuple(n_values), slices, not pts)
 
-    slices = [pts[bisect_left(pts, lo):bisect_left(pts, hi)]
-              for lo, hi in map(_cube, n_values)]
-    rows = []
-    tail = {}
-    for alpha in alpha_grid:
-        costs = [min_cover_cost(inside, alpha, n).cost
-                 for inside, n in zip(slices, n_values)]
-        rows += [(alpha, n, cost, running) for n, cost, running
-                 in zip(n_values, costs, accumulate(costs))]
-        tail[alpha] = costs[-_STABILIZATION_TERMS:]
 
-    if not pts:
-        return DiscreteHausdorffReport(0.0, 0.0, alpha_grid, tuple(n_values),
-                                       tuple(rows))
+def estimate_discrete_hausdorff(points, alpha_grid, n_values,
+                                tau: float = 0.05) -> DiscreteHausdorffReport:
+    """Tabulate cover costs over growing cubes and read off the two
+    finite-scale dimension estimates.
 
-    dim_estimate = None
-    decay_estimate = None
-    for alpha in alpha_grid:
-        last = tail[alpha]
-        if dim_estimate is None and all(c < tau for c in last):
-            dim_estimate = alpha
-        if decay_estimate is None and all(c < tau for c in last) and all(
-                b <= a for a, b in zip(last, last[1:])):
-            decay_estimate = alpha
-        if dim_estimate is not None and decay_estimate is not None:
-            break
-    return DiscreteHausdorffReport(dim_estimate, decay_estimate, alpha_grid,
-                                   tuple(n_values), tuple(rows))
+    Needs at least 6 cube sizes so the stabilization window means
+    something.  The empty set reports 0 for both estimates.
+
+    This is cover_table, one CoverTable.row per grid alpha and
+    CoverTable.read: each cube's points are sliced once, and min_cover_cost
+    is called once per (alpha, n), all in this process.  `report` runs the
+    same three steps with the rows dealt to its analysis queue.
+    """
+    table = cover_table(points, alpha_grid, n_values)
+    return table.read(map(table.row, table.alpha_grid), tau)
 
 
 def integerize(points) -> tuple[list[int], int]:
@@ -873,19 +901,23 @@ def density_profile(sample: OrbitSample, h_grid, s: float, ratio=None,
     scale = sample.scale
     den = math.lcm(scale * q, *(x.denominator for x in fills))
     step = den // scale
-    grid = {x.numerator * (den // x.denominator) for x in fills}
+    # the fill (a run per period), the jumps and the folded jumps go into
+    # one list of sorted runs, which one sort merges; the sorted list with
+    # its repeats is freed once they are dropped, before the float columns
+    grid = [x.numerator * (den // x.denominator) for x in fills]
     value = partial(Fraction, denominator=scale)
     first = bisect_left(mags, lo, key=value)
     if len(mags) - first <= max_jumps:
-        grid.update(map(step.__mul__, islice(mags, first, None)))
+        grid += map(step.__mul__, islice(mags, first, None))
         if ratio is not None:
             # the defect fold needs ratio*h on the grid for jumps one
             # period down
             fold = ratio.numerator * (den // (q * scale))
-            grid.update(map(fold.__mul__, islice(
+            grid += map(fold.__mul__, islice(
                 mags, bisect_left(mags, top / ratio**2, key=value),
-                bisect_right(mags, top / ratio, key=value))))
-    grid = sorted(grid)
+                bisect_right(mags, top / ratio, key=value)))
+    grid.sort()
+    grid = [g for g, _ in groupby(grid)]
     if len(grid) < 2:
         raise DomainError("density profile needs at least 2 entries")
     counts = [steps[bisect_right(mags, g // step)] for g in grid]

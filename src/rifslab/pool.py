@@ -4,6 +4,7 @@ import os
 import sys
 
 MAX_WORKERS = 8
+MAX_TASKS = 256  # the queue holds one byte per task
 
 
 def workers() -> int:
@@ -25,21 +26,22 @@ def workers() -> int:
 def run(tasks) -> list:
     """Results of the zero-argument callables tasks, in order.
 
-    Only `report`'s analysis queue calls it, with one task per analysis.
+    Only `report`'s analysis queue calls it, with one task per analysis
+    and per row (or run of rows) of the cover table.
     Up to workers() processes, this one and forked children, take the
     tasks from one queue in the order given, each the next one whenever
     it is free; no more are alive at once.  The queue is a pipe filled
-    before the first fork, one byte per task, so more than 256 tasks are
-    refused with a ValueError and its writer never blocks.  A child
+    before the first fork, one byte per task, so more than MAX_TASKS tasks
+    are refused with a ValueError and its writer never blocks.  A child
     pickles the results of the tasks it took, or its first exception,
     into a pipe of its own and exits; once a fork fails, fewer processes
     drain the queue.  Every child is reaped and every descriptor closed
     before this returns or raises, and the first exception of a child is
     re-raised.
     """
-    if len(tasks) > 256:
-        raise ValueError(f"pool.run takes at most 256 tasks, one queue byte "
-                         f"each, not {len(tasks)}")
+    if len(tasks) > MAX_TASKS:
+        raise ValueError(f"pool.run takes at most {MAX_TASKS} tasks, one "
+                         f"queue byte each, not {len(tasks)}")
     count = workers() if len(tasks) > 1 else 1
     if count < 2:
         return [task() for task in tasks]

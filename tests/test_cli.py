@@ -8,7 +8,7 @@ import time
 import pytest
 
 import rifslab
-from rifslab import cli, pool
+from rifslab import cli, dimension, pool
 from rifslab.cli import main
 
 LOG2_3 = math.log(2) / math.log(3)
@@ -510,7 +510,7 @@ def test_kmax_flag_lowers_a_default_radius(tmp_path, capsys):
     assert (orbit["size"], orbit["radius"]) == (512, "19683")
 
 
-def test_cube_overflow_is_a_precondition(tmp_path, capsys):
+def assert_cube_overflow_is_a_precondition(tmp_path, capsys):
     # 2.0**n overflows a float from n = 1024 on
     cfg = cantor_config(tmp_path, nu_range={"start": 1020, "stop": 1030})
     out = tmp_path / "out"
@@ -522,6 +522,10 @@ def test_cube_overflow_is_a_precondition(tmp_path, capsys):
             ["discrete_hausdorff"] == frag["discrete_hausdorff"])
     assert main(["dhd", "--config", cfg, "--out", str(out)]) == 4
     assert "2.0**1030 overflows" in capsys.readouterr().err
+
+
+def test_cube_overflow_is_a_precondition(tmp_path, capsys):
+    assert_cube_overflow_is_a_precondition(tmp_path, capsys)
 
 
 def assert_report_absorbs_fragment_failure(tmp_path, capsys):
@@ -602,6 +606,53 @@ def test_split_report_raises_a_workers_error(tmp_path, capsys,
               "--out", str(out)])
     assert not (out / "report.json").exists()
     assert_no_child_left()
+
+
+def test_split_report_records_a_cube_overflow(tmp_path, capsys, monkeypatch,
+                                              assert_no_child_left):
+    # the table's checks run before the queue, and dhd's builder records
+    # their error after it
+    monkeypatch.setattr(pool, "workers", lambda: 2)
+    assert_cube_overflow_is_a_precondition(tmp_path, capsys)
+    assert_no_child_left()
+
+
+def test_split_report_deals_a_long_alpha_grid(tmp_path, capsys, monkeypatch,
+                                              assert_no_child_left):
+    # 300 rows and 7 other analyses pass the queue's 256 tasks, so rows
+    # share tasks; the table equals the one dhd computes in one process
+    cfg = cantor_config(tmp_path, alpha_grid={"start": 0.004, "stop": 1.2,
+                                              "step": 0.004})
+    tables = []
+    for workers in (1, 2):
+        monkeypatch.setattr(pool, "workers", lambda: workers)
+        tables.append(report_bytes(capsys, ["--config", cfg],
+                                   tmp_path / f"out{workers}")["nu.csv"])
+    assert main(["dhd", "--config", cfg, "--out", str(tmp_path / "dhd")]) == 0
+    capsys.readouterr()
+    assert tables[0] == tables[1] == (tmp_path / "dhd" / "nu.csv").read_bytes()
+    assert len(tables[0].splitlines()) == 1 + 300 * 19
+    assert_no_child_left()
+
+
+def test_serial_report_prices_each_cube_once(tmp_path, capsys, monkeypatch):
+    # one process makes one min_cover_cost call per (alpha, cube): the
+    # rows the queue computes are the rows nu.csv is written from
+    calls = []
+    cost = dimension.min_cover_cost
+
+    def counted(points, alpha, n):
+        calls.append((alpha, n))
+        return cost(points, alpha, n)
+
+    monkeypatch.setattr(dimension, "min_cover_cost", counted)
+    monkeypatch.setattr(pool, "workers", lambda: 1)
+    cfg = cantor_config(tmp_path)
+    report_bytes(capsys, ["--config", cfg], tmp_path / "out")
+    run = rifslab.load_config(cfg)
+    assert sorted(calls) == [(alpha, n) for alpha in run.alpha_values()
+                             for n in run.nu_levels()]
+    assert len(calls) == 12 * 19
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
