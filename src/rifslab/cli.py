@@ -88,8 +88,8 @@ class _Session:
     caches shared by the fragments of a run, each a builder(session) ->
     dict writing into the config's output directory.  Orbit samples are
     cached per radius, so `report` enumerates each radius once, and the
-    cover table and each of its rows are cached, so `report` can compute
-    rows in other processes and hand them to `dhd`'s builder.
+    cover table is cached, so `report` can store in it the rows other
+    processes computed before `dhd`'s builder reads it.
     """
 
     def __init__(self, cfg: RunConfig, depth: int | None = None):
@@ -98,7 +98,6 @@ class _Session:
         self._samples: dict[Fraction, object] = {}
         self._similarity = None
         self._cover = None
-        self.cover_rows: dict[float, list[float]] = {}
 
     def orbit(self, radius) -> object:
         key = Fraction(radius)
@@ -122,11 +121,6 @@ class _Session:
             self._cover = cover_table(points, self.cfg.alpha_values(),
                                       self.cfg.nu_levels())
         return self._cover
-
-    def cover_row(self, alpha: float) -> list[float]:
-        if alpha not in self.cover_rows:
-            self.cover_rows[alpha] = self.cover().row(alpha)
-        return self.cover_rows[alpha]
 
 
 def _frag_solve_s(ses: _Session) -> dict:
@@ -264,8 +258,7 @@ def _frag_dims(ses: _Session) -> dict:
 
 def _frag_dhd(ses: _Session) -> dict:
     cfg = ses.cfg
-    table = ses.cover()
-    report = table.read(map(ses.cover_row, table.alpha_grid), cfg.tau)
+    report = ses.cover().read(cfg.tau)
     rows = [(_f(alpha), str(n), _f(cost), _f(partial))
             for alpha, n, cost, partial in report.rows]
     _write_csv(os.path.join(cfg.out_dir, "nu.csv"),
@@ -408,8 +401,10 @@ def _frag_padic(ses: _Session) -> dict:
                      "fit": _fit_dict(box.fit)},
                 csv="padic.csv")
     try:
-        check = mass_versus_box(psys, ses.orbit(Fraction(p) ** cfg.grid_kmax),
-                                box.fit)
+        # the sample at the config's radius serves when it reaches p**kmax
+        top = Fraction(p) ** cfg.grid_kmax
+        check = mass_versus_box(psys, ses.orbit(max(cfg.radius, top)),
+                                box.fit, cfg.grid_kmax)
         frag["mass_vs_box"] = {
             "mass": _fit_dict(check.mass_fit),
             "box": _fit_dict(check.box_fit),
@@ -423,18 +418,6 @@ def _frag_padic(ses: _Session) -> dict:
 _ABSORBED = (ConfigError, DomainError, BudgetExceededError)
 
 
-def _row_groups(alphas, slots: int) -> list[tuple[float, ...]]:
-    """The alphas of a cover table as the alphas of at most slots queue
-    tasks: one alpha each where they fit, else runs of consecutive alphas,
-    all of one length but the last.  Costliest first: on the bench
-    systems a row costs most for alpha in 0.6-0.9 and least past 1, where
-    min_cover_cost is one pass over the points, so the tasks go in
-    descending alpha, those past 1 last."""
-    size = max(1, -(-len(alphas) // slots))
-    groups = [alphas[i:i + size] for i in range(0, len(alphas), size)]
-    return sorted(groups, key=lambda group: (group[0] > 1, -group[0]))
-
-
 def _frag_report(ses: _Session) -> dict:
     """Every analysis into one report.json, each failure recorded in place.
 
@@ -445,13 +428,15 @@ def _frag_report(ses: _Session) -> dict:
     `pool.run` as one task each, last first, so the long ones late in
     _ANALYSES (density, the attractor walk, the cover table) start first;
     the p-adic fragment, last of all, is short since its ball counts are
-    exact.  The cover table goes as its rows, tasks of their own in its
-    place (_row_groups).  Once the queue drains, this process stores the
-    rows in the session and runs `dhd`'s builder, which reads them from
-    there.  No analysis forks on its own, so at most
-    `pool.workers()` processes run the report.  Each fragment writes only
-    its own artifact, and report.json is assembled here in _ANALYSES
-    order.
+    exact.  The cover table goes as its rows, one task per alpha in its
+    place, costliest first: on the bench systems a row costs most for
+    alpha in 0.6-0.9 and least past 1, where min_cover_cost is one pass
+    over the points, so they go in descending alpha, those past 1 last.
+    Once the queue drains, this process stores the rows in the table and
+    runs `dhd`'s builder, which reads them from there.  No analysis forks
+    on its own, so at most `pool.workers()` processes run the report.
+    Each fragment writes only its own artifact, and report.json is
+    assembled here in _ANALYSES order.
     """
     cfg = ses.cfg
     doc = {
@@ -464,9 +449,10 @@ def _frag_report(ses: _Session) -> dict:
     except _ABSORBED:
         pass
     try:
-        grid = ses.cover().alpha_grid
+        table = ses.cover()
+        alphas = sorted(table.alpha_grid, key=lambda a: (a > 1, -a))
     except _ABSORBED:
-        grid = ()
+        alphas = []
 
     def run(builder) -> dict:
         try:
@@ -474,24 +460,20 @@ def _frag_report(ses: _Session) -> dict:
         except _ABSORBED as exc:
             return {"error": str(exc)}
 
-    def rows(alphas) -> list:
-        return [ses.cover_row(alpha) for alpha in alphas]
-
-    # (analysis name or the alphas of some rows, task) in queue order
+    # (analysis name or the alpha of a row, task) in queue order
     jobs = [(name, partial(run, builder))
             for name, builder in reversed(_ANALYSES)
             if name != "padic" or cfg.padic is not None]
     at = [name for name, _ in jobs].index("discrete_hausdorff")
     dhd = jobs.pop(at)[1]
-    jobs[at:at] = [(alphas, partial(rows, alphas)) for alphas
-                   in _row_groups(grid, pool.MAX_TASKS - len(jobs))]
+    jobs[at:at] = [(alpha, partial(table.row, alpha)) for alpha in alphas]
     fragments = {"padic": {"skipped": "no padic block in config"}}
     for key, result in zip([key for key, _ in jobs],
                            pool.run([task for _, task in jobs])):
         if isinstance(key, str):
             fragments[key] = result
         else:
-            ses.cover_rows.update(zip(key, result))
+            table.rows[key] = result
     fragments["discrete_hausdorff"] = dhd()
     doc.update((name, fragments[name]) for name, _ in _ANALYSES)
     with open(os.path.join(cfg.out_dir, "report.json"), "w",

@@ -13,7 +13,7 @@ import math
 import operator
 import sys
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate, chain, groupby, islice
@@ -275,11 +275,12 @@ def min_cover_cost(points, alpha: float, n: int) -> CoverCost:
       (2**alpha - 2)*w(1).  While w(1) = (2**-n)**alpha is a normal float
       (n*alpha <= 1022), every total is within a relative k*2**-53 of its
       real value, so the margin holds unless alpha is within about
-      k**2 * 2**-53 of 1.  A subnormal or zero w(1) breaks this: weights
-      round to multiples of 2**-1074, and the scan may join points into
-      runs at the same float cost or a few 2**-1074 less (at n = 1023, ten
-      points give ten singletons where it gives 7 runs for alpha = 1.05,
-      both at 5e-323).  The singletons stay optimal for the real weights.
+      k**2 * 2**-53 of 1.  Where w(1) is subnormal or zero, weights round
+      to multiples of 2**-1074: the scan may join points into runs, and k
+      rounded w(1) may sum to twice the real cost.  The singletons stay,
+      and their cost k*2**-t, t = n*alpha, is rounded once, as
+      k*2**(floor(t) - t) scaled by 2**-floor(t): ten points at n = 1023
+      and alpha = 1.05 cost 9*2**-1074, the scan's 7 runs 10*2**-1074.
 
     A run is priced ((right - x + 1) * 2**-n)**alpha, the scan's
     ((right - x + 1) / 2.0**n)**alpha bit for bit: Python rounds the int
@@ -300,10 +301,15 @@ def min_cover_cost(points, alpha: float, n: int) -> CoverCost:
     inv = math.ldexp(1.0, -n)  # 2**-n, exact
     single = inv ** alpha  # w(1)
     if alpha > 1:
-        total = 0.0
-        # in order, as the scan adds: sum() compensates from Python 3.12
-        for _ in pts:
-            total += single
+        if single < sys.float_info.min:
+            t = n * alpha
+            e = math.floor(t)
+            total = math.ldexp(len(pts) * 2.0 ** (e - t), -e)
+        else:
+            total = 0.0
+            # in order, as the scan adds: sum() compensates from Python 3.12
+            for _ in pts:
+                total += single
         return CoverCost(alpha=alpha, n=n, cost=total,
                          optimal_partition=tuple(zip(pts, pts)))
     k = len(pts)
@@ -401,25 +407,32 @@ _STABILIZATION_TERMS = 4  # the last costs each estimate reads
 class CoverTable:
     """The validated inputs of a cover-cost table: the alpha grid, the
     ascending distinct cube exponents, the points inside each cube and
-    whether there are points at all.  Rows are independent, so they may
-    be computed in any order or process and read together."""
+    whether there are points at all, and the rows computed so far, by
+    alpha.  Rows are independent, so they may be computed in any order or
+    process and stored in rows before the table is read."""
 
     alpha_grid: tuple[float, ...]
     n_values: tuple[int, ...]
     slices: tuple[list[int], ...]
     empty: bool
+    rows: dict[float, list[float]] = field(default_factory=dict,
+                                           compare=False, repr=False)
 
     def row(self, alpha: float) -> list[float]:
-        """The cover cost of each cube at alpha, one min_cover_cost call
-        per cube."""
-        return [min_cover_cost(inside, alpha, n).cost
-                for inside, n in zip(self.slices, self.n_values)]
+        """The cover cost of each cube at alpha: one min_cover_cost call
+        per cube the first time, the stored row after."""
+        if alpha not in self.rows:
+            self.rows[alpha] = [min_cover_cost(inside, alpha, n).cost
+                                for inside, n in zip(self.slices,
+                                                     self.n_values)]
+        return self.rows[alpha]
 
-    def read(self, rows, tau: float) -> DiscreteHausdorffReport:
-        """The report of rows, the row of each grid alpha in grid order."""
+    def read(self, tau: float) -> DiscreteHausdorffReport:
+        """The report of the row of each grid alpha, in grid order."""
         table = []
         tail = {}
-        for alpha, costs in zip(self.alpha_grid, rows):
+        for alpha in self.alpha_grid:
+            costs = self.row(alpha)
             table += [(alpha, n, cost, running) for n, cost, running
                       in zip(self.n_values, costs, accumulate(costs))]
             tail[alpha] = costs[-_STABILIZATION_TERMS:]
@@ -470,13 +483,12 @@ def estimate_discrete_hausdorff(points, alpha_grid, n_values,
     Needs at least 6 cube sizes so the stabilization window means
     something.  The empty set reports 0 for both estimates.
 
-    This is cover_table, one CoverTable.row per grid alpha and
-    CoverTable.read: each cube's points are sliced once, and min_cover_cost
-    is called once per (alpha, n), all in this process.  `report` runs the
-    same three steps with the rows dealt to its analysis queue.
+    This is cover_table(...).read(tau): each cube's points are sliced
+    once, and min_cover_cost is called once per (alpha, n), all in this
+    process.  `report` computes the rows in its analysis queue first and
+    stores them in the table before the read.
     """
-    table = cover_table(points, alpha_grid, n_values)
-    return table.read(map(table.row, table.alpha_grid), tau)
+    return cover_table(points, alpha_grid, n_values).read(tau)
 
 
 def integerize(points) -> tuple[list[int], int]:

@@ -379,22 +379,18 @@ def _require_fixed_seed(system: PAdicSystem, seed: Fraction) -> None:
 
 
 def mass_versus_box(system: PAdicSystem, sample: OrbitSample,
-                    box_fit: DimensionFit) -> MassBoxComparison:
+                    box_fit: DimensionFit, kmax: int) -> MassBoxComparison:
     """Archimedean mass slope of an orbit sample against a p-adic box
     slope of the attractor, for a seed fixed by one of the maps.
 
-    The mass fit counts the sample on the powers p, p**2, ... up to its
-    radius and fits the last 8 of them.  The fixed-point requirement
-    keeps the two samples anchored to the same invariant set; other
-    seeds shift the orbit off the attractor and the comparison loses its
-    meaning.
+    The mass fit counts the sample on the powers p, p**2, ..., p**kmax,
+    which its radius must reach, and fits the last 8 of them.  The
+    fixed-point requirement keeps the two samples anchored to the same
+    invariant set; other seeds shift the orbit off the attractor and the
+    comparison loses its meaning.
     """
     _require_fixed_seed(system, sample.seed)
-    grid = []
-    h = Fraction(system.p)
-    while h <= sample.radius:
-        grid.append(h)
-        h *= system.p
+    grid = [Fraction(system.p) ** k for k in range(1, kmax + 1)]
     profile = counting_profile(sample, grid)
     mass_fit = estimate_mass_dimension(
         profile, window=(max(0, len(grid) - 8), len(grid)))
@@ -418,4 +414,4 @@ def compare_mass_and_box(system: PAdicSystem, seed, *,
     att = attractor_sample(system, seed, depth, node_budget)
     box = padic_box_dimension(att, system.p, _fit_levels(att.certified_k),
                               certified_k=att.certified_k)
-    return mass_versus_box(system, sample, box.fit)
+    return mass_versus_box(system, sample, box.fit, mass_kmax)

@@ -4,7 +4,7 @@ import os
 import sys
 
 MAX_WORKERS = 8
-MAX_TASKS = 256  # the queue holds one byte per task
+QUEUE_BYTES = 256  # the most bytes the queue holds
 
 
 def workers() -> int:
@@ -27,37 +27,38 @@ def run(tasks) -> list:
     """Results of the zero-argument callables tasks, in order.
 
     Only `report`'s analysis queue calls it, with one task per analysis
-    and per row (or run of rows) of the cover table.
+    and per row of the cover table.
     Up to workers() processes, this one and forked children, take the
     tasks from one queue in the order given, each the next one whenever
-    it is free; no more are alive at once.  The queue is a pipe filled
-    before the first fork, one byte per task, so more than MAX_TASKS tasks
-    are refused with a ValueError and its writer never blocks.  A child
-    pickles the results of the tasks it took, or its first exception,
-    into a pipe of its own and exits; once a fork fails, fewer processes
-    drain the queue.  Every child is reaped and every descriptor closed
-    before this returns or raises, and the first exception of a child is
-    re-raised.
+    it is free; no more are alive at once.  The queue is a pipe of at
+    most QUEUE_BYTES bytes, filled before the first fork so its writer
+    never blocks.  Up to QUEUE_BYTES tasks, a byte names one task; for n
+    more, byte i names the run of per = ceil(n / QUEUE_BYTES) tasks from
+    i * per.  A child pickles the results of the tasks it took, or its
+    first exception, into a pipe of its own and exits; once a fork fails,
+    fewer processes drain the queue.  Every child is reaped and every
+    descriptor closed before this returns or raises, and the first
+    exception of a child is re-raised.
     """
-    if len(tasks) > MAX_TASKS:
-        raise ValueError(f"pool.run takes at most {MAX_TASKS} tasks, one "
-                         f"queue byte each, not {len(tasks)}")
     count = workers() if len(tasks) > 1 else 1
     if count < 2:
         return [task() for task in tasks]
     import pickle
+    per = -(-len(tasks) // QUEUE_BYTES)
 
     def drain() -> list:
         done = []
         while item := os.read(queue, 1):
-            done.append((item[0], tasks[item[0]]()))
+            first = item[0] * per
+            done += [(i, task()) for i, task
+                     in enumerate(tasks[first:first + per], first)]
         return done
 
     queue, write_fd = os.pipe()
     children = []
     try:
         with os.fdopen(write_fd, "wb") as fh:
-            fh.write(bytes(range(len(tasks))))
+            fh.write(bytes(range(-(-len(tasks) // per))))
         for _ in range(min(count, len(tasks)) - 1):
             read_fd, write_fd = os.pipe()
             try:

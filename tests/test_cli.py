@@ -619,8 +619,8 @@ def test_split_report_records_a_cube_overflow(tmp_path, capsys, monkeypatch,
 
 def test_split_report_deals_a_long_alpha_grid(tmp_path, capsys, monkeypatch,
                                               assert_no_child_left):
-    # 300 rows and 7 other analyses pass the queue's 256 tasks, so rows
-    # share tasks; the table equals the one dhd computes in one process
+    # 300 rows and 7 other analyses pass 256 tasks, so a queue byte names
+    # a run of tasks; the table equals the one dhd computes in one process
     cfg = cantor_config(tmp_path, alpha_grid={"start": 0.004, "stop": 1.2,
                                               "step": 0.004})
     tables = []
@@ -653,6 +653,25 @@ def test_serial_report_prices_each_cube_once(tmp_path, capsys, monkeypatch):
     assert sorted(calls) == [(alpha, n) for alpha in run.alpha_values()
                              for n in run.nu_levels()]
     assert len(calls) == 12 * 19
+
+
+def test_serial_report_walks_the_orbit_once(tmp_path, capsys, monkeypatch):
+    # the benchmark's cantor-padic config: the mass check counts on 3, ...,
+    # 3**12 from the sample at the radius 3**13 every other analysis reads
+    walks = []
+    walk = cli.enumerate_orbit
+
+    def counted(system, seed, radius, **kwargs):
+        walks.append(radius)
+        return walk(system, seed, radius, **kwargs)
+
+    monkeypatch.setattr(cli, "enumerate_orbit", counted)
+    monkeypatch.setattr(pool, "workers", lambda: 1)
+    cfg = cantor_config(tmp_path, grid={"base": "3", "kmax": 12},
+                        radius=str(3**13),
+                        padic={"p": 3, "exponents": [1, 1], "signs": [1, 1]})
+    report_bytes(capsys, ["--config", cfg], tmp_path / "out")
+    assert walks == [3**13]
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])

@@ -638,20 +638,27 @@ def test_forked_tasks_go_to_whichever_process_is_free(tmp_path, count_forks,
     assert_no_child_left()
 
 
+def append_line(path, i):
+    # one short O_APPEND write per task, so processes never interleave
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(f"{i}\n")
+    return i
+
+
 @pytest.mark.parametrize("workers", [1, 3])
-def test_forked_tasks_one_queue_byte_each(workers, count_forks, monkeypatch,
-                                          assert_no_child_left):
-    # one byte names each of 256 tasks; one more is refused before any
-    # task runs or any process forks
+def test_forked_tasks_any_count_each_once(workers, tmp_path, count_forks,
+                                          monkeypatch, assert_no_child_left):
+    # 256 tasks get a queue byte each; past that a byte names a run of
+    # consecutive tasks, and every task still runs once, in any process
     monkeypatch.setattr(pool, "workers", lambda: workers)
-    tasks = [partial(int, i) for i in range(256)]
-    assert pool.run(tasks) == list(range(256))
-    ran = []
-    with pytest.raises(ValueError, match="at most 256 tasks"):
-        pool.run([partial(ran.append, i) for i in range(257)])
-    assert ran == []
-    assert len(count_forks) == workers - 1
-    assert_no_child_left()
+    for count in (256, 600):
+        ran = tmp_path / f"ran{count}"
+        tasks = [partial(append_line, ran, i) for i in range(count)]
+        assert pool.run(tasks) == list(range(count))
+        assert sorted(map(int, ran.read_text().split())) == list(range(count))
+        assert len(count_forks) == workers - 1
+        assert_no_child_left()
+        count_forks.clear()
 
 
 def test_forked_tasks_raise_a_childs_error(tmp_path, count_forks, monkeypatch,

@@ -287,14 +287,24 @@ def test_convex_cover_matches_quadratic_dp_while_unit_run_is_normal(alpha):
     assert (cc.cost, cc.optimal_partition) == quadratic_cover_min(
         points, alpha, n)
     # at n = 1023 w(1) is subnormal or 0.0, weights stop being
-    # superadditive, and the scan joins points into fewer runs at the
-    # same cost; the singletons stay
+    # superadditive, and the scan joins points into fewer runs; the
+    # singletons stay, at their cost 10*2**-(1023*alpha) rounded once
     points = edge_points(1023)
     cc = min_cover_cost(points, alpha, 1023)
     cost, partition = quadratic_cover_min(points, alpha, 1023)
     assert cc.optimal_partition == tuple(zip(points, points))
-    assert cc.cost == cost
+    assert cc.cost == {1.05: math.ldexp(9, -1074), 1.5: 0.0, 2.0: 0.0}[alpha]
+    assert cc.cost <= cost
     assert len(partition) < len(points)
+
+
+def test_subnormal_unit_weight_is_not_rounded_before_the_sum():
+    # w(1) = 2**-1075 rounds to 2**-1074 on its own, and ten of them
+    # would cost twice the real 10*2**-1075
+    cc = min_cover_cost(range(10), 1.075, 1000)
+    assert math.ldexp(1.0, -1000) ** 1.075 == math.ldexp(1, -1074)
+    assert cc.cost == math.ldexp(5, -1074)
+    assert cc.optimal_partition == tuple((x, x) for x in range(10))
 
 
 # --------------------------------------------------------------------------
